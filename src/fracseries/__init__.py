@@ -19,7 +19,15 @@ from .series import (
     series_from_catalog,
     taylor_arith,
 )
-from .special import gamma_ratio, gamma_real, gen_binom, pochhammer, recip_gamma, upsilon
+from .special import (
+    GammaRangeError,
+    gamma_ratio,
+    gamma_real,
+    gen_binom,
+    pochhammer,
+    recip_gamma,
+    upsilon,
+)
 from .operators import (
     IntegerLimitReport,
     caputo_derivative,
@@ -75,6 +83,7 @@ __all__ = [
     "EvalResult",
     "FracPowerSeries",
     "FreqDiffReport",
+    "GammaRangeError",
     "GrammarError",
     "IntegerLimitReport",
     "LaplaceExpr",

@@ -54,6 +54,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise GrammarError(f"bad grid {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi - lo)):
+        raise GrammarError(f"grid bounds and their span must be finite, got {text!r}")
     if count < 1:
         raise GrammarError(f"grid count must be >= 1, got {count}")
     if hi < lo:

@@ -5,21 +5,23 @@ singular kernel (t - tau)^(alpha-1) is absorbed into a Gauss-Jacobi
 rule, so analytic integrands converge spectrally and a single node
 doubling certifies the result. An adaptive Gauss-Kronrod route that
 stops short of the singular endpoint is kept for diagnostics.
+
+scipy (and with it numpy) is imported by the first call that needs it,
+so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
-from scipy import integrate
-from scipy.special import roots_jacobi
+from typing import TYPE_CHECKING, Callable
 
 from .operators import rl_caputo_bridge
 from .series import Order, TaylorSeries, as_order
 from .special import recip_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -36,13 +38,18 @@ DOUBLING_TOL = 1.0e-9
 #: Relative size allowed for the last carried Taylor terms of the integrand.
 EVAL_ACCURACY_TOL = 1.0e-12
 
+#: Gauss-Jacobi rules kept, keyed by (alpha, nodes); least recently used go.
+JACOBI_CACHE_SIZE = 256
+
 
 class QuadratureError(ArithmeticError):
     """Raised when node doubling fails to stabilize the integral."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=JACOBI_CACHE_SIZE)
 def _jacobi_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(nodes, alpha - 1.0, 0.0)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -90,16 +97,19 @@ def rl_integral_quad(
         raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
+    if max_doublings < 1:
+        raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
     prev = rl_integral_fixed(f, alpha, a, t, nodes)
     for _ in range(max_doublings):
         nodes *= 2
         cur = rl_integral_fixed(f, alpha, a, t, nodes)
-        if abs(cur - prev) <= rel_tol * (1.0 + abs(cur)):
+        change = abs(cur - prev)
+        if change <= rel_tol * (1.0 + abs(cur)):
             return cur
         prev = cur
     raise QuadratureError(
         f"node doubling did not stabilize by {nodes} nodes "
-        f"(last change {abs(cur - prev):.3e})"
+        f"(last change {change:.3e}, rel_tol {rel_tol:.3e})"
     )
 
 
@@ -122,6 +132,8 @@ def rl_integral_adaptive(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not t > a:
         raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
+    from scipy import integrate
+
     eps = eps_frac * (t - a)
     body, body_err = integrate.quad(
         lambda tau: (t - tau) ** (alpha - 1.0) * f(tau), a, t - eps, limit=200

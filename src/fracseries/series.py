@@ -413,7 +413,23 @@ def series_from_catalog(
     the center), ``shifted-poly`` (coefficients of (t-center)^i),
     ``const``, ``power`` (t^p, needs center > 0 for non-integer p),
     ``exp`` (e^{rate t}), ``sin``/``cos`` (angular frequency omega).
+
+    Raises:
+        ValueError: unknown family, bad parameters, or Taylor data
+            beyond the double range (e.g. ``exp`` with rate 1e300).
     """
+    try:
+        return _catalog_series(name, params, center, truncation)
+    except OverflowError:
+        raise ValueError(
+            f"{name} with parameters {params} has Taylor data beyond the "
+            f"double range at center {center} (truncation {truncation})"
+        ) from None
+
+
+def _catalog_series(
+    name: str, params: list[float], center: float, truncation: int
+) -> TaylorSeries:
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     params = [float(p) for p in params]

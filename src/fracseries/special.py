@@ -9,12 +9,12 @@ behaviours explicit instead of leaving them to IEEE accidents.
 from __future__ import annotations
 
 import math
-
-from scipy.special import gammaincc
+import sys
 
 from .series import EvalResult
 
 __all__ = [
+    "GammaRangeError",
     "gamma_ratio",
     "gamma_real",
     "gen_binom",
@@ -22,6 +22,27 @@ __all__ = [
     "recip_gamma",
     "upsilon",
 ]
+
+#: Left of this argument math.gamma can underflow between its poles into
+#: subnormals or 0.0, so quotients of it lose digits or divide by zero.
+GAMMA_UNDERFLOW_X = -170.0
+
+
+class GammaRangeError(ValueError):
+    """Raised when a gamma quotient lies beyond the double range."""
+
+
+# scipy.special.gammaincc, loaded by the first non-integer upsilon call so
+# that importing the package does not load scipy
+_gammaincc = None
+
+
+def _load_gammaincc():
+    global _gammaincc
+    from scipy.special import gammaincc
+
+    _gammaincc = gammaincc
+    return gammaincc
 
 
 def _check_finite(x: float, name: str = "x") -> float:
@@ -57,14 +78,32 @@ def recip_gamma(x: float) -> float:
 
     This is the form the series coefficients actually need: the term is
     dropped exactly when the denominator gamma sits on a pole.
+
+    Raises:
+        GammaRangeError: if 1/Gamma(x) exceeds the double range (x far
+            left on the negative axis, e.g. x = -179.5).
     """
     x = _check_finite(x)
-    if _is_nonpositive_integer(x):
-        return 0.0
+    if x <= 0.0:
+        if x == math.floor(x):
+            return 0.0
+        if x < GAMMA_UNDERFLOW_X:
+            return _recip_tiny_gamma(x)
     try:
         return 1.0 / math.gamma(x)
     except OverflowError:
         return 0.0
+
+
+def _recip_tiny_gamma(x: float) -> float:
+    # a finite 1/g needs |g| >= 5.6e-309, where gradual underflow costs
+    # g at most one part in 1e15; past that the magnitude is out of range
+    g = math.gamma(x)
+    if g != 0.0:
+        r = 1.0 / g
+        if not math.isinf(r):
+            return r
+    return _log_gamma_ratio(1.0, x)
 
 
 def gen_binom(alpha: float, k: int) -> float:
@@ -105,21 +144,49 @@ def _gamma_sign(x: float) -> float:
     return 1.0 if math.floor(x) % 2 == 0 else -1.0
 
 
+def _log_gamma_ratio(num: float, den: float) -> float:
+    log_ratio = math.lgamma(num) - math.lgamma(den)
+    try:
+        return _gamma_sign(num) * _gamma_sign(den) * math.exp(log_ratio)
+    except OverflowError:
+        what = f"1/Gamma({den!r})" if num == 1.0 else f"Gamma({num!r})/Gamma({den!r})"
+        raise GammaRangeError(
+            f"{what} has magnitude exp({log_ratio:.6g}), beyond the double range"
+        ) from None
+
+
+def _deep_gamma_ratio(num: float, den: float) -> float:
+    # an argument lies left of GAMMA_UNDERFLOW_X: keep the direct quotient
+    # while both gammas are normal floats, else go to log space with the
+    # signs taken apart
+    try:
+        g_num, g_den = math.gamma(num), math.gamma(den)
+    except OverflowError:
+        return _log_gamma_ratio(num, den)
+    if abs(g_num) >= sys.float_info.min and abs(g_den) >= sys.float_info.min:
+        return g_num / g_den
+    return _log_gamma_ratio(num, den)
+
+
 def gamma_ratio(num: float, den: float) -> float:
     """Gamma(num)/Gamma(den); exactly 0.0 when *den* sits on a pole.
 
-    Falls back to log space when the numerator gamma alone would
-    overflow while the ratio is still representable.
+    Falls back to log space when a gamma alone would overflow or
+    underflow while the ratio is still representable.
+
+    Raises:
+        GammaRangeError: if the ratio itself exceeds the double range.
     """
     if _is_nonpositive_integer(den):
         return 0.0
     if _is_nonpositive_integer(num):
         raise ValueError(f"gamma pole in the numerator at {num}")
+    if num < GAMMA_UNDERFLOW_X or den < GAMMA_UNDERFLOW_X:
+        return _deep_gamma_ratio(num, den)
     try:
         return math.gamma(num) / math.gamma(den)
     except OverflowError:
-        sign = _gamma_sign(num) * _gamma_sign(den)
-        return sign * math.exp(math.lgamma(num) - math.lgamma(den))
+        return _log_gamma_ratio(num, den)
 
 
 def upsilon(p: float, q: float) -> float:
@@ -151,4 +218,5 @@ def upsilon(p: float, q: float) -> float:
         )
     # regularized upper incomplete gamma, rescaled; scipy uses the
     # standard series/continued-fraction split around q ~ p
+    gammaincc = _gammaincc or _load_gammaincc()
     return float(gammaincc(p, q)) * math.gamma(p)

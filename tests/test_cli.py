@@ -350,3 +350,49 @@ def test_installed_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 * s^(-1.5)"
+
+
+# --- extreme and non-finite input ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "exp:1", "--alpha", "180.5", "--grid", "0.5:1:2"],
+        ["eval", "exp:1", "--alpha", "172.5", "--grid", "0.5:1:2"],
+        ["oracle", "exp:1", "--alpha", "180.5", "--grid", "0.5:1:2"],
+        ["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha", "180.5", "--t", "1"],
+    ],
+)
+def test_extreme_order_exits_cleanly(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code in (2, 3)
+    assert "Traceback" not in err
+    assert err.startswith(("error:", "numerical failure:"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "exp:1e300", "--alpha", "0.5", "--grid", "0.5:1:2"],
+        ["eval", "exp:1", "--alpha", "0.5", "--grid", "0.5:nan:2"],
+        ["eval", "exp:1", "--alpha", "0.5", "--grid", "nan:1:2"],
+        ["eval", "exp:1", "--alpha", "0.5", "--grid", "0.5:inf:2"],
+        ["eval", "exp:1", "--alpha", "0.5", "--grid=-1e308:1e308:2"],
+    ],
+)
+def test_non_finite_or_overflowing_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "convergence radius" not in err
+
+
+def test_oracle_failure_reports_nonzero_last_change(capsys):
+    code, _, err = run_cli(
+        capsys, ["oracle", "exp:1", "--alpha", "0.5", "--grid", "0.5:1:2", "--tol", "0"]
+    )
+    assert code == 3
+    change = float(err.split("last change ")[1].split(",")[0])
+    assert change > 0.0

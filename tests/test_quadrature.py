@@ -173,3 +173,32 @@ def test_truncated_data_vetted_before_integration():
     f = series_from_catalog("sin", [1.0], truncation=8)
     with pytest.raises(ValueError):
         caputo_quad(f, 0.5, 3.0)
+
+
+# --- failure reporting and the rule cache ----------------------------------------
+
+
+def test_doubling_failure_reports_the_last_change():
+    # rel_tol 0 can only be met by bitwise agreement, which never comes
+    with pytest.raises(QuadratureError) as info:
+        rl_integral_quad(math.exp, 0.5, 0.0, 0.5, rel_tol=0.0)
+    message = str(info.value)
+    change = float(message.split("last change ")[1].split(",")[0])
+    assert 0.0 < change < 1e-10
+    assert "1024 nodes" in message
+    assert "rel_tol 0.000e+00" in message
+
+
+def test_doubling_needs_at_least_one_doubling():
+    with pytest.raises(ValueError):
+        rl_integral_quad(math.exp, 0.5, 0.0, 0.5, max_doublings=0)
+
+
+def test_jacobi_rule_cache_is_bounded():
+    from fracseries.quadrature import JACOBI_CACHE_SIZE, _jacobi_rule
+
+    for i in range(JACOBI_CACHE_SIZE + 20):
+        _jacobi_rule(0.3 + i * 1e-3, 8)
+    info = _jacobi_rule.cache_info()
+    assert info.maxsize == JACOBI_CACHE_SIZE
+    assert info.currsize <= JACOBI_CACHE_SIZE

@@ -313,3 +313,11 @@ def test_catalog_power_fractional_exponent():
 def test_catalog_unknown_name():
     with pytest.raises(ValueError):
         series_from_catalog("sinh", [1.0])
+
+
+def test_catalog_rejects_taylor_data_beyond_double_range():
+    for name in ("exp", "sin", "cos"):
+        with pytest.raises(ValueError, match="double range"):
+            series_from_catalog(name, [1e300])
+    with pytest.raises(ValueError, match="double range"):
+        series_from_catalog("exp", [1.0], center=1e300)

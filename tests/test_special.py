@@ -225,3 +225,41 @@ def test_upsilon_rejects_bad_arguments():
         upsilon(-1.0, 1.0)
     with pytest.raises(ValueError):
         upsilon(0.5, -1.0)
+
+
+# --- arguments where math.gamma underflows ----------------------------------------
+
+
+def _log_space_recip(x):
+    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
+    return sign * math.exp(-math.lgamma(x))
+
+
+def test_recip_gamma_beyond_double_range_raises_and_names_x():
+    from fracseries.special import GammaRangeError
+
+    for x in (-171.5, -179.5, -300.25):
+        with pytest.raises(GammaRangeError, match=str(x)):
+            recip_gamma(x)
+    assert issubclass(GammaRangeError, ValueError)
+
+
+def test_recip_gamma_far_left_but_representable():
+    # near a pole, and in the band where math.gamma is subnormal
+    for x in (-171.001, -172.00001, -170.7):
+        assert recip_gamma(x) == pytest.approx(_log_space_recip(x), rel=1e-11)
+
+
+def test_gamma_ratio_when_both_gammas_underflow():
+    # Gamma(x + 1) / Gamma(x) = x although both gammas are 0.0 in doubles
+    assert gamma_ratio(-178.5, -179.5) == pytest.approx(-179.5, rel=1e-11)
+    assert gamma_ratio(-250.25, -251.25) == pytest.approx(-251.25, rel=1e-11)
+
+
+def test_gamma_ratio_beyond_double_range_raises():
+    from fracseries.special import GammaRangeError
+
+    with pytest.raises(GammaRangeError):
+        gamma_ratio(200.5, 0.5)
+    with pytest.raises(GammaRangeError):
+        gamma_ratio(2.5, -179.5)
