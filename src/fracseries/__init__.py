@@ -69,7 +69,6 @@ from .quadrature import (
     QuadratureError,
     caputo_quad,
     rl_derivative_quad,
-    rl_integral_adaptive,
     rl_integral_fixed,
     rl_integral_quad,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "rl_caputo_bridge",
     "rl_derivative_quad",
     "rl_differintegral",
-    "rl_integral_adaptive",
     "rl_integral_fixed",
     "rl_integral_quad",
     "rl_local_form",

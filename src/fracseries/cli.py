@@ -23,9 +23,7 @@ from .laplace import (
     laplace_fps,
     laplace_rl_derivative,
     laplace_rl_derivative_fps,
-    laplace_rl_integral,
     laplace_rl_integral_fps,
-    laplace_series,
     laplace_shifted_series,
 )
 from .leibniz import leibniz_report
@@ -161,11 +159,15 @@ def _need_alpha(args) -> float:
     return args.alpha
 
 
+#: Transform kind behind each --kind and --op value.
+_KINDS = {
+    "plain": "plain", "series": "plain", "rl-int": "rl_integral", "caputo": "caputo"
+}
+
+
 def _laplace_expr(args) -> LaplaceExpr:
     if args.op == "generalized":
-        kind = {"plain": "plain", "rl-int": "rl_integral", "caputo": "caputo"}[
-            args.kind
-        ]
+        kind = _KINDS[args.kind]
         f = parse_function_spec(args.fspec, center=args.a, truncation=args.trunc)
         order = None if kind == "plain" else _need_alpha(args)
         return generalized_laplace(f, kind, order)
@@ -184,25 +186,19 @@ def _laplace_expr(args) -> LaplaceExpr:
         return laplace_rl_derivative_fps(fps, _need_alpha(args))
 
     f = parse_function_spec(args.fspec, center=args.a, truncation=args.trunc)
-    if args.a == 0.0:
-        if args.op == "series":
-            return laplace_series(f)
-        if args.op == "rl-int":
-            return laplace_rl_integral(f, _need_alpha(args))
-        if args.op == "caputo":
-            return laplace_caputo(f, _need_alpha(args))
+    if args.op == "rl-der":
+        if args.a != 0.0:
+            raise GrammarError(
+                "rl-der is only available at a = 0 (its negative-instant "
+                "transform is not implemented)"
+            )
         return laplace_rl_derivative(f, _need_alpha(args))
-
-    if args.op == "series":
-        return laplace_shifted_series(f, "plain")
-    if args.op == "rl-int":
-        return laplace_shifted_series(f, "rl_integral", _need_alpha(args))
-    if args.op == "caputo":
-        return laplace_shifted_series(f, "caputo", _need_alpha(args))
-    raise GrammarError(
-        "rl-der is only available at a = 0 (its negative-instant transform "
-        "is not implemented)"
-    )
+    if args.op == "caputo" and args.a == 0.0:
+        # unlike the negative-instant route, this one takes integer orders
+        return laplace_caputo(f, _need_alpha(args))
+    kind = _KINDS[args.op]
+    order = None if kind == "plain" else _need_alpha(args)
+    return laplace_shifted_series(f, kind, order)
 
 
 def cmd_laplace(args) -> int:

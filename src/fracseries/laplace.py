@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .series import (
     EXPONENT_MERGE_TOL,
+    DivergenceError,
     EvalResult,
     FracPowerSeries,
     Order,
@@ -251,48 +252,73 @@ def laplace_power(mu: float, a: float = 0.0) -> LaplaceExpr:
     return LaplaceExpr(a, (LaplaceTerm(1.0, mu + 1.0, upsilon_arg=mu + 1.0),))
 
 
+def _taylor_transform(
+    f: TaylorSeries, beta: float, k0: int, shift: float = 0.0
+) -> LaplaceExpr:
+    """The termwise transform sum_{k >= k0} f^(k) s^-(k+1-beta).
+
+    This is the transform of the order-beta RL differintegral of the
+    Taylor data with the slots k < k0 removed (beta = 0 is F(s) itself).
+    A slot with power p = k+1-beta <= 0 holds t^(p-1), which has no
+    classical transform: if its datum is nonzero the whole transform is
+    a singular marker naming the least such k. With shift = a < 0 each
+    power p is the transform of (t-a)^(p-1) from 0:
+    f^(k)(a)/Gamma(p) s^-p Upsilon(p, -a*s), times e^(-a*s).
+
+    Raises:
+        DivergenceError: for truncated data with a finite convergence
+            radius, whose termwise transform is divergent.
+    """
+    radius = f.radius_hint
+    if not f.complete and radius is not None and radius < math.inf:
+        raise DivergenceError(
+            f"truncated Taylor data with convergence radius {radius!r} has a "
+            "divergent termwise transform; it needs data that converges on "
+            "the whole half line"
+        )
+    tail = shift < 0.0
+    terms = []
+    for k in range(k0, f.truncation + 1):
+        p = k + 1.0 - beta
+        if p <= 0.0 and f.derivs[k] != 0.0:
+            return LaplaceExpr(singular=f"k={k}")
+        if tail:
+            terms.append(LaplaceTerm(f.derivs[k] * recip_gamma(p), p, upsilon_arg=p))
+        else:
+            terms.append(LaplaceTerm(f.derivs[k], p))
+    return LaplaceExpr(shift if tail else 0.0, tuple(terms))
+
+
+def _positive_order(order: Order | float) -> Order:
+    ord_ = as_order(order)
+    if not ord_.alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {ord_.alpha}")
+    return ord_
+
+
 def laplace_series(f: TaylorSeries) -> LaplaceExpr:
     """Termwise transform of Taylor data at 0: sum f^(k)(0) s^-(k+1)."""
     _require_center_zero(f, "laplace_series")
-    return LaplaceExpr(
-        0.0,
-        tuple(
-            LaplaceTerm(d, float(k + 1))
-            for k, d in enumerate(f.derivs)
-        ),
-    )
+    return _taylor_transform(f, 0.0, 0)
 
 
 def laplace_rl_integral(f: TaylorSeries, alpha: float) -> LaplaceExpr:
     """Transform of the RL integral: s^(-alpha) F(s), termwise."""
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    alpha = _positive_order(alpha).alpha
     _require_center_zero(f, "laplace_rl_integral")
-    return laplace_series(f).power_shifted(alpha)
+    return _taylor_transform(f, -alpha, 0)
 
 
 def laplace_caputo(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
     """Transform of the Caputo derivative with initial values materialized.
 
-    s^alpha F(s) minus the n subtraction terms s^(alpha-k-1) f^(k)(0);
-    the cancellation of the k < n terms is exact by construction, which
-    is what makes the Caputo transform regular where the RL one is
-    singular.
+    s^alpha F(s) minus the n subtraction terms s^(alpha-k-1) f^(k)(0)
+    removes exactly the slots k < n, which is what makes the Caputo
+    transform regular where the RL one is singular.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    ord_ = _positive_order(order)
     _require_center_zero(f, "laplace_caputo")
-    terms = [
-        LaplaceTerm(d, k + 1.0 - alpha) for k, d in enumerate(f.derivs)
-    ]
-    terms += [
-        LaplaceTerm(-f.derivs[k], k + 1.0 - alpha)
-        for k in range(min(ord_.n, f.truncation + 1))
-    ]
-    return LaplaceExpr(0.0, tuple(terms))
+    return _taylor_transform(f, ord_.alpha, ord_.n)
 
 
 def laplace_rl_derivative(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
@@ -302,39 +328,45 @@ def laplace_rl_derivative(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
     those with k - alpha < -1 (that is, k <= n-2) are not classically
     transformable, so any nonzero f^(k)(0) there marks the whole
     transform singular, naming the least offending k. Otherwise the
-    result is s^alpha F(s). Integer orders take the classical route.
+    result is s^alpha F(s). Integer orders take the classical route,
+    which drops the slots k < n.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    ord_ = _positive_order(order)
     _require_center_zero(f, "laplace_rl_derivative")
-    if ord_.is_integer:
-        n = int(alpha)
-        expr = laplace_series(f).power_shifted(-float(n))
-        subtract = tuple(
-            LaplaceTerm(-f.derivs[k], k + 1.0 - n)
-            for k in range(min(n, f.truncation + 1))
-        )
-        return LaplaceExpr(0.0, expr.terms + subtract)
-    for k in range(min(ord_.n - 1, f.truncation + 1)):
-        if f.derivs[k] != 0.0:
-            return LaplaceExpr(singular=f"k={k}")
-    return laplace_series(f).power_shifted(-alpha)
+    return _taylor_transform(f, ord_.alpha, ord_.n if ord_.is_integer else 0)
+
+
+def _power_sum_transform(
+    series: FracPowerSeries, delta: float, name: str, derivative: bool = False
+) -> LaplaceExpr:
+    """sum c Gamma(e+1) s^-(e+delta+1) over the terms c t^e.
+
+    This is the transform of the order -delta RL differintegral: the
+    image c Gamma(e+1)/Gamma(e+delta+1) t^(e+delta) is never formed, so
+    the Gamma(e+delta+1) pair cancels algebraically. On the derivative
+    route only its pole-kill is evaluated, and an exponent e <= -1 is an
+    error rather than a singular transform.
+    """
+    if series.center != 0.0:
+        raise ValueError(f"{name} requires center 0, got {series.center!r}")
+    terms = []
+    for c, e in series.terms:
+        if e <= -1.0:
+            if derivative:
+                raise ValueError(f"term exponent {e} <= -1 has no differintegral")
+            return LaplaceExpr(singular=_offender(e))
+        p = e + delta + 1.0
+        if derivative and recip_gamma(p) == 0.0:
+            continue
+        if e + delta <= -1.0:
+            return LaplaceExpr(singular=_offender(e))
+        terms.append(LaplaceTerm(c * math.gamma(e + 1.0), p))
+    return LaplaceExpr(0.0, tuple(terms))
 
 
 def laplace_fps(series: FracPowerSeries) -> LaplaceExpr:
     """Termwise transform of a fractional power series centered at 0."""
-    if series.center != 0.0:
-        raise ValueError(
-            f"laplace_fps requires center 0, got {series.center!r}"
-        )
-    terms = []
-    for c, e in series.terms:
-        if e <= -1.0:
-            return LaplaceExpr(singular=_offender(e))
-        terms.append(LaplaceTerm(c * math.gamma(e + 1.0), e + 1.0))
-    return LaplaceExpr(0.0, tuple(terms))
+    return _power_sum_transform(series, 0.0, "laplace_fps")
 
 
 def _offender(e: float) -> str:
@@ -346,52 +378,24 @@ def _offender(e: float) -> str:
 def laplace_rl_derivative_fps(
     series: FracPowerSeries, alpha: float
 ) -> LaplaceExpr:
-    """Fused transform of the RL differintegral of a real-exponent sum.
+    """Transform of the RL differintegral of a real-exponent sum.
 
-    For a term c t^mu the time-domain image is
-    c Gamma(mu+1)/Gamma(mu-alpha+1) t^(mu-alpha) and its transform is
-    c Gamma(mu+1) s^-(mu-alpha+1): the Gamma(mu-alpha+1) pair cancels
-    algebraically, so it is never evaluated (only its pole-kill is).
-    Terms landing at exponent <= -1 make the transform singular.
+    A term c t^mu maps to c Gamma(mu+1) s^-(mu-alpha+1). Terms whose
+    image dies on a gamma pole are skipped; terms landing at exponent
+    <= -1 make the transform singular.
     """
-    alpha = float(alpha)
-    if series.center != 0.0:
-        raise ValueError(
-            f"laplace_rl_derivative_fps requires center 0, got {series.center!r}"
-        )
-    terms = []
-    for c, e in series.terms:
-        if e <= -1.0:
-            raise ValueError(
-                f"term exponent {e} <= -1 has no differintegral"
-            )
-        if recip_gamma(e - alpha + 1.0) == 0.0:
-            continue
-        if e - alpha <= -1.0:
-            return LaplaceExpr(singular=_offender(e))
-        terms.append(LaplaceTerm(c * math.gamma(e + 1.0), e - alpha + 1.0))
-    return LaplaceExpr(0.0, tuple(terms))
+    return _power_sum_transform(
+        series, -float(alpha), "laplace_rl_derivative_fps", derivative=True
+    )
 
 
 def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExpr:
-    """Fused transform of the RL integral of a real-exponent sum.
+    """Transform of the RL integral of a real-exponent sum.
 
-    c t^mu maps to c Gamma(mu+1) s^-(mu+alpha+1) with the intermediate
-    Gamma(mu+alpha+1) cancelled algebraically.
+    c t^mu maps to c Gamma(mu+1) s^-(mu+alpha+1).
     """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if series.center != 0.0:
-        raise ValueError(
-            f"laplace_rl_integral_fps requires center 0, got {series.center!r}"
-        )
-    terms = []
-    for c, e in series.terms:
-        if e <= -1.0:
-            return LaplaceExpr(singular=_offender(e))
-        terms.append(LaplaceTerm(c * math.gamma(e + 1.0), e + alpha + 1.0))
-    return LaplaceExpr(0.0, tuple(terms))
+    alpha = _positive_order(alpha).alpha
+    return _power_sum_transform(series, alpha, "laplace_rl_integral_fps")
 
 
 # ------------------------------------------------------------------
@@ -447,9 +451,7 @@ def frequency_differentiation_check(
     Both sides are built as fractional power series at 0 and compared
     coefficient by coefficient on the merged exponent grid.
     """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    alpha = _positive_order(alpha).alpha
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     _require_center_zero(f, "frequency_differentiation_check")
@@ -518,55 +520,10 @@ def laplace_shifted_series(
             f"standard transform needs center <= 0, got {a!r}; "
             "use generalized_laplace"
         )
-    if kind == "plain":
-        if a == 0.0:
-            return laplace_series(f)
-        return LaplaceExpr(
-            a,
-            tuple(
-                LaplaceTerm(d * recip_gamma(k + 1.0), k + 1.0, upsilon_arg=k + 1.0)
-                for k, d in enumerate(f.derivs)
-            ),
-        )
-    if order is None:
-        raise ValueError(f"kind={kind!r} needs an order")
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if kind == "rl_integral":
-        if a == 0.0:
-            return laplace_rl_integral(f, alpha)
-        return LaplaceExpr(
-            a,
-            tuple(
-                LaplaceTerm(
-                    d * recip_gamma(k + 1.0 + alpha),
-                    k + 1.0 + alpha,
-                    upsilon_arg=k + 1.0 + alpha,
-                )
-                for k, d in enumerate(f.derivs)
-            ),
-        )
-    if kind == "caputo":
-        if ord_.is_integer:
-            raise ValueError("caputo kind needs a non-integer order")
-        if a == 0.0:
-            return laplace_caputo(f, ord_)
-        return LaplaceExpr(
-            a,
-            tuple(
-                LaplaceTerm(
-                    f.derivs[k] * recip_gamma(k + 1.0 - alpha),
-                    k + 1.0 - alpha,
-                    upsilon_arg=k + 1.0 - alpha,
-                )
-                for k in range(ord_.n, f.truncation + 1)
-            ),
-        )
-    raise ValueError(
-        f"unknown kind {kind!r} (expected plain, rl_integral, caputo)"
-    )
+    beta, k0 = _kind_slots(kind, order)
+    if kind == "caputo" and beta.is_integer():
+        raise ValueError("caputo kind needs a non-integer order")
+    return _taylor_transform(f, beta, k0, a)
 
 
 def generalized_laplace(
@@ -578,31 +535,21 @@ def generalized_laplace(
     the zero-instant formulas with f^(k)(a) in place of f^(k)(0) and no
     Upsilon factors, for any a.
     """
+    return _taylor_transform(f, *_kind_slots(kind, order))
+
+
+def _kind_slots(kind: str, order: Order | float | None) -> tuple[float, int]:
+    """(beta, k0) of the Taylor transform behind a named kind."""
     if kind == "plain":
-        return LaplaceExpr(
-            0.0,
-            tuple(LaplaceTerm(d, k + 1.0) for k, d in enumerate(f.derivs)),
-        )
+        return 0.0, 0
+    if kind not in ("rl_integral", "caputo"):
+        raise ValueError(f"unknown kind {kind!r} (expected plain, rl_integral, caputo)")
     if order is None:
         raise ValueError(f"kind={kind!r} needs an order")
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    ord_ = _positive_order(order)
     if kind == "rl_integral":
-        return generalized_laplace(f, "plain").power_shifted(alpha)
-    if kind == "caputo":
-        terms = [
-            LaplaceTerm(d, k + 1.0 - alpha) for k, d in enumerate(f.derivs)
-        ]
-        terms += [
-            LaplaceTerm(-f.derivs[k], k + 1.0 - alpha)
-            for k in range(min(ord_.n, f.truncation + 1))
-        ]
-        return LaplaceExpr(0.0, tuple(terms))
-    raise ValueError(
-        f"unknown kind {kind!r} (expected plain, rl_integral, caputo)"
-    )
+        return -ord_.alpha, 0
+    return ord_.alpha, ord_.n
 
 
 # ------------------------------------------------------------------

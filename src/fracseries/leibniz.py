@@ -14,15 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import (
-    DivergenceError,
-    EvalResult,
-    Order,
-    TAIL_TOL,
-    TaylorSeries,
-    as_order,
-    taylor_arith,
-)
+from .series import EvalResult, Order, TaylorSeries, as_order, check_tail, taylor_arith
 from .operators import caputo_derivative, rl_differintegral
 from .special import gen_binom, pochhammer, recip_gamma
 
@@ -63,16 +55,29 @@ def _caputo_value(g: TaylorSeries, beta: float, t: float) -> float:
     return _rl_value(g, beta, t)
 
 
-def _summed(terms: list[float], complete: bool) -> float:
+def _rule_sum(
+    lead_t: TaylorSeries, other: TaylorSeries, alpha: float, t: float, trunc: int, value
+) -> tuple[float, int]:
+    """sum_j gen_binom(alpha, j) lead^(j)(t) value(other, alpha - j, t), and its length.
+
+    *value* is the operator that reads the factor orders: RL throughout,
+    or Caputo for positive non-integer orders.
+    """
+    if not t > other.center:
+        raise ValueError(f"t={t!r} must lie right of the terminal {other.center!r}")
+    if trunc < 1:
+        raise ValueError(f"truncation must be >= 1, got {trunc}")
+    j_max = min(trunc, lead_t.truncation)
+    terms = []
+    for j in range(j_max + 1):
+        b = gen_binom(alpha, j)
+        if b == 0.0 or lead_t.derivs[j] == 0.0:
+            terms.append(0.0)
+            continue
+        terms.append(b * lead_t.derivs[j] * value(other, alpha - j, t))
     total = math.fsum(terms)
-    if not complete and len(terms) >= 2:
-        bound = TAIL_TOL * (abs(total) + 1.0e-300)
-        if not (abs(terms[-1]) < bound and abs(terms[-2]) < bound):
-            raise DivergenceError(
-                f"rule sum tail {terms[-2]:.3e}, {terms[-1]:.3e} fails the "
-                f"convergence test against {total:.6e}"
-            )
-    return total
+    check_tail(terms, total, lead_t.complete)
+    return total, j_max + 1
 
 
 def leibniz_rl(
@@ -88,21 +93,9 @@ def leibniz_rl(
     at the terminal. Orders alpha - j <= 0 are RL integrals. For
     polynomial *f* the sum is exact once j exceeds the degree.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if not t > g.center:
-        raise ValueError(f"t={t!r} must lie right of the terminal {g.center!r}")
-    if trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {trunc}")
-    f_t = _data_at(f, t)
-    terms = []
-    for j in range(min(trunc, f_t.truncation) + 1):
-        b = gen_binom(alpha, j)
-        if b == 0.0 or f_t.derivs[j] == 0.0:
-            terms.append(0.0)
-            continue
-        terms.append(b * f_t.derivs[j] * _rl_value(g, alpha - j, t))
-    return EvalResult.finite(_summed(terms, f_t.complete))
+    alpha = as_order(order).alpha
+    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, _rl_value)
+    return EvalResult.finite(value)
 
 
 def leibniz_monomial(
@@ -158,21 +151,9 @@ def leibniz_caputo_wrong(
     The result is deliberately NOT the Caputo derivative of f g in
     general; see :func:`leibniz_caputo_corrected` for what is missing.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if not t > g.center:
-        raise ValueError(f"t={t!r} must lie right of the terminal {g.center!r}")
-    if trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {trunc}")
-    f_t = _data_at(f, t)
-    terms = []
-    for j in range(min(trunc, f_t.truncation) + 1):
-        b = gen_binom(alpha, j)
-        if b == 0.0 or f_t.derivs[j] == 0.0:
-            terms.append(0.0)
-            continue
-        terms.append(b * f_t.derivs[j] * _caputo_value(g, alpha - j, t))
-    return EvalResult.finite(_summed(terms, f_t.complete))
+    alpha = as_order(order).alpha
+    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, _caputo_value)
+    return EvalResult.finite(value)
 
 
 def _compensation(
@@ -221,40 +202,7 @@ def leibniz_caputo_corrected(
     series, compensation R2); both variants must agree with the same
     reference, the Caputo derivative of the product series.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if f.center != g.center:
-        raise ValueError(f"center mismatch: {f.center!r} vs {g.center!r}")
-    if not t > g.center:
-        raise ValueError(f"t={t!r} must lie right of the terminal {g.center!r}")
-
-    lead, other = (g, f) if swap else (f, g)
-    lead_t = _data_at(lead, t)
-
-    terms = []
-    j_max = min(trunc, lead_t.truncation)
-    for j in range(j_max + 1):
-        b = gen_binom(alpha, j)
-        if b == 0.0 or lead_t.derivs[j] == 0.0:
-            terms.append(0.0)
-            continue
-        terms.append(b * lead_t.derivs[j] * _caputo_value(other, alpha - j, t))
-    correction = _compensation(lead, lead_t, other, alpha, ord_.n, t)
-    rule_value = _summed(terms, lead_t.complete) + correction
-
-    product = taylor_arith(f, g, "mul")
-    if ord_.is_integer:
-        reference = rl_differintegral(product, alpha).evaluate(t).expect_finite()
-    else:
-        reference = caputo_derivative(product, ord_).evaluate(t).expect_finite()
-
-    return LeibnizReport(
-        rule_value=EvalResult.finite(rule_value),
-        reference_value=EvalResult.finite(reference),
-        residual=abs(rule_value - reference),
-        correction_value=correction,
-        terms_used=j_max + 1,
-    )
+    return _report(f, g, as_order(order), t, trunc, "corrected", swap)
 
 
 def leibniz_report(
@@ -269,34 +217,42 @@ def leibniz_report(
 
     rule="rl" compares the RL series rule with the RL differintegral of
     the product; "wrong" and "corrected" compare the naive/corrected
-    Caputo rules with the Caputo derivative of the product.
+    Caputo rules with the Caputo derivative of the product. The "wrong"
+    report carries the compensation the naive rule is missing, so
+    callers can see that residual and compensation cancel.
     """
-    ord_ = as_order(order)
-    if rule == "corrected":
-        return leibniz_caputo_corrected(f, g, ord_, t, trunc)
-
-    product = taylor_arith(f, g, "mul")
-    correction = 0.0
-    if rule == "rl":
-        value = leibniz_rl(f, g, ord_, t, trunc).expect_finite()
-        reference = rl_differintegral(product, ord_).evaluate(t).expect_finite()
-    elif rule == "wrong":
-        value = leibniz_caputo_wrong(f, g, ord_, t, trunc).expect_finite()
-        if ord_.is_integer:
-            reference = rl_differintegral(product, ord_).evaluate(t).expect_finite()
-        else:
-            reference = caputo_derivative(product, ord_).evaluate(t).expect_finite()
-        # what the naive rule is missing; reported so callers can see
-        # that residual and compensation cancel
-        correction = _compensation(f, _data_at(f, t), g, ord_.alpha, ord_.n, t)
-    else:
+    if rule not in ("rl", "wrong", "corrected"):
         raise ValueError(f"unknown rule {rule!r} (expected rl, wrong, corrected)")
+    return _report(f, g, as_order(order), t, trunc, rule)
 
-    j_max = min(trunc, _data_at(f, t).truncation)
+
+def _report(
+    f: TaylorSeries,
+    g: TaylorSeries,
+    ord_: Order,
+    t: float,
+    trunc: int,
+    rule: str,
+    swap: bool = False,
+) -> LeibnizReport:
+    """One rule against the operator applied to the product series."""
+    product = taylor_arith(f, g, "mul")
+    alpha = ord_.alpha
+    lead, other = (g, f) if swap else (f, g)
+    lead_t = _data_at(lead, t)
+    rl = rule == "rl"
+    value, terms_used = _rule_sum(
+        lead_t, other, alpha, t, trunc, _rl_value if rl else _caputo_value
+    )
+    correction = 0.0 if rl else _compensation(lead, lead_t, other, alpha, ord_.n, t)
+    if rule == "corrected":
+        value += correction
+    operator = rl_differintegral if rl or ord_.is_integer else caputo_derivative
+    ref_value = operator(product, ord_).evaluate(t).expect_finite()
     return LeibnizReport(
         rule_value=EvalResult.finite(value),
-        reference_value=EvalResult.finite(reference),
-        residual=abs(value - reference),
+        reference_value=EvalResult.finite(ref_value),
+        residual=abs(value - ref_value),
         correction_value=correction,
-        terms_used=j_max + 1,
+        terms_used=terms_used,
     )

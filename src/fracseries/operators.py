@@ -34,16 +34,26 @@ __all__ = [
 
 def _integer_shift(f: TaylorSeries, m: int) -> FracPowerSeries:
     """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data."""
-    terms = []
-    if m >= 0:
-        for k in range(m, f.truncation + 1):
-            # d_k / (k - m)!
-            terms.append((f.derivs[k] / math.factorial(k - m), float(k - m)))
-    else:
-        p = -m
-        for k in range(f.truncation + 1):
-            terms.append((f.derivs[k] / math.factorial(k + p), float(k + p)))
-    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
+    k0 = max(m, 0)
+    _check_slots(f, m, k0, k0, f.truncation + 1, f.complete)
+    terms = tuple(
+        (f.derivs[k] / math.factorial(k - m), float(k - m))
+        for k in range(k0, f.truncation + 1)
+    )
+    return FracPowerSeries(f.center, terms, f.radius_hint, f.complete)
+
+
+def _check_slots(
+    f: TaylorSeries, alpha: float, n: int, k0: int, k1: int, complete: bool
+) -> None:
+    """Truncated data must leave at least two slots k0 <= k < k1 for the
+    tail test; fewer would be an unchecked sum of what the data carries."""
+    if not complete and k1 - k0 < 2:
+        raise ValueError(
+            f"order {alpha} (n = {n}) sums the slots k >= {k0}, and truncated "
+            f"Taylor data of truncation {f.truncation} carries {max(k1 - k0, 0)} of "
+            f"them; the tail test needs two (truncation >= {k0 + 1})"
+        )
 
 
 def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
@@ -55,13 +65,21 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
     take the exact factorial route.
     """
     ord_ = as_order(order)
-    alpha = ord_.alpha
     if ord_.is_integer:
-        return _integer_shift(f, int(alpha))
-    terms = []
-    for k in range(f.truncation + 1):
-        terms.append((f.derivs[k] * recip_gamma(k + 1 - alpha), k - alpha))
-    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
+        return _integer_shift(f, int(ord_.alpha))
+    return _rl_slots(f, ord_, 0, f.truncation + 1, f.complete)
+
+
+def _rl_slots(
+    f: TaylorSeries, ord_: Order, k0: int, k1: int, complete: bool
+) -> FracPowerSeries:
+    """The terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for k0 <= k < k1."""
+    alpha = ord_.alpha
+    _check_slots(f, alpha, ord_.n, k0, k1, complete)
+    terms = tuple(
+        (f.derivs[k] * recip_gamma(k + 1 - alpha), k - alpha) for k in range(k0, k1)
+    )
+    return FracPowerSeries(f.center, terms, f.radius_hint, complete)
 
 
 def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
@@ -78,10 +96,7 @@ def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
             f"Caputo derivative needs a positive non-integer order, got {alpha}; "
             "use rl_differintegral for integer orders and integrals"
         )
-    terms = []
-    for k in range(ord_.n, f.truncation + 1):
-        terms.append((f.derivs[k] * recip_gamma(k + 1 - alpha), k - alpha))
-    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
+    return _rl_slots(f, ord_, ord_.n, f.truncation + 1, f.complete)
 
 
 def rl_local_form(
@@ -93,17 +108,7 @@ def rl_local_form(
     and the series is in powers of (t - a); it is only meaningful when
     evaluated at the same t the data was taken at (f_at_t.center).
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if f_at_t.center < a:
-        raise ValueError(
-            f"evaluation point {f_at_t.center!r} lies left of the terminal {a!r}"
-        )
-    terms = []
-    for k in range(f_at_t.truncation + 1):
-        coeff = gen_binom(alpha, k) * f_at_t.derivs[k] * recip_gamma(k - alpha + 1)
-        terms.append((coeff, k - alpha))
-    return FracPowerSeries(float(a), tuple(terms), f_at_t.radius_hint, f_at_t.complete)
+    return _local_form(f_at_t, as_order(order), 0, a)
 
 
 def caputo_local_form(
@@ -111,25 +116,30 @@ def caputo_local_form(
 ) -> FracPowerSeries:
     """Caputo counterpart of :func:`rl_local_form`; the sum starts at k = n."""
     ord_ = as_order(order)
-    alpha = ord_.alpha
-    if alpha <= 0 or ord_.is_integer:
+    if ord_.alpha <= 0 or ord_.is_integer:
         raise ValueError(
-            f"Caputo form needs a positive non-integer order, got {alpha}"
+            f"Caputo form needs a positive non-integer order, got {ord_.alpha}"
         )
+    return _local_form(f_at_t, ord_, ord_.n, a)
+
+
+def _local_form(
+    f_at_t: TaylorSeries, ord_: Order, n: int, a: float
+) -> FracPowerSeries:
+    """gen_binom(alpha-n, k-n) f^(k)(t)/Gamma(k-alpha+1) (t-a)^(k-alpha), k >= n."""
+    alpha = ord_.alpha
     if f_at_t.center < a:
         raise ValueError(
             f"evaluation point {f_at_t.center!r} lies left of the terminal {a!r}"
         )
-    n = ord_.n
-    terms = []
-    for k in range(n, f_at_t.truncation + 1):
-        coeff = (
-            gen_binom(alpha - n, k - n)
-            * f_at_t.derivs[k]
-            * recip_gamma(k - alpha + 1)
-        )
-        terms.append((coeff, k - alpha))
-    return FracPowerSeries(float(a), tuple(terms), f_at_t.radius_hint, f_at_t.complete)
+    k1 = f_at_t.truncation + 1
+    _check_slots(f_at_t, alpha, ord_.n, n, k1, f_at_t.complete)
+    d = f_at_t.derivs
+    terms = tuple(
+        (gen_binom(alpha - n, k - n) * d[k] * recip_gamma(k - alpha + 1), k - alpha)
+        for k in range(n, k1)
+    )
+    return FracPowerSeries(float(a), terms, f_at_t.radius_hint, f_at_t.complete)
 
 
 def rl_caputo_bridge(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
@@ -140,14 +150,8 @@ def rl_caputo_bridge(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
     sits on a pole).
     """
     ord_ = as_order(order)
-    alpha = ord_.alpha
-    if ord_.is_integer:
-        return FracPowerSeries(f.center, (), f.radius_hint, True)
-    terms = []
-    for k in range(min(ord_.n, f.truncation + 1)):
-        terms.append((f.derivs[k] * recip_gamma(k + 1 - alpha), k - alpha))
     # a finite explicit sum: complete regardless of the source data
-    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, True)
+    return _rl_slots(f, ord_, 0, min(ord_.n, f.truncation + 1), True)
 
 
 def frac_differintegral(

@@ -3,8 +3,7 @@
 This is the series engine's independent cross-check: the weakly
 singular kernel (t - tau)^(alpha-1) is absorbed into a Gauss-Jacobi
 rule, so analytic integrands converge spectrally and a single node
-doubling certifies the result. An adaptive Gauss-Kronrod route that
-stops short of the singular endpoint is kept for diagnostics.
+doubling certifies the result.
 
 scipy (and with it numpy) is imported by the first call that needs it,
 so importing this module stays cheap.
@@ -27,7 +26,6 @@ __all__ = [
     "QuadratureError",
     "caputo_quad",
     "rl_derivative_quad",
-    "rl_integral_adaptive",
     "rl_integral_fixed",
     "rl_integral_quad",
 ]
@@ -113,50 +111,21 @@ def rl_integral_quad(
     )
 
 
-def rl_integral_adaptive(
-    f: Callable[[float], float],
-    alpha: float,
-    a: float,
-    t: float,
-    eps_frac: float = 1.0e-6,
-) -> tuple[float, float]:
-    """Diagnostic route: adaptive rule on [a, t-eps] plus an endpoint patch.
-
-    Returns (value, error_estimate). The kernel is bounded away from the
-    endpoint, so plain Gauss-Kronrod applies there; the remaining sliver
-    contributes f(t) * eps^alpha / alpha with the local variation of f
-    as its error bound. Slower and cruder than the Jacobi route.
-    """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not t > a:
-        raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
-    from scipy import integrate
-
-    eps = eps_frac * (t - a)
-    body, body_err = integrate.quad(
-        lambda tau: (t - tau) ** (alpha - 1.0) * f(tau), a, t - eps, limit=200
-    )
-    patch = f(t) * eps**alpha / alpha
-    patch_err = abs(f(t) - f(t - eps)) * eps**alpha / alpha
-    rg = recip_gamma(alpha)
-    return (body + patch) * rg, (body_err + patch_err) * rg
-
-
-def _checked_callable(g: TaylorSeries, t: float) -> Callable[[float], float]:
-    """Evaluation closure for Taylor data, vetted on the target interval.
+def _checked_callable(f: TaylorSeries, n: int, t: float) -> Callable[[float], float]:
+    """Evaluation closure for the n-th derivative of f, vetted on [center, t].
 
     Truncated data must carry enough terms that the dropped tail is
     negligible at the far end of [center, t]; the last two carried terms
     stand in for the tail and must be tiny relative to the value there.
     """
+    g = f.nth_derivative(n)
     if not g.complete:
         x = t - g.center
         if g.truncation < 2:
             raise ValueError(
-                "truncated Taylor data needs at least 3 terms for an "
-                "accuracy assessment"
+                f"the derivative of order n = {n} keeps {max(f.truncation + 1 - n, 0)} "
+                f"of the terms of truncated Taylor data of truncation {f.truncation}; "
+                f"an accuracy assessment needs 3 (truncation >= {n + 2})"
             )
         scale = abs(g.evaluate(t)) + 1.0
         fact = math.factorial(g.truncation)
@@ -190,16 +159,10 @@ def caputo_quad(
         raise ValueError(
             f"t must exceed the terminal, got t={t!r}, a={f.center!r}"
         )
-    if ord_.is_integer:
-        if ord_.alpha >= 0:
-            return f.nth_derivative(int(ord_.alpha)).evaluate(t)
-        return rl_integral_quad(
-            _checked_callable(f, t), -ord_.alpha, f.center, t, nodes, rel_tol
-        )
-    g = f.nth_derivative(ord_.n)
-    return rl_integral_quad(
-        _checked_callable(g, t), ord_.n - ord_.alpha, f.center, t, nodes, rel_tol
-    )
+    if ord_.is_integer and ord_.alpha >= 0:
+        return f.nth_derivative(int(ord_.alpha)).evaluate(t)
+    g = _checked_callable(f, ord_.n, t)
+    return rl_integral_quad(g, ord_.n - ord_.alpha, f.center, t, nodes, rel_tol)
 
 
 def rl_derivative_quad(

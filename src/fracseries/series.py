@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 __all__ = [
     "DivergenceError",
@@ -37,7 +38,7 @@ DEFAULT_TRUNCATION = 64
 
 
 class DivergenceError(ArithmeticError):
-    """Raised when a truncated series evaluation fails the tail test."""
+    """Raised when a series sum fails the tail test or leaves the double range."""
 
 
 class ResultKind(enum.Enum):
@@ -205,8 +206,6 @@ class TaylorSeries:
         if n < 0:
             raise ValueError(f"derivative order must be >= 0, got {n}")
         derivs = self.derivs[n:] if n <= self.truncation else (0.0,)
-        if not derivs:
-            derivs = (0.0,)
         return TaylorSeries(self.center, derivs, self.radius_hint, self.complete)
 
     def recentered(self, new_center: float) -> TaylorSeries:
@@ -352,8 +351,9 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
     Raises:
         ValueError: for t < center (the operators never look left of
             the lower terminal).
-        DivergenceError: when a truncated series fails the tail test or
-            t lies outside the known convergence radius.
+        DivergenceError: when a truncated series fails the tail test,
+            t lies outside the known convergence radius, or a term or the
+            sum leaves the double range.
     """
     if t < series.center:
         raise ValueError(f"t={t!r} is left of the center {series.center!r}")
@@ -370,28 +370,44 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
             return EvalResult.infinite(1 if c0 > 0 else -1)
         return EvalResult.finite(0.0)
 
-    if not series.complete:
-        if series.radius_hint is not None and not x < series.radius_hint:
-            raise DivergenceError(
-                f"t - center = {x!r} is outside the convergence radius "
-                f"{series.radius_hint!r}"
-            )
+    radius = series.radius_hint
+    if not series.complete and radius is not None and not x < radius:
+        raise DivergenceError(
+            f"t - center = {x!r} is outside the convergence radius {radius!r}"
+        )
 
     total = 0.0
     term_values = []
-    for c, e in series.terms:
-        v = c * x**e
-        term_values.append(v)
-        total += v
-
-    if not series.complete and len(term_values) >= 2:
-        bound = TAIL_TOL * (abs(total) + 1.0e-300)
-        if not (abs(term_values[-1]) < bound and abs(term_values[-2]) < bound):
-            raise DivergenceError(
-                f"tail terms {term_values[-2]:.3e}, {term_values[-1]:.3e} "
-                f"fail the convergence test against partial sum {total:.6e}"
-            )
+    try:
+        for c, e in series.terms:
+            v = c * x**e
+            term_values.append(v)
+            total += v
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        # the first running sum that leaves the double range names the term
+        sums = accumulate(term_values + [math.inf])
+        c, e = series.terms[next(i for i, v in enumerate(sums) if not math.isfinite(v))]
+        raise DivergenceError(
+            f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
+            f"range at t - center = {x!r}"
+        )
+    check_tail(term_values, total, series.complete)
     return EvalResult.finite(total)
+
+
+def check_tail(terms: list[float], total: float, complete: bool) -> None:
+    """Raise DivergenceError unless the sum is of complete data or its last
+    two terms, standing in for the dropped tail, are below TAIL_TOL of it."""
+    if complete or len(terms) < 2:
+        return
+    bound = TAIL_TOL * (abs(total) + 1.0e-300)
+    if not (abs(terms[-1]) < bound and abs(terms[-2]) < bound):
+        raise DivergenceError(
+            f"tail terms {terms[-2]:.3e}, {terms[-1]:.3e} fail the convergence "
+            f"test against the sum {total:.6e} (relative tolerance {TAIL_TOL:g})"
+        )
 
 
 # ------------------------------------------------------------------

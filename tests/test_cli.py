@@ -362,6 +362,11 @@ def test_installed_script_runs():
         ["eval", "exp:1", "--alpha", "172.5", "--grid", "0.5:1:2"],
         ["oracle", "exp:1", "--alpha", "180.5", "--grid", "0.5:1:2"],
         ["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha", "180.5", "--t", "1"],
+        ["eval", "exp:1", "--alpha", "0.5", "--grid=1e200:1e200:1"],
+        ["eval", "exp:1", "--alpha", "70.5", "--def", "caputo", "--grid", "0.5:1:2"],
+        ["eval", "exp:1", "--alpha", "63.5", "--def", "caputo", "--grid", "0.5:1:2"],
+        ["eval", "exp:1", "--alpha", "0.5", "--trunc", "1", "--def", "caputo",
+         "--grid", "0.5:1:2"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -369,6 +374,45 @@ def test_extreme_order_exits_cleanly(capsys, argv):
     assert code in (2, 3)
     assert "Traceback" not in err
     assert err.startswith(("error:", "numerical failure:"))
+
+
+def test_overflowing_term_is_numeric_failure_naming_point_and_exponent(capsys):
+    argv = ["eval", "exp:1", "--alpha", "0.5", "--grid=1e200:1e200:1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "t - center = 1e+200" in err and "^2.5" in err
+
+
+@pytest.mark.parametrize(
+    "alpha, trunc, carried",
+    [("70.5", "64", 0), ("63.5", "64", 1), ("0.5", "1", 1), ("70", "64", 0)],
+)
+def test_sum_past_the_carried_data_is_usage_error(capsys, alpha, trunc, carried):
+    definition = "rl" if alpha == "70" else "caputo"
+    argv = ["eval", "exp:1", "--alpha", alpha, "--trunc", trunc, "--def", definition,
+            "--grid", "0.5:1:2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    n = math.ceil(float(alpha))
+    assert f"order {alpha} (n = {n})" in err
+    assert f"truncation {trunc} carries {carried}" in err
+
+
+def test_caputo_of_constant_exp_is_still_zero(capsys):
+    argv = ["eval", "exp:0", "--alpha", "0.5", "--def", "caputo", "--grid", "0.5:1:2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == "t,value\n0.5,0\n1,0\n"
+
+
+def test_oracle_past_the_carried_data_names_n_and_truncation(capsys):
+    argv = ["oracle", "exp:1", "--alpha", "180.5", "--def", "caputo",
+            "--grid", "0.5:1:2"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "n = 181" in err and "truncation 64" in err
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,13 @@ from fracseries.laplace import (
     laplace_shifted_series,
 )
 from fracseries.operators import caputo_derivative, rl_caputo_bridge, rl_differintegral
-from fracseries.series import FracPowerSeries, series_from_catalog
+from fracseries.grammar import parse_function_spec
+from fracseries.series import (
+    DivergenceError,
+    FracPowerSeries,
+    TaylorSeries,
+    series_from_catalog,
+)
 
 rng = np.random.default_rng(55)
 
@@ -413,6 +419,32 @@ def test_generalized_caputo_examples():
     g = series_from_catalog("const", [1.0], center=a, truncation=6)
     e = generalized_laplace(g, "rl_integral", alpha)
     assert e.terms == (LaplaceTerm(1.0, 1.0 + alpha),)
+
+
+def test_taylor_transforms_refuse_data_with_a_finite_radius():
+    # power:0.5 about 2 converges only on (0, 4): the termwise transform
+    # diverges, and built anyway it read -3.5e27 at s = 4
+    a = 2.0
+    f = parse_function_spec("power:0.5+exp:1", center=a)
+    assert f.radius_hint == a and not f.complete
+    for kind, order in (("plain", None), ("rl_integral", 0.5), ("caputo", 1.5)):
+        with pytest.raises(DivergenceError, match="convergence radius 2.0"):
+            generalized_laplace(f, kind, order)
+    zero = TaylorSeries(0.0, (1.0, 0.5, 0.25), radius_hint=3.0, complete=False)
+    for build in (
+        lambda: laplace_series(zero),
+        lambda: laplace_caputo(zero, 0.5),
+        lambda: laplace_rl_derivative(zero, 0.5),
+        lambda: laplace_shifted_series(zero, "rl_integral", 0.5),
+    ):
+        with pytest.raises(DivergenceError, match="convergence radius 3.0"):
+            build()
+    # complete data and data converging everywhere still transform
+    for g in (poly([1.0, 2.0], center=a), series_from_catalog("exp", [1.0], center=a)):
+        e = generalized_laplace(g, "caputo", 0.5)
+        assert not e.is_singular and e.terms
+    e = generalized_laplace(series_from_catalog("exp", [-1.0], center=a), "plain")
+    assert e.evaluate(4.0) == pytest.approx(math.exp(-a) / 5.0, rel=1e-12)
 
 
 # --- terminal-value classification -------------------------------------------------

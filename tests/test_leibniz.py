@@ -11,7 +11,7 @@ from fracseries.leibniz import (
     leibniz_rl,
 )
 from fracseries.operators import caputo_derivative, rl_differintegral
-from fracseries.series import series_from_catalog, taylor_arith
+from fracseries.series import TaylorSeries, series_from_catalog, taylor_arith
 
 rng = np.random.default_rng(4242)
 
@@ -31,6 +31,22 @@ def unit(center=0.0):
 
 
 # --- RL product rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule", ["rl", "wrong", "corrected"])
+def test_report_recenters_the_lead_factor_once(monkeypatch, rule):
+    calls = []
+    original = TaylorSeries.recentered
+
+    def counting(self, new_center):
+        calls.append(new_center)
+        return original(self, new_center)
+
+    monkeypatch.setattr(TaylorSeries, "recentered", counting)
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    g = series_from_catalog("sin", [1.0], truncation=32)
+    leibniz_report(f, g, 0.5, 0.75, rule=rule)
+    assert calls == [0.75]
 
 
 def test_rl_rule_square_closed_form():

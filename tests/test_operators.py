@@ -200,6 +200,26 @@ def test_local_forms_match_terminal_forms():
             assert abs(loc_cap - want_cap) <= 1e-10 * (1.0 + abs(want_cap))
 
 
+def test_sums_past_the_carried_data_are_refused():
+    # truncated data must leave two slots for the tail test
+    f = series_from_catalog("exp", [1.0], truncation=8)
+    for build in (
+        lambda: caputo_derivative(f, 7.5),
+        lambda: caputo_derivative(f, 8.5),
+        lambda: rl_differintegral(f, 8.0),
+        lambda: caputo_local_form(f, 8.5, -1.0),
+        lambda: rl_differintegral(TaylorSeries(0.0, (1.0,), None, False), 0.5),
+    ):
+        with pytest.raises(ValueError, match="truncation"):
+            build()
+    assert len(caputo_derivative(f, 6.5).terms) == 2
+    assert len(rl_differintegral(f, 7.0).terms) == 2
+    # the bridge is a finite sum, and complete data is exact however short
+    assert rl_caputo_bridge(f, 8.5).complete
+    g = series_from_catalog("poly", [1.0, 2.0], truncation=1)
+    assert caputo_derivative(g, 1.5).is_zero
+
+
 def test_local_form_rejects_point_left_of_terminal():
     f = series_from_catalog("poly", [1.0], center=0.0, truncation=2)
     with pytest.raises(ValueError):

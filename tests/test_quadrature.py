@@ -8,7 +8,6 @@ from fracseries.quadrature import (
     QuadratureError,
     caputo_quad,
     rl_derivative_quad,
-    rl_integral_adaptive,
     rl_integral_fixed,
     rl_integral_quad,
 )
@@ -69,22 +68,6 @@ def test_integral_validation():
         rl_integral_quad(lambda t: 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         rl_integral_quad(lambda t: 1.0, 0.5, 0.0, 1.0, nodes=4)
-
-
-# --- adaptive diagnostic route --------------------------------------------------
-
-
-def test_adaptive_route_agrees_with_jacobi():
-    for alpha in (0.4, 0.9):
-        got, err = rl_integral_adaptive(math.exp, alpha, 0.0, 1.5)
-        want = rl_integral_quad(math.exp, alpha, 0.0, 1.5)
-        assert abs(got - want) <= max(1e-6, 10.0 * err)
-
-
-def test_adaptive_error_estimate_is_honest():
-    got, err = rl_integral_adaptive(math.sin, 0.5, 0.0, 2.0)
-    want = rl_integral_quad(math.sin, 0.5, 0.0, 2.0)
-    assert abs(got - want) <= 10.0 * err
 
 
 # --- Caputo and RL values from Taylor data ----------------------------------------

@@ -238,6 +238,19 @@ def test_incomplete_series_tail_test_flags_slow_convergence():
         eval_frac_series(s, 1.0)
 
 
+def test_eval_beyond_double_range_names_point_and_exponent():
+    # x**e itself overflows
+    s = FracPowerSeries(center=0.0, terms=((1.0, 0.5), (2.0, 3.5)))
+    with pytest.raises(DivergenceError, match=r"\^3\.5 .* t - center = 1e\+100"):
+        eval_frac_series(s, 1.0e100)
+    # every term is finite, but the running sum is not
+    s = FracPowerSeries(center=0.0, terms=((1.0e308, 0.0), (1.0e308, 1.0), (1.0, 2.0)))
+    with pytest.raises(DivergenceError, match=r"\^1\.0 .* t - center = 1\.0"):
+        eval_frac_series(s, 1.0)
+    # a complete series that stays in range is unaffected
+    assert eval_frac_series(s, 1.0e-10).expect_finite() == 1.0e308 + 1.0e298 + 1.0e-20
+
+
 # --- catalog ----------------------------------------------------------------
 
 
