@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 
-from .series import DEFAULT_TRUNCATION, FracPowerSeries, TaylorSeries, series_from_catalog
+from .series import DEFAULT_TRUNCATION, FracPowerSeries, TaylorSeries, check_arity, series_from_catalog
 
 __all__ = ["GrammarError", "parse_function_spec", "parse_power_spec"]
 
@@ -82,21 +82,19 @@ def parse_power_spec(text: str) -> FracPowerSeries | None:
     """
     terms = []
     for name, params in _atoms(text):
+        if name not in ("power", "const", "poly"):
+            return None
+        try:
+            check_arity(name, params)
+        except ValueError as exc:
+            raise GrammarError(str(exc)) from None
         if name == "power":
-            if len(params) != 1:
-                raise GrammarError("power takes a single exponent")
             p = params[0]
             if not math.isfinite(p) or p <= -1.0:
                 raise GrammarError(f"power exponent must be > -1, got {p}")
             terms.append((1.0, p))
         elif name == "const":
-            if len(params) != 1:
-                raise GrammarError("const takes a single value")
             terms.append((params[0], 0.0))
-        elif name == "poly":
-            if not params:
-                raise GrammarError("poly needs at least one coefficient")
-            terms.extend((c, float(i)) for i, c in enumerate(params))
         else:
-            return None
+            terms.extend((c, float(i)) for i, c in enumerate(params))
     return FracPowerSeries(0.0, tuple(terms))

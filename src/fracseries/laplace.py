@@ -21,10 +21,12 @@ from .series import (
     FracPowerSeries,
     Order,
     TaylorSeries,
-    as_order,
+    canonical_terms,
+    check_slots,
+    positive_order,
 )
 from .operators import frac_differintegral, rl_differintegral
-from .special import pochhammer, recip_gamma, upsilon
+from .special import GammaRangeError, pochhammer, recip_gamma, upsilon
 
 __all__ = [
     "FreqDiffReport",
@@ -80,30 +82,9 @@ class LaplaceExpr:
     def __post_init__(self) -> None:
         if not math.isfinite(self.shift):
             raise ValueError("shift must be finite")
-        cleaned = [
-            LaplaceTerm(float(t.coeff), float(t.power), t.upsilon_arg)
-            for t in self.terms
-            if float(t.coeff) != 0.0
-        ]
-        cleaned.sort(
-            key=lambda t: (
-                t.power,
-                t.upsilon_arg is not None,
-                t.upsilon_arg if t.upsilon_arg is not None else 0.0,
-            )
-        )
-        merged: list[LaplaceTerm] = []
-        for term in cleaned:
-            if merged and _same_slot(merged[-1], term):
-                prev = merged[-1]
-                merged[-1] = LaplaceTerm(
-                    prev.coeff + term.coeff, prev.power, prev.upsilon_arg
-                )
-            else:
-                merged.append(term)
-        object.__setattr__(
-            self, "terms", tuple(t for t in merged if t.coeff != 0.0)
-        )
+        terms = ((float(t.coeff), float(t.power), t.upsilon_arg) for t in self.terms)
+        terms = canonical_terms(terms, _slot_key, _same_slot)
+        object.__setattr__(self, "terms", tuple([LaplaceTerm(*t) for t in terms]))
 
     @property
     def is_singular(self) -> bool:
@@ -211,19 +192,33 @@ class LaplaceExpr:
         return cls.from_json_dict(json.loads(text))
 
 
-def _same_slot(a: LaplaceTerm, b: LaplaceTerm) -> bool:
-    if abs(a.power - b.power) > EXPONENT_MERGE_TOL:
+def _slot_key(t: tuple) -> tuple:
+    """Sort key of a (coeff, power, upsilon_arg) term: power, then Upsilon."""
+    return (t[1], t[2] is not None, t[2] if t[2] is not None else 0.0)
+
+
+def _same_slot(a: tuple, b: tuple) -> bool:
+    if abs(a[1] - b[1]) > EXPONENT_MERGE_TOL:
         return False
-    if (a.upsilon_arg is None) != (b.upsilon_arg is None):
+    if (a[2] is None) != (b[2] is None):
         return False
-    if a.upsilon_arg is None:
+    if a[2] is None:
         return True
-    return abs(a.upsilon_arg - b.upsilon_arg) <= EXPONENT_MERGE_TOL
+    return abs(a[2] - b[2]) <= EXPONENT_MERGE_TOL
 
 
 def _require_center_zero(f: TaylorSeries, what: str) -> None:
     if f.center != 0.0:
         raise ValueError(f"{what} requires Taylor data at 0, center={f.center!r}")
+
+
+def _gamma(x: float) -> float:
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise GammaRangeError(
+            f"Gamma({x!r}) has magnitude exp({math.lgamma(x):.6g}), beyond the double range"
+        ) from None
 
 
 # ------------------------------------------------------------------
@@ -248,7 +243,7 @@ def laplace_power(mu: float, a: float = 0.0) -> LaplaceExpr:
     if mu <= -1.0:
         return LaplaceExpr(singular=f"mu={_fmt_num(mu)}")
     if a == 0.0:
-        return LaplaceExpr(0.0, (LaplaceTerm(math.gamma(mu + 1.0), mu + 1.0),))
+        return LaplaceExpr(0.0, (LaplaceTerm(_gamma(mu + 1.0), mu + 1.0),))
     return LaplaceExpr(a, (LaplaceTerm(1.0, mu + 1.0, upsilon_arg=mu + 1.0),))
 
 
@@ -268,6 +263,8 @@ def _taylor_transform(
     Raises:
         DivergenceError: for truncated data with a finite convergence
             radius, whose termwise transform is divergent.
+        ValueError: for truncated data that carries fewer than two of
+            the slots k >= k0 (:func:`series.check_slots`).
     """
     radius = f.radius_hint
     if not f.complete and radius is not None and radius < math.inf:
@@ -276,6 +273,7 @@ def _taylor_transform(
             "divergent termwise transform; it needs data that converges on "
             "the whole half line"
         )
+    check_slots(f, beta, k0, f.truncation + 1, f.complete)
     tail = shift < 0.0
     terms = []
     for k in range(k0, f.truncation + 1):
@@ -289,13 +287,6 @@ def _taylor_transform(
     return LaplaceExpr(shift if tail else 0.0, tuple(terms))
 
 
-def _positive_order(order: Order | float) -> Order:
-    ord_ = as_order(order)
-    if not ord_.alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {ord_.alpha}")
-    return ord_
-
-
 def laplace_series(f: TaylorSeries) -> LaplaceExpr:
     """Termwise transform of Taylor data at 0: sum f^(k)(0) s^-(k+1)."""
     _require_center_zero(f, "laplace_series")
@@ -304,7 +295,7 @@ def laplace_series(f: TaylorSeries) -> LaplaceExpr:
 
 def laplace_rl_integral(f: TaylorSeries, alpha: float) -> LaplaceExpr:
     """Transform of the RL integral: s^(-alpha) F(s), termwise."""
-    alpha = _positive_order(alpha).alpha
+    alpha = positive_order(alpha).alpha
     _require_center_zero(f, "laplace_rl_integral")
     return _taylor_transform(f, -alpha, 0)
 
@@ -316,7 +307,7 @@ def laplace_caputo(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
     removes exactly the slots k < n, which is what makes the Caputo
     transform regular where the RL one is singular.
     """
-    ord_ = _positive_order(order)
+    ord_ = positive_order(order)
     _require_center_zero(f, "laplace_caputo")
     return _taylor_transform(f, ord_.alpha, ord_.n)
 
@@ -331,7 +322,7 @@ def laplace_rl_derivative(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
     result is s^alpha F(s). Integer orders take the classical route,
     which drops the slots k < n.
     """
-    ord_ = _positive_order(order)
+    ord_ = positive_order(order)
     _require_center_zero(f, "laplace_rl_derivative")
     return _taylor_transform(f, ord_.alpha, ord_.n if ord_.is_integer else 0)
 
@@ -360,7 +351,7 @@ def _power_sum_transform(
             continue
         if e + delta <= -1.0:
             return LaplaceExpr(singular=_offender(e))
-        terms.append(LaplaceTerm(c * math.gamma(e + 1.0), p))
+        terms.append(LaplaceTerm(c * _gamma(e + 1.0), p))
     return LaplaceExpr(0.0, tuple(terms))
 
 
@@ -394,7 +385,7 @@ def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExp
 
     c t^mu maps to c Gamma(mu+1) s^-(mu+alpha+1).
     """
-    alpha = _positive_order(alpha).alpha
+    alpha = positive_order(alpha).alpha
     return _power_sum_transform(series, alpha, "laplace_rl_integral_fps")
 
 
@@ -451,7 +442,7 @@ def frequency_differentiation_check(
     Both sides are built as fractional power series at 0 and compared
     coefficient by coefficient on the merged exponent grid.
     """
-    alpha = _positive_order(alpha).alpha
+    alpha = positive_order(alpha).alpha
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     _require_center_zero(f, "frequency_differentiation_check")
@@ -467,30 +458,11 @@ def frequency_differentiation_check(
     )
 
     sign = -1.0 if m % 2 else 1.0
-    fact = 1.0
-    moment_terms = []
-    for k, d in enumerate(f.derivs):
-        if k > 0:
-            fact *= k
-        moment_terms.append((sign * d / fact, float(k + m)))
+    moments = tuple((sign * c, float(k + m)) for k, c in enumerate(f._coeffs()))
     right = frac_differintegral(
-        FracPowerSeries(0.0, tuple(moment_terms), complete=f.complete), -alpha
+        FracPowerSeries(0.0, moments, complete=f.complete), -alpha
     )
-
-    disc = 0.0
-    li, ri = 0, 0
-    lt, rt = left.terms, right.terms
-    while li < len(lt) or ri < len(rt):
-        if ri >= len(rt):
-            disc = max(disc, abs(lt[li][0])); li += 1
-        elif li >= len(lt):
-            disc = max(disc, abs(rt[ri][0])); ri += 1
-        elif abs(lt[li][1] - rt[ri][1]) <= 1.0e-9:
-            disc = max(disc, abs(lt[li][0] - rt[ri][0])); li += 1; ri += 1
-        elif lt[li][1] < rt[ri][1]:
-            disc = max(disc, abs(lt[li][0])); li += 1
-        else:
-            disc = max(disc, abs(rt[ri][0])); ri += 1
+    disc = max((abs(c) for c, _ in (left - right).terms), default=0.0)
     return FreqDiffReport(left=left, right=right, max_discrepancy=disc)
 
 
@@ -521,8 +493,8 @@ def laplace_shifted_series(
             "use generalized_laplace"
         )
     beta, k0 = _kind_slots(kind, order)
-    if kind == "caputo" and beta.is_integer():
-        raise ValueError("caputo kind needs a non-integer order")
+    if kind == "caputo":
+        positive_order(beta, non_integer=True)
     return _taylor_transform(f, beta, k0, a)
 
 
@@ -546,7 +518,7 @@ def _kind_slots(kind: str, order: Order | float | None) -> tuple[float, int]:
         raise ValueError(f"unknown kind {kind!r} (expected plain, rl_integral, caputo)")
     if order is None:
         raise ValueError(f"kind={kind!r} needs an order")
-    ord_ = _positive_order(order)
+    ord_ = positive_order(order)
     if kind == "rl_integral":
         return -ord_.alpha, 0
     return ord_.alpha, ord_.n
@@ -581,11 +553,7 @@ def initial_value_equivalence(
     conditions match). Right: f^(k)(a) = 0 for k = 0..n-1. Returned as
     (left, right); they agree for every Taylor-representable f.
     """
-    ord_ = as_order(order)
-    if ord_.is_integer or ord_.alpha <= 0:
-        raise ValueError(
-            f"needs a positive non-integer order, got {ord_.alpha}"
-        )
+    ord_ = positive_order(order, non_integer=True)
     left = True
     for k in range(-1, ord_.n):
         outcome = classify_lower_terminal(f, ord_.alpha - 1.0 - k)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import EvalResult, Order, TaylorSeries, as_order, check_tail, taylor_arith
+from .series import EvalResult, Order, TaylorSeries, as_order, check_tail, positive_order, taylor_arith
 from .operators import caputo_derivative, rl_differintegral
 from .special import gen_binom, pochhammer, recip_gamma
 
@@ -112,10 +112,7 @@ def leibniz_monomial(
     kind="integral": RL I^alpha {t^m f} with poch(alpha,k) and
     I^(alpha+k). Both need alpha > 0.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    alpha = positive_order(order).alpha
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if not t > f.center:
@@ -244,10 +241,14 @@ def _report(
     value, terms_used = _rule_sum(
         lead_t, other, alpha, t, trunc, _rl_value if rl else _caputo_value
     )
-    correction = 0.0 if rl else _compensation(lead, lead_t, other, alpha, ord_.n, t)
+    # at integer orders Caputo is RL: every R1 denominator sits on a pole
+    rl_reading = rl or ord_.is_integer
+    correction = (
+        0.0 if rl_reading else _compensation(lead, lead_t, other, alpha, ord_.n, t)
+    )
     if rule == "corrected":
         value += correction
-    operator = rl_differintegral if rl or ord_.is_integer else caputo_derivative
+    operator = rl_differintegral if rl_reading else caputo_derivative
     ref_value = operator(product, ord_).evaluate(t).expect_finite()
     return LeibnizReport(
         rule_value=EvalResult.finite(value),

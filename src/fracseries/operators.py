@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import FracPowerSeries, Order, TaylorSeries, as_order
-from .special import gamma_ratio, gen_binom, recip_gamma
+from .series import FracPowerSeries, Order, TaylorSeries, as_order, check_slots, positive_order
+from .special import GammaRangeError, gamma_ratio, gen_binom, recip_gamma
 
 __all__ = [
     "IntegerLimitReport",
@@ -35,25 +35,19 @@ __all__ = [
 def _integer_shift(f: TaylorSeries, m: int) -> FracPowerSeries:
     """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data."""
     k0 = max(m, 0)
-    _check_slots(f, m, k0, k0, f.truncation + 1, f.complete)
-    terms = tuple(
-        (f.derivs[k] / math.factorial(k - m), float(k - m))
-        for k in range(k0, f.truncation + 1)
-    )
-    return FracPowerSeries(f.center, terms, f.radius_hint, f.complete)
-
-
-def _check_slots(
-    f: TaylorSeries, alpha: float, n: int, k0: int, k1: int, complete: bool
-) -> None:
-    """Truncated data must leave at least two slots k0 <= k < k1 for the
-    tail test; fewer would be an unchecked sum of what the data carries."""
-    if not complete and k1 - k0 < 2:
-        raise ValueError(
-            f"order {alpha} (n = {n}) sums the slots k >= {k0}, and truncated "
-            f"Taylor data of truncation {f.truncation} carries {max(k1 - k0, 0)} of "
-            f"them; the tail test needs two (truncation >= {k0 + 1})"
-        )
+    check_slots(f, m, k0, f.truncation + 1, f.complete)
+    terms = []
+    for k in range(k0, f.truncation + 1):
+        d = f.derivs[k]
+        if d == 0.0:
+            continue
+        if k - m > 170:
+            raise GammaRangeError(
+                f"order {m} divides f^({k}) by ({k - m:.6g})!, which is beyond the "
+                "double range"
+            )
+        terms.append((d / math.factorial(k - m), float(k - m)))
+    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
 
 
 def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
@@ -75,7 +69,7 @@ def _rl_slots(
 ) -> FracPowerSeries:
     """The terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for k0 <= k < k1."""
     alpha = ord_.alpha
-    _check_slots(f, alpha, ord_.n, k0, k1, complete)
+    check_slots(f, alpha, k0, k1, complete)
     terms = tuple(
         (f.derivs[k] * recip_gamma(k + 1 - alpha), k - alpha) for k in range(k0, k1)
     )
@@ -89,13 +83,7 @@ def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
     classical differentiation and negative orders coincide with the RL
     integral, both available through :func:`rl_differintegral`.
     """
-    ord_ = as_order(order)
-    alpha = ord_.alpha
-    if alpha <= 0 or ord_.is_integer:
-        raise ValueError(
-            f"Caputo derivative needs a positive non-integer order, got {alpha}; "
-            "use rl_differintegral for integer orders and integrals"
-        )
+    ord_ = positive_order(order, non_integer=True)
     return _rl_slots(f, ord_, ord_.n, f.truncation + 1, f.complete)
 
 
@@ -115,11 +103,7 @@ def caputo_local_form(
     f_at_t: TaylorSeries, order: Order | float, a: float
 ) -> FracPowerSeries:
     """Caputo counterpart of :func:`rl_local_form`; the sum starts at k = n."""
-    ord_ = as_order(order)
-    if ord_.alpha <= 0 or ord_.is_integer:
-        raise ValueError(
-            f"Caputo form needs a positive non-integer order, got {ord_.alpha}"
-        )
+    ord_ = positive_order(order, non_integer=True)
     return _local_form(f_at_t, ord_, ord_.n, a)
 
 
@@ -133,7 +117,7 @@ def _local_form(
             f"evaluation point {f_at_t.center!r} lies left of the terminal {a!r}"
         )
     k1 = f_at_t.truncation + 1
-    _check_slots(f_at_t, alpha, ord_.n, n, k1, f_at_t.complete)
+    check_slots(f_at_t, alpha, n, k1, f_at_t.complete)
     d = f_at_t.derivs
     terms = tuple(
         (gen_binom(alpha - n, k - n) * d[k] * recip_gamma(k - alpha + 1), k - alpha)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from .operators import rl_caputo_bridge
-from .series import Order, TaylorSeries, as_order
+from .series import DivergenceError, Order, TaylorSeries, as_order
 from .special import recip_gamma
 
 if TYPE_CHECKING:
@@ -67,7 +67,13 @@ def rl_integral_fixed(
     mid = 0.5 * (a + t)
     half = 0.5 * (t - a)
     total = math.fsum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
-    return half**alpha * total * recip_gamma(alpha)
+    try:
+        scale = half**alpha
+    except OverflowError:
+        raise DivergenceError(
+            f"((t - a)/2)^alpha = {half!r}^{alpha!r} is beyond the double range"
+        ) from None
+    return scale * total * recip_gamma(alpha)
 
 
 def rl_integral_quad(
@@ -87,6 +93,7 @@ def rl_integral_quad(
     Raises:
         QuadratureError: if doubling never stabilizes (f not analytic on
             the interval, or rel_tol beyond double precision).
+        DivergenceError: if ((t - a)/2)^alpha is beyond the double range.
     """
     alpha = float(alpha)
     if not alpha > 0:
@@ -129,8 +136,15 @@ def _checked_callable(f: TaylorSeries, n: int, t: float) -> Callable[[float], fl
             )
         scale = abs(g.evaluate(t)) + 1.0
         fact = math.factorial(g.truncation)
-        last = abs(g.derivs[-1]) * x**g.truncation / fact
-        second = abs(g.derivs[-2]) * x ** (g.truncation - 1) * g.truncation / fact
+        try:
+            last = abs(g.derivs[-1]) * x**g.truncation / fact
+            second = abs(g.derivs[-2]) * x ** (g.truncation - 1) * g.truncation / fact
+        except OverflowError:
+            raise DivergenceError(
+                f"the tail terms of the order-{n} derivative overflow at t - center = "
+                f"{x!r}: (t - center)^{g.truncation} is beyond the double range "
+                f"(Taylor truncation {f.truncation})"
+            ) from None
         if not (last <= EVAL_ACCURACY_TOL * scale and second <= EVAL_ACCURACY_TOL * scale):
             raise ValueError(
                 f"Taylor truncation {g.truncation} is too short for "

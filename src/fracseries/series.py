@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 
 __all__ = [
     "DivergenceError",
@@ -146,6 +147,16 @@ def as_order(order: Order | float) -> Order:
     return Order.from_alpha(order)
 
 
+def positive_order(order: Order | float, non_integer: bool = False) -> Order:
+    """Coerce *order*; raise ValueError unless alpha > 0 and, with
+    *non_integer*, alpha is not an integer."""
+    ord_ = as_order(order)
+    if not ord_.alpha > 0 or (non_integer and ord_.is_integer):
+        domain = "> 0 and not an integer" if non_integer else "> 0"
+        raise ValueError(f"order must be {domain}, got {ord_.alpha}")
+    return ord_
+
+
 @dataclass(frozen=True)
 class TaylorSeries:
     """An analytic function given by derivative values at a center.
@@ -275,24 +286,12 @@ class FracPowerSeries:
     complete: bool = True
 
     def __post_init__(self) -> None:
-        cleaned = [
-            (float(c), float(e))
-            for (c, e) in self.terms
-            if float(c) != 0.0
-        ]
-        for c, e in cleaned:
-            if not (math.isfinite(c) and math.isfinite(e)):
+        terms = [(float(c), float(e)) for (c, e) in self.terms]
+        for c, e in terms:
+            if c != 0.0 and not (math.isfinite(c) and math.isfinite(e)):
                 raise ValueError(f"term ({c!r}, {e!r}) is not finite")
-        cleaned.sort(key=lambda ce: ce[1])
-        merged: list[tuple[float, float]] = []
-        for c, e in cleaned:
-            if merged and e - merged[-1][1] <= EXPONENT_MERGE_TOL:
-                prev_c, prev_e = merged[-1]
-                merged[-1] = (prev_c + c, prev_e)
-            else:
-                merged.append((c, e))
         object.__setattr__(
-            self, "terms", tuple((c, e) for (c, e) in merged if c != 0.0)
+            self, "terms", canonical_terms(terms, itemgetter(1), _same_exponent)
         )
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
@@ -300,10 +299,6 @@ class FracPowerSeries:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def leading(self) -> tuple[float, float] | None:
-        """The (coeff, exponent) pair of least exponent, or None."""
-        return self.terms[0] if self.terms else None
 
     def evaluate(self, t: float) -> EvalResult:
         return eval_frac_series(self, t)
@@ -331,6 +326,24 @@ class FracPowerSeries:
 
     def __sub__(self, other: FracPowerSeries) -> FracPowerSeries:
         return self + other.scaled(-1.0)
+
+
+def _same_exponent(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return b[1] - a[1] <= EXPONENT_MERGE_TOL
+
+
+def canonical_terms(terms, key, same_slot) -> tuple:
+    """Canonical form of ``(coeff, *slot)`` tuples: zeros dropped, the rest
+    stably sorted by *key*, each term added into the slot before it when
+    ``same_slot(slot, term)`` holds, and the zeros this leaves dropped."""
+    merged: list[tuple] = []
+    for term in sorted([t for t in terms if t[0] != 0.0], key=key):
+        if merged and same_slot(merged[-1], term):
+            prev = merged[-1]
+            merged[-1] = (prev[0] + term[0],) + prev[1:]
+        else:
+            merged.append(term)
+    return tuple([t for t in merged if t[0] != 0.0])
 
 
 def _min_radius(a: float | None, b: float | None) -> float | None:
@@ -410,11 +423,41 @@ def check_tail(terms: list[float], total: float, complete: bool) -> None:
         )
 
 
+def check_slots(f: TaylorSeries, alpha: float, k0: int, k1: int, complete: bool) -> None:
+    """Truncated data must leave at least two slots k0 <= k < k1 of a sum of
+    the order-alpha operator; fewer would be an unchecked sum of what the
+    data carries (no tail test could see the dropped slots)."""
+    if not complete and k1 - k0 < 2:
+        raise ValueError(
+            f"order {alpha} (n = {as_order(alpha).n}) sums the slots k >= {k0}, and "
+            f"truncated Taylor data of truncation {f.truncation} carries "
+            f"{max(k1 - k0, 0)} of them; the tail test needs two "
+            f"(truncation >= {k0 + 1})"
+        )
+
+
 # ------------------------------------------------------------------
 # Catalog constructors
 # ------------------------------------------------------------------
 
-_CATALOG = ("poly", "shifted-poly", "const", "power", "exp", "sin", "cos")
+#: Each catalog family with the parameter it takes once, or None for the
+#: polynomial families, which take one or more coefficients.
+_CATALOG = {"poly": None, "shifted-poly": None, "const": "value", "power": "exponent",
+            "exp": "rate", "sin": "angular frequency", "cos": "angular frequency"}
+
+
+def check_arity(name: str, params: list[float]) -> None:
+    """Raise ValueError for an unknown catalog family or a wrong number of
+    parameters for a known one."""
+    if name not in _CATALOG:
+        raise ValueError(
+            f"unknown catalog name {name!r} (expected one of {tuple(_CATALOG)})"
+        )
+    single = _CATALOG[name]
+    if single is None and not params:
+        raise ValueError(f"{name} needs at least one coefficient")
+    if single is not None and len(params) != 1:
+        raise ValueError(f"{name} takes a single {single}")
 
 
 def series_from_catalog(
@@ -451,17 +494,14 @@ def _catalog_series(
     params = [float(p) for p in params]
     if not all(math.isfinite(p) for p in params):
         raise ValueError("catalog parameters must be finite")
+    check_arity(name, params)
     a = float(center)
     size = truncation + 1
 
     if name == "const":
-        if len(params) != 1:
-            raise ValueError("const takes a single value")
-        name, params = "poly", params[:1]
+        name = "poly"
 
     if name == "poly":
-        if not params:
-            raise ValueError("poly needs at least one coefficient")
         deg = len(params) - 1
         if truncation < deg:
             raise ValueError(
@@ -480,8 +520,6 @@ def _catalog_series(
         return TaylorSeries(a, tuple(derivs), radius_hint=None, complete=True)
 
     if name == "shifted-poly":
-        if not params:
-            raise ValueError("shifted-poly needs at least one coefficient")
         deg = len(params) - 1
         if truncation < deg:
             raise ValueError(
@@ -496,8 +534,6 @@ def _catalog_series(
         return TaylorSeries(a, tuple(derivs), radius_hint=None, complete=True)
 
     if name == "power":
-        if len(params) != 1:
-            raise ValueError("power takes a single exponent")
         p = params[0]
         if p.is_integer() and p >= 0:
             coeffs = [0.0] * int(p) + [1.0]
@@ -509,30 +545,34 @@ def _catalog_series(
             )
         derivs = []
         coeff = a**p
+        _check_no_underflow(coeff, name, p, a)
         for k in range(size):
             derivs.append(coeff)
             coeff *= (p - k) / a
         return TaylorSeries(a, tuple(derivs), radius_hint=a, complete=False)
 
     if name == "exp":
-        if len(params) != 1:
-            raise ValueError("exp takes a single rate")
         rate = params[0]
         base = math.exp(rate * a)
+        _check_no_underflow(base, name, rate, a)
         derivs = [base * rate**k for k in range(size)]
         return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
 
-    if name in ("sin", "cos"):
-        if len(params) != 1:
-            raise ValueError(f"{name} takes a single angular frequency")
-        omega = params[0]
-        phase = omega * a + (math.pi / 2 if name == "cos" else 0.0)
-        derivs = [
-            omega**k * math.sin(phase + k * math.pi / 2) for k in range(size)
-        ]
-        return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
+    # sin or cos
+    omega = params[0]
+    phase = omega * a + (math.pi / 2 if name == "cos" else 0.0)
+    derivs = [omega**k * math.sin(phase + k * math.pi / 2) for k in range(size)]
+    return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
 
-    raise ValueError(f"unknown catalog name {name!r} (expected one of {_CATALOG})")
+
+def _check_no_underflow(value: float, name: str, param: float, center: float) -> None:
+    """f(center) of exp or power data is never 0; a 0.0 there is an
+    underflow that would make every later datum 0 too."""
+    if value == 0.0:
+        raise ValueError(
+            f"{name} with parameter {param} underflows to 0 at center {center}; "
+            "its Taylor data would read as the zero function"
+        )
 
 
 def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:

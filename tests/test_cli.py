@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracseries.cli import main
 from fracseries.grammar import GrammarError, parse_function_spec, parse_power_spec
@@ -367,6 +370,13 @@ def test_installed_script_runs():
         ["eval", "exp:1", "--alpha", "63.5", "--def", "caputo", "--grid", "0.5:1:2"],
         ["eval", "exp:1", "--alpha", "0.5", "--trunc", "1", "--def", "caputo",
          "--grid", "0.5:1:2"],
+        ["oracle", "exp:1", "--alpha", "0.5", "--grid=1e200:1e200:1"],
+        ["oracle", "cos:-3", "--alpha", "-1", "--a=2.5", "--grid=3:1e300:2",
+         "--def", "caputo"],
+        ["oracle", "poly:1", "--alpha", "-5", "--grid=1e300:1e300:1"],
+        ["laplace", "power:200", "--op", "series"],
+        ["laplace", "power:171.5"],
+        ["laplace", "power:200.5", "--op", "rl-int", "--alpha", "0.5"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -374,6 +384,61 @@ def test_extreme_order_exits_cleanly(capsys, argv):
     assert code in (2, 3)
     assert "Traceback" not in err
     assert err.startswith(("error:", "numerical failure:"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "exp:1", "--alpha", "0.5", "--grid=1e200:1e200:1"],
+        ["oracle", "cos:-3", "--alpha", "-1", "--a=2.5", "--grid=3:1e300:2",
+         "--def", "caputo"],
+    ],
+)
+def test_oracle_overflowing_tail_is_numeric_failure(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "t - center = 1e+" in err and "Taylor truncation 64" in err
+
+
+@pytest.mark.parametrize(
+    "argv, factorial",
+    [
+        (["eval", "exp:1", "--alpha", "-200", "--grid", "0.5:1:2"], "(200)!"),
+        (["eval", "poly:1,1,1,1", "--alpha", "-168", "--grid", "50:50:1"], "(171)!"),
+        (["eval", "cos:0", "--alpha=-1e300", "--grid=0:0:1"], "(1e+300)!"),
+    ],
+)
+def test_integer_integral_past_the_factorial_range_is_usage_error(capsys, argv, factorial):
+    # it ended in an OverflowError traceback; dropping the term instead
+    # would read 13% low for poly:1,1,1,1 at t = 50
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert factorial in err and "beyond the double range" in err
+
+
+def test_integer_integral_of_a_polynomial_skips_its_zero_slots(capsys):
+    # every slot past the degree holds 0: (k + 120)! up to k = 64 is never formed
+    argv = ["eval", "poly:1", "--alpha", "-120", "--grid", "1:1:1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(1 / math.factorial(120), rel=1e-14)
+
+
+def test_examples_with_a_grid_point_at_zero_pass(capsys):
+    # Example 2's product t * t vanishes at t = 0; its relative residual was 0/0
+    code, out, _ = run_cli(capsys, ["examples", "--a", "-1"])
+    assert code == 0
+    assert out.endswith("3/3 examples pass\n")
+
+
+def test_leibniz_at_a_huge_integer_order_skips_the_r1_loop(capsys):
+    # R1 is a sum over k < n with n = alpha; at integer alpha every term is 0
+    argv = ["leibniz", "--f", "poly:1", "--g", "poly:1", "--alpha", "1e300", "--t", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert "correction (R1) 0\n" in out
 
 
 def test_overflowing_term_is_numeric_failure_naming_point_and_exponent(capsys):
@@ -400,6 +465,25 @@ def test_sum_past_the_carried_data_is_usage_error(capsys, alpha, trunc, carried)
     assert f"truncation {trunc} carries {carried}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, order, first, trunc",
+    [
+        (["exp:1", "--op", "caputo", "--alpha", "70.5"], "70.5", 71, 64),
+        (["exp:-1", "--a=-3", "--op", "caputo", "--alpha", "200.5"], "200.5", 201, 64),
+        (["exp:1", "--op", "generalized", "--kind", "caputo", "--alpha", "70.5"],
+         "70.5", 71, 64),
+        (["exp:1", "--op", "caputo", "--alpha", "0.5", "--trunc", "1"], "0.5", 1, 1),
+    ],
+)
+def test_laplace_sum_past_the_carried_data_is_usage_error(capsys, argv, order, first, trunc):
+    code, out, err = run_cli(capsys, ["laplace"] + argv)
+    assert code == 2
+    assert out == ""
+    assert f"order {order} " in err
+    assert f"slots k >= {first}," in err
+    assert f"truncation {trunc} carries" in err
+
+
 def test_caputo_of_constant_exp_is_still_zero(capsys):
     argv = ["eval", "exp:0", "--alpha", "0.5", "--def", "caputo", "--grid", "0.5:1:2"]
     code, out, _ = run_cli(capsys, argv)
@@ -423,6 +507,8 @@ def test_oracle_past_the_carried_data_names_n_and_truncation(capsys):
         ["eval", "exp:1", "--alpha", "0.5", "--grid", "nan:1:2"],
         ["eval", "exp:1", "--alpha", "0.5", "--grid", "0.5:inf:2"],
         ["eval", "exp:1", "--alpha", "0.5", "--grid=-1e308:1e308:2"],
+        ["laplace", "exp:1", "--a=-1e3", "--op", "series"],
+        ["eval", "exp:1", "--a=-1e3", "--alpha", "0.5", "--grid=-999:-998:2"],
     ],
 )
 def test_non_finite_or_overflowing_input_is_usage_error(capsys, argv):
@@ -440,3 +526,66 @@ def test_oracle_failure_reports_nonzero_last_change(capsys):
     assert code == 3
     change = float(err.split("last change ")[1].split(",")[0])
     assert change > 0.0
+
+
+# --- exit-code contract over generated argv ----------------------------------------
+
+_NUMBERS = st.one_of(
+    st.floats(-4.0, 4.0).map(repr),
+    st.sampled_from(
+        ["0", "-0.0", "1", "0.5", "2.5", "1e-300", "1e200", "1e300", "-1e300",
+         "63.5", "70.5", "180.5", "inf", "-inf", "nan"]
+    ),
+)
+_ATOM = st.builds(
+    lambda name, params: f"{name}:{','.join(params)}",
+    st.sampled_from(["poly", "shifted-poly", "const", "power", "exp", "sin", "cos", "sinh"]),
+    st.lists(_NUMBERS, max_size=3),
+)
+_SPEC = st.lists(_ATOM, min_size=1, max_size=2).map("+".join)
+_GRID = st.builds(
+    lambda lo, hi, count: f"--grid={lo}:{hi}:{count}",
+    _NUMBERS, _NUMBERS, st.integers(-1, 3),
+)
+_TRUNC = st.integers(-1, 64).map(lambda n: f"--trunc={n}")
+
+
+def _opt(flag, values=_NUMBERS):
+    return values.map(lambda v: f"--{flag}={v}")
+
+
+_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(["eval", "oracle"]), _SPEC, _opt("alpha"), _opt("a"), _TRUNC,
+        _GRID, _opt("def", st.sampled_from(["rl", "caputo"])),
+        _opt("format", st.sampled_from(["csv", "json"])),
+    ).map(list),
+    st.tuples(
+        st.just("leibniz"), _opt("f", _SPEC), _opt("g", _SPEC), _opt("alpha"),
+        _opt("a"), _opt("t"), _opt("rule", st.sampled_from(["rl", "wrong", "corrected"])),
+        _TRUNC, _opt("format", st.sampled_from(["text", "json"])),
+    ).map(list),
+    st.tuples(
+        st.just("laplace"), _SPEC, _opt("alpha"), _opt("a"), _TRUNC,
+        _opt("op", st.sampled_from(["series", "rl-int", "caputo", "rl-der", "generalized"])),
+        _opt("kind", st.sampled_from(["plain", "rl-int", "caputo"])),
+        _opt("format", st.sampled_from(["text", "json"])),
+    ).map(list),
+    st.builds(
+        lambda alpha, a, tol, wrong: ["examples", alpha, a, tol] + wrong,
+        _opt("alpha"), _opt("a"), _opt("tol"), st.sampled_from([[], ["--wrong-rule"]]),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argv=_ARGV)
+def test_every_invocation_exits_0_2_or_3_without_a_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects with exit code 2
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -25,6 +25,7 @@ from fracseries.laplace import (
 )
 from fracseries.operators import caputo_derivative, rl_caputo_bridge, rl_differintegral
 from fracseries.grammar import parse_function_spec
+from fracseries.special import GammaRangeError
 from fracseries.series import (
     DivergenceError,
     FracPowerSeries,
@@ -476,3 +477,30 @@ def test_initial_value_equivalence_examples():
 def test_initial_value_equivalence_rejects_integer_order():
     with pytest.raises(ValueError):
         initial_value_equivalence(poly([1.0]), 2.0)
+
+
+def test_taylor_transforms_refuse_sums_past_the_carried_data():
+    # the sum starts at k = n: at n > truncation it has no terms and read 0,
+    # at n = truncation it had one unchecked term
+    f = series_from_catalog("exp", [1.0])
+    for build, order, first in (
+        (lambda: laplace_caputo(f, 70.5), 70.5, 71),
+        (lambda: laplace_caputo(f, 63.5), 63.5, 64),
+        (lambda: generalized_laplace(f, "caputo", 70.5), 70.5, 71),
+        (lambda: laplace_rl_derivative(f, 70.0), 70.0, 70),
+    ):
+        with pytest.raises(ValueError, match=f"order {order} .*k >= {first}.*truncation 64"):
+            build()
+    # complete data carries every slot: the Caputo transform of a line is 0
+    assert laplace_caputo(poly([1.0, 2.0]), 70.5).is_zero
+
+
+def test_power_transforms_beyond_the_gamma_range_name_the_argument():
+    with pytest.raises(GammaRangeError, match=r"Gamma\(201\.0\)"):
+        laplace_power(200.0)
+    with pytest.raises(GammaRangeError, match=r"Gamma\(172\.5\)"):
+        laplace_fps(FracPowerSeries(0.0, ((1.0, 171.5),)))
+    with pytest.raises(GammaRangeError, match=r"Gamma\(201\.5\)"):
+        laplace_rl_integral_fps(FracPowerSeries(0.0, ((1.0, 200.5),)), 0.5)
+    assert laplace_power(170.0).terms == (LaplaceTerm(math.gamma(171.0), 171.0),)
+

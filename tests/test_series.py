@@ -334,3 +334,29 @@ def test_catalog_rejects_taylor_data_beyond_double_range():
             series_from_catalog(name, [1e300])
     with pytest.raises(ValueError, match="double range"):
         series_from_catalog("exp", [1.0], center=1e300)
+
+
+def test_catalog_rejects_data_that_underflows_to_zero():
+    # every datum would be 0.0, and the function would read as f = 0
+    for name, param, center in (("exp", 1.0, -1e3), ("exp", -2.0, 400.0), ("power", 300.5, 1e-5)):
+        with pytest.raises(ValueError, match=f"{name} with parameter {param} underflows to 0 at center {center}"):
+            series_from_catalog(name, [param], center=center)
+    assert series_from_catalog("exp", [1.0], center=-700.0).derivs[0] > 0.0
+
+
+def test_catalog_arity_is_shared_with_the_power_grammar():
+    from fracseries.grammar import GrammarError, parse_power_spec
+
+    for name, params, msg in (
+        ("power", [1.0, 2.0], "power takes a single exponent"),
+        ("const", [], "const takes a single value"),
+        ("poly", [], "poly needs at least one coefficient"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            series_from_catalog(name, params)
+        with pytest.raises(GrammarError, match=msg):
+            parse_power_spec(f"{name}:{','.join(map(str, params))}" if params else name)
+    with pytest.raises(ValueError, match="exp takes a single rate"):
+        series_from_catalog("exp", [1.0, 2.0])
+    with pytest.raises(ValueError, match="sin takes a single angular frequency"):
+        series_from_catalog("sin", [])
