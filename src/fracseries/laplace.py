@@ -458,7 +458,7 @@ def frequency_differentiation_check(
     )
 
     sign = -1.0 if m % 2 else 1.0
-    moments = tuple((sign * c, float(k + m)) for k, c in enumerate(f._coeffs()))
+    moments = tuple((sign * c, float(k + m)) for k, c in enumerate(f.coeffs))
     right = frac_differintegral(
         FracPowerSeries(0.0, moments, complete=f.complete), -alpha
     )

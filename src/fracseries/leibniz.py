@@ -14,8 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import EvalResult, Order, TaylorSeries, as_order, check_tail, positive_order, taylor_arith
-from .operators import caputo_derivative, rl_differintegral
+from .series import (
+    EvalResult,
+    Order,
+    TaylorSeries,
+    as_order,
+    check_tail,
+    nonzero_terms,
+    positive_order,
+    sum_terms,
+    taylor_arith,
+)
+from .operators import caputo_derivative, rl_differintegral, slot_terms
 from .special import gen_binom, pochhammer, recip_gamma
 
 __all__ = [
@@ -44,14 +54,25 @@ def _data_at(f: TaylorSeries, t: float) -> TaylorSeries:
     return f if f.center == t else f.recentered(t)
 
 
+def _slots_at(g: TaylorSeries, ord_: Order, k0: int, t: float) -> float:
+    """The order's slot sum k >= k0 of g at t right of the terminal: the
+    value of the RL (k0 = 0) or Caputo (k0 = n) series, without the series."""
+    terms = slot_terms(g, ord_.alpha, k0, g.truncation + 1, g.complete)
+    return sum_terms(nonzero_terms(terms), t - g.center, g.radius_hint, g.complete)
+
+
 def _rl_value(g: TaylorSeries, beta: float, t: float) -> float:
-    return rl_differintegral(g, beta).evaluate(t).expect_finite()
+    ord_ = as_order(beta)
+    if ord_.is_integer:
+        return rl_differintegral(g, ord_).evaluate(t).expect_finite()
+    return _slots_at(g, ord_, 0, t)
 
 
 def _caputo_value(g: TaylorSeries, beta: float, t: float) -> float:
     """C D^beta g at t, reading negative orders as RL integrals."""
     if beta > 0 and not float(beta).is_integer():
-        return caputo_derivative(g, beta).evaluate(t).expect_finite()
+        ord_ = as_order(beta)
+        return _slots_at(g, ord_, ord_.n, t)
     return _rl_value(g, beta, t)
 
 
@@ -69,8 +90,13 @@ def _rule_sum(
         raise ValueError(f"truncation must be >= 1, got {trunc}")
     j_max = min(trunc, lead_t.truncation)
     terms = []
+    num, fact = 1.0, 1
     for j in range(j_max + 1):
-        b = gen_binom(alpha, j)
+        if j:
+            # gen_binom(alpha, j), its falling product carried across j
+            num *= alpha - (j - 1)
+            fact *= j
+        b = num / fact
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue

@@ -57,6 +57,10 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
     k = 0..N. Negative orders are the fractional integral; terms whose
     denominator gamma sits on a pole are dropped exactly. Integer orders
     take the exact factorial route.
+
+    Raises:
+        GammaRangeError: when the gamma or factorial that divides a
+            nonzero datum is beyond the double range.
     """
     ord_ = as_order(order)
     if ord_.is_integer:
@@ -67,13 +71,39 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
 def _rl_slots(
     f: TaylorSeries, ord_: Order, k0: int, k1: int, complete: bool
 ) -> FracPowerSeries:
-    """The terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for k0 <= k < k1."""
-    alpha = ord_.alpha
+    """The series of :func:`slot_terms`."""
+    terms = slot_terms(f, ord_.alpha, k0, k1, complete)
+    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, complete)
+
+
+def slot_terms(
+    f: TaylorSeries, alpha: float, k0: int, k1: int, complete: bool
+) -> list[tuple[float, float]]:
+    """The terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for k0 <= k < k1.
+
+    Their exponents rise by about 1, so no two of them merge: dropping
+    the zeros (pole slots and zero data) is all that is left of the
+    canonical form.
+
+    Raises:
+        ValueError: for truncated data that keeps fewer than two slots.
+        GammaRangeError: when Gamma(k+1-alpha) of a nonzero datum is
+            beyond the double range (1/Gamma would read as 0.0 and drop
+            the term), or 1/Gamma(k+1-alpha) is.
+    """
     check_slots(f, alpha, k0, k1, complete)
-    terms = tuple(
-        (f.derivs[k] * recip_gamma(k + 1 - alpha), k - alpha) for k in range(k0, k1)
-    )
-    return FracPowerSeries(f.center, terms, f.radius_hint, complete)
+    terms = []
+    for k in range(k0, k1):
+        d = f.derivs[k]
+        arg = k + 1 - alpha
+        rg = recip_gamma(arg)
+        if rg == 0.0 and d != 0.0 and arg > 0.0:
+            raise GammaRangeError(
+                f"order {alpha} divides f^({k}) by Gamma({arg!r}), which is beyond "
+                "the double range"
+            )
+        terms.append((d * rg, k - alpha))
+    return terms
 
 
 def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:

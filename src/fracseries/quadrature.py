@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .operators import rl_caputo_bridge
 from .series import DivergenceError, Order, TaylorSeries, as_order
 from .special import recip_gamma
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -45,13 +42,13 @@ class QuadratureError(ArithmeticError):
 
 
 @lru_cache(maxsize=JACOBI_CACHE_SIZE)
-def _jacobi_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_rule(alpha: float, nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights as Python floats: the integrand then runs in plain
+    float arithmetic, which rounds as numpy's float64 scalars do."""
     from scipy.special import roots_jacobi
 
     x, w = roots_jacobi(nodes, alpha - 1.0, 0.0)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return tuple(x.tolist()), tuple(w.tolist())
 
 
 def rl_integral_fixed(

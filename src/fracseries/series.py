@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 
@@ -199,18 +200,20 @@ class TaylorSeries:
         """Horner evaluation of the (truncated) Taylor polynomial at *t*."""
         x = t - self.center
         acc = 0.0
-        for c in reversed(self._coeffs()):
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def _coeffs(self) -> list[float]:
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        """The Taylor coefficients ``f^(k)(center)/k!``, computed once."""
         out = []
         fact = 1.0
         for k, d in enumerate(self.derivs):
             if k > 0:
                 fact *= k
             out.append(d / fact)
-        return out
+        return tuple(out)
 
     def nth_derivative(self, n: int) -> TaylorSeries:
         """Taylor data of the n-th derivative (a shift of the value list)."""
@@ -287,9 +290,6 @@ class FracPowerSeries:
 
     def __post_init__(self) -> None:
         terms = [(float(c), float(e)) for (c, e) in self.terms]
-        for c, e in terms:
-            if c != 0.0 and not (math.isfinite(c) and math.isfinite(e)):
-                raise ValueError(f"term ({c!r}, {e!r}) is not finite")
         object.__setattr__(
             self, "terms", canonical_terms(terms, itemgetter(1), _same_exponent)
         )
@@ -333,17 +333,36 @@ def _same_exponent(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 def canonical_terms(terms, key, same_slot) -> tuple:
-    """Canonical form of ``(coeff, *slot)`` tuples: zeros dropped, the rest
+    """Canonical form of ``(coeff, *slot)`` tuples: :func:`nonzero_terms`,
     stably sorted by *key*, each term added into the slot before it when
     ``same_slot(slot, term)`` holds, and the zeros this leaves dropped."""
     merged: list[tuple] = []
-    for term in sorted([t for t in terms if t[0] != 0.0], key=key):
+    for term in sorted(nonzero_terms(terms), key=key):
         if merged and same_slot(merged[-1], term):
             prev = merged[-1]
             merged[-1] = (prev[0] + term[0],) + prev[1:]
         else:
             merged.append(term)
     return tuple([t for t in merged if t[0] != 0.0])
+
+
+def nonzero_terms(terms) -> list[tuple]:
+    """The ``(coeff, exponent, ...)`` tuples with a nonzero coefficient.
+
+    This is the whole canonical form of terms whose exponents already
+    rise by more than EXPONENT_MERGE_TOL, as the operator slots do.
+
+    Raises:
+        ValueError: naming the first nonzero term whose coefficient or
+            exponent is not finite.
+    """
+    out = []
+    for term in terms:
+        if term[0] != 0.0:
+            if not (math.isfinite(term[0]) and math.isfinite(term[1])):
+                raise ValueError(f"term {term!r} is not finite")
+            out.append(term)
+    return out
 
 
 def _min_radius(a: float | None, b: float | None) -> float | None:
@@ -371,20 +390,33 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
     if t < series.center:
         raise ValueError(f"t={t!r} is left of the center {series.center!r}")
 
-    if not series.terms:
-        return EvalResult.finite(0.0)
-
     x = t - series.center
-    if x == 0.0:
+    if x == 0.0 and series.terms:
         c0, e0 = series.terms[0]
         if abs(e0) <= EXPONENT_MERGE_TOL:
             return EvalResult.finite(c0)
         if e0 < 0.0:
             return EvalResult.infinite(1 if c0 > 0 else -1)
         return EvalResult.finite(0.0)
+    return EvalResult.finite(
+        sum_terms(series.terms, x, series.radius_hint, series.complete)
+    )
 
-    radius = series.radius_hint
-    if not series.complete and radius is not None and not x < radius:
+
+def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
+    """Sum of c * x**e over canonical terms at x = t - center > 0.
+
+    This is the summation of :func:`eval_frac_series` and its verdicts;
+    callers that hold the terms without a series use it directly.
+
+    Raises:
+        DivergenceError: when truncated terms are summed outside the
+            convergence radius, a term or the sum leaves the double range,
+            or the sum fails the tail test.
+    """
+    if not terms:
+        return 0.0
+    if not complete and radius is not None and not x < radius:
         raise DivergenceError(
             f"t - center = {x!r} is outside the convergence radius {radius!r}"
         )
@@ -392,7 +424,7 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
     total = 0.0
     term_values = []
     try:
-        for c, e in series.terms:
+        for c, e in terms:
             v = c * x**e
             term_values.append(v)
             total += v
@@ -401,13 +433,13 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
     if not math.isfinite(total):
         # the first running sum that leaves the double range names the term
         sums = accumulate(term_values + [math.inf])
-        c, e = series.terms[next(i for i, v in enumerate(sums) if not math.isfinite(v))]
+        c, e = terms[next(i for i, v in enumerate(sums) if not math.isfinite(v))]
         raise DivergenceError(
             f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
             f"range at t - center = {x!r}"
         )
-    check_tail(term_values, total, series.complete)
-    return EvalResult.finite(total)
+    check_tail(term_values, total, complete)
+    return total
 
 
 def check_tail(terms: list[float], total: float, complete: bool) -> None:

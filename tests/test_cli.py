@@ -377,6 +377,7 @@ def test_installed_script_runs():
         ["laplace", "power:200", "--op", "series"],
         ["laplace", "power:171.5"],
         ["laplace", "power:200.5", "--op", "rl-int", "--alpha", "0.5"],
+        ["laplace", "poly:" + "0," * 50 + "1e300"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -407,6 +408,10 @@ def test_oracle_overflowing_tail_is_numeric_failure(capsys, argv):
         (["eval", "exp:1", "--alpha", "-200", "--grid", "0.5:1:2"], "(200)!"),
         (["eval", "poly:1,1,1,1", "--alpha", "-168", "--grid", "50:50:1"], "(171)!"),
         (["eval", "cos:0", "--alpha=-1e300", "--grid=0:0:1"], "(1e+300)!"),
+        # non-integer orders: Gamma(k + 1 - alpha) overflows; dropping the term
+        # instead would read 9% low for poly:1,1,1,1 at t = 50
+        (["eval", "poly:1,1,1,1", "--alpha", "-168.5", "--grid", "50:50:1"], "Gamma(172.5)"),
+        (["eval", "poly:1", "--alpha", "-200.5", "--grid=1e300:1e300:1"], "Gamma(201.5)"),
     ],
 )
 def test_integer_integral_past_the_factorial_range_is_usage_error(capsys, argv, factorial):
@@ -416,6 +421,14 @@ def test_integer_integral_past_the_factorial_range_is_usage_error(capsys, argv, 
     assert code == 2
     assert out == ""
     assert factorial in err and "beyond the double range" in err
+
+
+def test_fractional_integral_of_a_polynomial_skips_its_zero_slots(capsys):
+    # 1/Gamma(k + 121.5) is 0.0 from k = 51 on, but only for data that is 0 there
+    argv = ["eval", "poly:1", "--alpha", "-120.5", "--grid", "1:1:1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == 1.0 / math.gamma(121.5)
 
 
 def test_integer_integral_of_a_polynomial_skips_its_zero_slots(capsys):

@@ -504,3 +504,12 @@ def test_power_transforms_beyond_the_gamma_range_name_the_argument():
         laplace_rl_integral_fps(FracPowerSeries(0.0, ((1.0, 200.5),)), 0.5)
     assert laplace_power(170.0).terms == (LaplaceTerm(math.gamma(171.0), 171.0),)
 
+
+def test_laplace_expressions_reject_non_finite_coefficients():
+    with pytest.raises(ValueError, match=r"term \(inf, 51.0, None\) is not finite"):
+        LaplaceExpr(0.0, (LaplaceTerm(1.0, 1.0), LaplaceTerm(math.inf, 51.0)))
+    # c Gamma(e + 1) of the last coefficient overflows
+    fps = FracPowerSeries(0.0, ((1.0e300, 50.0),))
+    with pytest.raises(ValueError, match="is not finite"):
+        laplace_fps(fps)
+    assert LaplaceExpr(0.0, (LaplaceTerm(0.0, math.inf),)).is_zero

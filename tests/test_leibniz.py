@@ -10,8 +10,17 @@ from fracseries.leibniz import (
     leibniz_report,
     leibniz_rl,
 )
+from fracseries.grammar import parse_function_spec
 from fracseries.operators import caputo_derivative, rl_differintegral
-from fracseries.series import TaylorSeries, series_from_catalog, taylor_arith
+from fracseries.series import (
+    DivergenceError,
+    Order,
+    TaylorSeries,
+    check_tail,
+    series_from_catalog,
+    taylor_arith,
+)
+from fracseries.special import gen_binom, recip_gamma
 
 rng = np.random.default_rng(4242)
 
@@ -345,3 +354,105 @@ def test_report_rl_rule():
 def test_report_unknown_rule():
     with pytest.raises(ValueError):
         leibniz_report(poly([1.0]), poly([1.0]), 0.5, 1.0, rule="magic")
+
+
+# --- bit-for-bit reference: one operator series per factor ----------------------
+
+
+def _series_rule(f, g, alpha, t, rule, trunc, swap=False):
+    """The product rules written with one public operator series per factor:
+    every D^(alpha-j) value is rl_differintegral or caputo_derivative of the
+    factor, evaluated at t. Returns rule, reference, correction, residual."""
+
+    def rl_value(h, beta):
+        return rl_differintegral(h, beta).evaluate(t).expect_finite()
+
+    def caputo_value(h, beta):
+        if beta > 0 and not float(beta).is_integer():
+            return caputo_derivative(h, beta).evaluate(t).expect_finite()
+        return rl_value(h, beta)
+
+    product = taylor_arith(f, g, "mul")
+    lead, other = (g, f) if swap else (f, g)
+    lead_t = lead if lead.center == t else lead.recentered(t)
+    value = rl_value if rule == "rl" else caputo_value
+    terms = []
+    for j in range(min(trunc, lead_t.truncation) + 1):
+        b = gen_binom(alpha, j)
+        if b == 0.0 or lead_t.derivs[j] == 0.0:
+            terms.append(0.0)
+        else:
+            terms.append(b * lead_t.derivs[j] * value(other, alpha - j))
+    total = math.fsum(terms)
+    check_tail(terms, total, lead_t.complete)
+
+    ord_ = Order.from_alpha(alpha)
+    rl_reading = rule == "rl" or ord_.is_integer
+    correction = 0.0
+    if not rl_reading:
+        for k in range(ord_.n):
+            rg = recip_gamma(k + 1 - alpha)
+            if rg == 0.0:
+                continue
+            inner = 0.0
+            for j in range(k + 1):
+                gv = other.derivs[k - j] if k - j <= other.truncation else 0.0
+                if gv == 0.0:
+                    continue
+                ft = lead_t.derivs[j] if j <= lead_t.truncation else 0.0
+                fa = lead.derivs[j] if j <= lead.truncation else 0.0
+                inner += (gen_binom(alpha, j) * ft - math.comb(k, j) * fa) * gv
+            correction += inner * (t - other.center) ** (k - alpha) * rg
+    if rule == "corrected":
+        total += correction
+    operator = rl_differintegral if rl_reading else caputo_derivative
+    ref = operator(product, alpha).evaluate(t).expect_finite()
+    return total, ref, correction, abs(total - ref)
+
+
+def _fields(report):
+    return (report.rule_value.value, report.reference_value.value,
+            report.correction_value, report.residual)
+
+
+@pytest.mark.parametrize(
+    "fspec, gspec, a, trunc",
+    [
+        ("poly:1,2,3", "poly:0,1,0.5", 0.0, 12),  # complete data
+        ("poly:1,-1,0.5,0.25", "poly:2,0,1", 1.0, 12),
+        ("exp:1", "sin:1.3", 0.0, 32),  # truncated data
+        ("cos:2", "exp:-0.7", 1.0, 64),
+        ("exp:0.5+sin:1", "poly:1,2", -0.5, 40),
+    ],
+)
+@pytest.mark.parametrize("alpha", [0.4, 1.6, 2.3, 1.0, 2.0])
+def test_product_rules_match_the_operator_series_bit_for_bit(fspec, gspec, a, trunc, alpha):
+    f = parse_function_spec(fspec, a, trunc)
+    g = parse_function_spec(gspec, a, trunc)
+    t = a + 0.75
+    for rule in ("rl", "wrong", "corrected"):
+        for rule_trunc in (24, 32):
+            want = _series_rule(f, g, alpha, t, rule, rule_trunc)
+            assert _fields(leibniz_report(f, g, alpha, t, rule, rule_trunc)) == want
+    want = _series_rule(f, g, alpha, t, "corrected", 32, swap=True)
+    assert _fields(leibniz_caputo_corrected(f, g, alpha, t, swap=True)) == want
+    assert leibniz_rl(f, g, alpha, t).value == _series_rule(f, g, alpha, t, "rl", 32)[0]
+    wrong = _series_rule(f, g, alpha, t, "wrong", 32)[0]
+    assert leibniz_caputo_wrong(f, g, alpha, t).value == wrong
+
+
+@pytest.mark.parametrize("rule", ["rl", "wrong", "corrected"])
+def test_product_rules_refuse_a_failing_factor_like_its_series(rule):
+    # g's data is too short at t: the j = 0 factor D^alpha g fails its tail test
+    f = series_from_catalog("exp", [1.0], truncation=12)
+    g = series_from_catalog("exp", [3.0], truncation=12)
+    alpha, t = 0.6, 2.0
+    with pytest.raises(DivergenceError) as series_exc:
+        rl_differintegral(g, alpha).evaluate(t)
+    assert "tail terms" in str(series_exc.value)
+    with pytest.raises(Exception) as want:
+        _series_rule(f, g, alpha, t, rule, 12)
+    with pytest.raises(Exception) as got:
+        leibniz_report(f, g, alpha, t, rule, 12)
+    assert type(got.value) is type(want.value) is DivergenceError
+    assert str(got.value) == str(want.value)

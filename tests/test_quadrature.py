@@ -185,3 +185,24 @@ def test_jacobi_rule_cache_is_bounded():
     info = _jacobi_rule.cache_info()
     assert info.maxsize == JACOBI_CACHE_SIZE
     assert info.currsize <= JACOBI_CACHE_SIZE
+
+
+def test_float_nodes_sum_like_numpy_scalar_nodes(monkeypatch):
+    # the rule is cached as Python floats; numpy float64 scalars round the
+    # same way, so the integral keeps its bits
+    from scipy.special import roots_jacobi
+
+    import fracseries.quadrature as quadrature
+
+    f = series_from_catalog("exp", [1.3], center=0.5, truncation=40)
+    integrands = [f.evaluate, lambda tau: 1.0 / (1.0 + tau * tau)]
+    cases = [(0.37, 0.5, 1.7, 24), (1.5, 0.5, 2.25, 16), (0.9, -1.0, 0.0, 32)]
+    floats = [rl_integral_fixed(g, *case) for g in integrands for case in cases]
+    x, _ = quadrature._jacobi_rule(0.37, 24)
+    assert type(x[0]) is float
+    monkeypatch.setattr(
+        quadrature, "_jacobi_rule", lambda alpha, nodes: roots_jacobi(nodes, alpha - 1.0, 0.0)
+    )
+    scalars = [rl_integral_fixed(g, *case) for g in integrands for case in cases]
+    assert type(quadrature._jacobi_rule(0.37, 24)[0][0]) is np.float64
+    assert floats == scalars

@@ -360,3 +360,21 @@ def test_catalog_arity_is_shared_with_the_power_grammar():
         series_from_catalog("exp", [1.0, 2.0])
     with pytest.raises(ValueError, match="sin takes a single angular frequency"):
         series_from_catalog("sin", [])
+
+
+def test_taylor_coefficients_are_computed_once_and_immutable():
+    f = series_from_catalog("exp", [2.0], center=0.5, truncation=20)
+    assert isinstance(f.coeffs, tuple)
+    assert f.coeffs is f.coeffs
+    assert f.coeffs[3] == f.derivs[3] / 6.0
+    # not a field: equality and hashing still see the data only
+    g = series_from_catalog("exp", [2.0], center=0.5, truncation=20)
+    g.evaluate(1.0)
+    assert f == g and hash(f) == hash(g)
+
+
+def test_non_finite_terms_are_named():
+    with pytest.raises(ValueError, match=r"term \(inf, 2.0\) is not finite"):
+        FracPowerSeries(0.0, ((1.0, 1.0), (math.inf, 2.0)))
+    # zero coefficients are dropped before the check
+    assert FracPowerSeries(0.0, ((0.0, math.inf), (1.0, 1.0))).terms == ((1.0, 1.0),)
