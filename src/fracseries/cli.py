@@ -19,7 +19,6 @@ from .grammar import GrammarError, parse_function_spec, parse_power_spec
 from .laplace import (
     LaplaceExpr,
     generalized_laplace,
-    laplace_caputo,
     laplace_fps,
     laplace_rl_derivative,
     laplace_rl_derivative_fps,
@@ -186,9 +185,6 @@ def _laplace_expr(args) -> LaplaceExpr:
                 "transform is not implemented)"
             )
         return laplace_rl_derivative(f, _need_alpha(args))
-    if args.op == "caputo" and args.a == 0.0:
-        # unlike the negative-instant route, this one takes integer orders
-        return laplace_caputo(f, _need_alpha(args))
     kind = _KINDS[args.op]
     order = None if kind == "plain" else _need_alpha(args)
     return laplace_shifted_series(f, kind, order)

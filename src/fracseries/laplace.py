@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .series import (
     EXPONENT_MERGE_TOL,
@@ -23,6 +23,7 @@ from .series import (
     TaylorSeries,
     canonical_terms,
     check_slots,
+    check_tail,
     positive_order,
 )
 from .operators import frac_differintegral, rl_differintegral
@@ -72,12 +73,14 @@ class LaplaceExpr:
 
     Construction canonicalizes the term list (sorted by power then
     upsilon argument, near-equal powers merged, zero coefficients
-    dropped), so structurally equal expressions compare equal.
+    dropped), so structurally equal expressions compare equal. A transform
+    of truncated data has ``complete=False``: its values face the tail test.
     """
 
     shift: float = 0.0
     terms: tuple[LaplaceTerm, ...] = ()
     singular: str | None = None
+    complete: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.shift):
@@ -102,44 +105,50 @@ class LaplaceExpr:
                 f"shift mismatch: {self.shift!r} vs {other.shift!r}"
             )
         shift = self.shift if self.terms else other.shift
-        return LaplaceExpr(shift, self.terms + other.terms)
+        complete = self.complete and other.complete
+        return LaplaceExpr(shift, self.terms + other.terms, complete=complete)
 
     def scaled(self, factor: float) -> LaplaceExpr:
         if self.is_singular:
             raise ValueError("cannot scale a singular transform")
-        return LaplaceExpr(
-            self.shift,
-            tuple(
-                LaplaceTerm(t.coeff * factor, t.power, t.upsilon_arg)
-                for t in self.terms
-            ),
-        )
+        terms = (LaplaceTerm(t.coeff * factor, t.power, t.upsilon_arg) for t in self.terms)
+        return replace(self, terms=tuple(terms))
 
     def power_shifted(self, delta: float) -> LaplaceExpr:
         """Multiply by s^(-delta): every power increases by delta."""
         if self.is_singular:
             raise ValueError("cannot shift a singular transform")
-        return LaplaceExpr(
-            self.shift,
-            tuple(
-                LaplaceTerm(t.coeff, t.power + delta, t.upsilon_arg)
-                for t in self.terms
-            ),
-        )
+        terms = (LaplaceTerm(t.coeff, t.power + delta, t.upsilon_arg) for t in self.terms)
+        return replace(self, terms=tuple(terms))
 
     def evaluate(self, s: float) -> float:
-        """Numeric value at real s > 0; refused for singular expressions."""
+        """Numeric value at real s > 0; refused for singular expressions.
+
+        Raises:
+            DivergenceError: when a term or the value leaves the double
+                range, or the terms of truncated data fail the tail test
+                (:func:`series.check_tail`).
+        """
         if self.is_singular:
             raise ValueError(f"singular transform has no value: {self.singular}")
         if not s > 0:
             raise ValueError(f"s must be > 0, got {s!r}")
         total = 0.0
-        for t in self.terms:
-            v = t.coeff * s ** (-t.power)
-            if t.upsilon_arg is not None:
-                v *= upsilon(t.upsilon_arg, -self.shift * s)
-            total += v
-        return total * math.exp(-self.shift * s)
+        values = []
+        try:
+            for t in self.terms:
+                v = t.coeff * s ** (-t.power)
+                if t.upsilon_arg is not None:
+                    v *= upsilon(t.upsilon_arg, -self.shift * s)
+                values.append(v)
+                total += v
+            value = total * math.exp(-self.shift * s)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DivergenceError(f"the transform leaves the double range at s = {s!r}")
+        check_tail(values, total, self.complete)
+        return value
 
     def render(self) -> str:
         """Stable textual form: c * s^(-p) [* e^(-a*s)] [* Upsilon(p', -a*s)]."""
@@ -169,7 +178,10 @@ class LaplaceExpr:
             if t.upsilon_arg is not None:
                 item["upsilon_arg"] = t.upsilon_arg
             terms.append(item)
-        return {"shift": self.shift, "terms": terms}
+        out = {"shift": self.shift, "terms": terms}
+        if not self.complete:
+            out["complete"] = False
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -185,6 +197,7 @@ class LaplaceExpr:
                 for t in data.get("terms", [])
             ),
             singular=data.get("singular"),
+            complete=bool(data.get("complete", True)),
         )
 
     @classmethod
@@ -284,7 +297,7 @@ def _taylor_transform(
             terms.append(LaplaceTerm(f.derivs[k] * recip_gamma(p), p, upsilon_arg=p))
         else:
             terms.append(LaplaceTerm(f.derivs[k], p))
-    return LaplaceExpr(shift if tail else 0.0, tuple(terms))
+    return LaplaceExpr(shift if tail else 0.0, tuple(terms), complete=f.complete)
 
 
 def laplace_series(f: TaylorSeries) -> LaplaceExpr:
@@ -352,7 +365,7 @@ def _power_sum_transform(
         if e + delta <= -1.0:
             return LaplaceExpr(singular=_offender(e))
         terms.append(LaplaceTerm(c * _gamma(e + 1.0), p))
-    return LaplaceExpr(0.0, tuple(terms))
+    return LaplaceExpr(0.0, tuple(terms), complete=series.complete)
 
 
 def laplace_fps(series: FracPowerSeries) -> LaplaceExpr:
@@ -412,13 +425,11 @@ def frequency_derivative(expr: LaplaceExpr, m: int) -> LaplaceExpr:
     if any(t.power <= 0 for t in expr.terms):
         raise ValueError("all powers must be positive")
     sign = -1.0 if m % 2 else 1.0
-    return LaplaceExpr(
-        0.0,
-        tuple(
-            LaplaceTerm(sign * t.coeff * pochhammer(t.power, m), t.power + m)
-            for t in expr.terms
-        ),
+    terms = (
+        LaplaceTerm(sign * t.coeff * pochhammer(t.power, m), t.power + m)
+        for t in expr.terms
     )
+    return replace(expr, terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -481,7 +492,8 @@ def laplace_shifted_series(
 
     - "plain":        sum f^(k)(a)/Gamma(k+1)       s^-(k+1)     Upsilon(k+1, -as)
     - "rl_integral":  sum f^(k)(a)/Gamma(k+1+alpha) s^-(k+1+alpha) Upsilon(...)
-    - "caputo":       sum over k >= n with powers k+1-alpha.
+    - "caputo":       sum over k >= n with powers k+1-alpha; an integer
+                      alpha gives the classical derivative.
 
     At a = 0 the Upsilon factors reduce to plain gammas and the zero-
     instant constructions are returned instead.
@@ -492,10 +504,7 @@ def laplace_shifted_series(
             f"standard transform needs center <= 0, got {a!r}; "
             "use generalized_laplace"
         )
-    beta, k0 = _kind_slots(kind, order)
-    if kind == "caputo":
-        positive_order(beta, non_integer=True)
-    return _taylor_transform(f, beta, k0, a)
+    return _taylor_transform(f, *_kind_slots(kind, order), a)
 
 
 def generalized_laplace(

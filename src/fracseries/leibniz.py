@@ -5,8 +5,8 @@ its finite monomial corollary, the naive Caputo transplant of the RL
 rule (kept deliberately, as the thing to falsify), and the corrected
 Caputo rule whose compensation term R1 accounts exactly for the naive
 rule's error. Reference values always come from the Caputo (or RL)
-operator applied to the product series, never from another rule, so
-comparisons stay non-circular.
+operator applied to the product's Taylor data, never from another rule,
+so comparisons stay non-circular.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from .series import (
     TaylorSeries,
     as_order,
     check_tail,
-    nonzero_terms,
     positive_order,
-    sum_terms,
     taylor_arith,
 )
-from .operators import caputo_derivative, rl_differintegral, slot_terms
+from .operators import operator_value
 from .special import gen_binom, pochhammer, recip_gamma
 
 __all__ = [
@@ -54,35 +52,13 @@ def _data_at(f: TaylorSeries, t: float) -> TaylorSeries:
     return f if f.center == t else f.recentered(t)
 
 
-def _slots_at(g: TaylorSeries, ord_: Order, k0: int, t: float) -> float:
-    """The order's slot sum k >= k0 of g at t right of the terminal: the
-    value of the RL (k0 = 0) or Caputo (k0 = n) series, without the series."""
-    terms = slot_terms(g, ord_.alpha, k0, g.truncation + 1, g.complete)
-    return sum_terms(nonzero_terms(terms), t - g.center, g.radius_hint, g.complete)
-
-
-def _rl_value(g: TaylorSeries, beta: float, t: float) -> float:
-    ord_ = as_order(beta)
-    if ord_.is_integer:
-        return rl_differintegral(g, ord_).evaluate(t).expect_finite()
-    return _slots_at(g, ord_, 0, t)
-
-
-def _caputo_value(g: TaylorSeries, beta: float, t: float) -> float:
-    """C D^beta g at t, reading negative orders as RL integrals."""
-    if beta > 0 and not float(beta).is_integer():
-        ord_ = as_order(beta)
-        return _slots_at(g, ord_, ord_.n, t)
-    return _rl_value(g, beta, t)
-
-
 def _rule_sum(
-    lead_t: TaylorSeries, other: TaylorSeries, alpha: float, t: float, trunc: int, value
+    lead_t: TaylorSeries, other: TaylorSeries, alpha: float, t: float, trunc: int, caputo: bool
 ) -> tuple[float, int]:
-    """sum_j gen_binom(alpha, j) lead^(j)(t) value(other, alpha - j, t), and its length.
+    """sum_j gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t), and its length.
 
-    *value* is the operator that reads the factor orders: RL throughout,
-    or Caputo for positive non-integer orders.
+    The factors are RL values, or with *caputo* Caputo values (which are
+    RL values at orders alpha - j <= 0).
     """
     if not t > other.center:
         raise ValueError(f"t={t!r} must lie right of the terminal {other.center!r}")
@@ -100,7 +76,7 @@ def _rule_sum(
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue
-        terms.append(b * lead_t.derivs[j] * value(other, alpha - j, t))
+        terms.append(b * lead_t.derivs[j] * operator_value(other, alpha - j, t, caputo))
     total = math.fsum(terms)
     check_tail(terms, total, lead_t.complete)
     return total, j_max + 1
@@ -120,7 +96,7 @@ def leibniz_rl(
     polynomial *f* the sum is exact once j exceeds the degree.
     """
     alpha = as_order(order).alpha
-    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, _rl_value)
+    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, False)
     return EvalResult.finite(value)
 
 
@@ -152,10 +128,10 @@ def leibniz_monomial(
         binom = math.comb(m, k)
         if kind == "derivative":
             factor = pochhammer(-alpha, k)
-            value = _rl_value(f, alpha - k, t)
+            value = operator_value(f, alpha - k, t)
         else:
             factor = pochhammer(alpha, k)
-            value = _rl_value(f, -(alpha + k), t)
+            value = operator_value(f, -(alpha + k), t)
         total += sign * binom * factor * t ** (m - k) * value
     return EvalResult.finite(total)
 
@@ -175,7 +151,7 @@ def leibniz_caputo_wrong(
     general; see :func:`leibniz_caputo_corrected` for what is missing.
     """
     alpha = as_order(order).alpha
-    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, _caputo_value)
+    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, True)
     return EvalResult.finite(value)
 
 
@@ -258,24 +234,22 @@ def _report(
     rule: str,
     swap: bool = False,
 ) -> LeibnizReport:
-    """One rule against the operator applied to the product series."""
+    """One rule against the operator value of the product's Taylor data."""
     product = taylor_arith(f, g, "mul")
     alpha = ord_.alpha
     lead, other = (g, f) if swap else (f, g)
     lead_t = _data_at(lead, t)
-    rl = rule == "rl"
-    value, terms_used = _rule_sum(
-        lead_t, other, alpha, t, trunc, _rl_value if rl else _caputo_value
-    )
+    caputo = rule != "rl"
+    value, terms_used = _rule_sum(lead_t, other, alpha, t, trunc, caputo)
+    correction = 0.0
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
-    rl_reading = rl or ord_.is_integer
-    correction = (
-        0.0 if rl_reading else _compensation(lead, lead_t, other, alpha, ord_.n, t)
-    )
+    if caputo and not ord_.is_integer:
+        correction = _compensation(lead, lead_t, other, alpha, ord_.n, t)
+        # the reference, C D^alpha of the product, needs alpha > 0
+        positive_order(ord_, non_integer=True)
     if rule == "corrected":
         value += correction
-    operator = rl_differintegral if rl_reading else caputo_derivative
-    ref_value = operator(product, ord_).evaluate(t).expect_finite()
+    ref_value = operator_value(product, ord_, t, caputo)
     return LeibnizReport(
         rule_value=EvalResult.finite(value),
         reference_value=EvalResult.finite(ref_value),

@@ -17,7 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import FracPowerSeries, Order, TaylorSeries, as_order, check_slots, positive_order
+from .series import (
+    FracPowerSeries,
+    Order,
+    TaylorSeries,
+    as_order,
+    check_slots,
+    nonzero_terms,
+    positive_order,
+    sum_terms,
+)
 from .special import GammaRangeError, gamma_ratio, gen_binom, recip_gamma
 
 __all__ = [
@@ -32,7 +41,28 @@ __all__ = [
 ]
 
 
-def _integer_shift(f: TaylorSeries, m: int) -> FracPowerSeries:
+def operator_terms(
+    f: TaylorSeries, ord_: Order, caputo: bool = False
+) -> list[tuple[float, float]]:
+    """The terms of the RL (or, with *caputo*, the Caputo) series of f: the
+    exact factorial shift at integer orders, else :func:`slot_terms` from
+    k = n (Caputo) or k = 0 (RL), which agree at alpha < 0, where n = 0."""
+    if ord_.is_integer:
+        return _integer_shift(f, int(ord_.alpha))
+    k0 = ord_.n if caputo else 0
+    return slot_terms(f, ord_.alpha, k0, f.truncation + 1, f.complete)
+
+
+def operator_value(
+    f: TaylorSeries, order: Order | float, t: float, caputo: bool = False
+) -> float:
+    """The value at t > a of the series of :func:`operator_terms`, summed
+    by :func:`series.sum_terms` without building the series."""
+    terms = nonzero_terms(operator_terms(f, as_order(order), caputo))
+    return sum_terms(terms, t - f.center, f.radius_hint, f.complete)
+
+
+def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
     """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data."""
     k0 = max(m, 0)
     check_slots(f, m, k0, f.truncation + 1, f.complete)
@@ -47,7 +77,7 @@ def _integer_shift(f: TaylorSeries, m: int) -> FracPowerSeries:
                 "double range"
             )
         terms.append((d / math.factorial(k - m), float(k - m)))
-    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
+    return terms
 
 
 def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
@@ -62,18 +92,8 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
         GammaRangeError: when the gamma or factorial that divides a
             nonzero datum is beyond the double range.
     """
-    ord_ = as_order(order)
-    if ord_.is_integer:
-        return _integer_shift(f, int(ord_.alpha))
-    return _rl_slots(f, ord_, 0, f.truncation + 1, f.complete)
-
-
-def _rl_slots(
-    f: TaylorSeries, ord_: Order, k0: int, k1: int, complete: bool
-) -> FracPowerSeries:
-    """The series of :func:`slot_terms`."""
-    terms = slot_terms(f, ord_.alpha, k0, k1, complete)
-    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, complete)
+    terms = operator_terms(f, as_order(order))
+    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
 
 
 def slot_terms(
@@ -113,8 +133,8 @@ def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
     classical differentiation and negative orders coincide with the RL
     integral, both available through :func:`rl_differintegral`.
     """
-    ord_ = positive_order(order, non_integer=True)
-    return _rl_slots(f, ord_, ord_.n, f.truncation + 1, f.complete)
+    terms = operator_terms(f, positive_order(order, non_integer=True), caputo=True)
+    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
 
 
 def rl_local_form(
@@ -140,20 +160,17 @@ def caputo_local_form(
 def _local_form(
     f_at_t: TaylorSeries, ord_: Order, n: int, a: float
 ) -> FracPowerSeries:
-    """gen_binom(alpha-n, k-n) f^(k)(t)/Gamma(k-alpha+1) (t-a)^(k-alpha), k >= n."""
+    """:func:`slot_terms` k >= n about a of f^(k)(t) weighted by gen_binom(alpha-n, k-n)."""
     alpha = ord_.alpha
     if f_at_t.center < a:
         raise ValueError(
             f"evaluation point {f_at_t.center!r} lies left of the terminal {a!r}"
         )
-    k1 = f_at_t.truncation + 1
-    check_slots(f_at_t, alpha, n, k1, f_at_t.complete)
     d = f_at_t.derivs
-    terms = tuple(
-        (gen_binom(alpha - n, k - n) * d[k] * recip_gamma(k - alpha + 1), k - alpha)
-        for k in range(n, k1)
-    )
-    return FracPowerSeries(float(a), terms, f_at_t.radius_hint, f_at_t.complete)
+    weighted = d[:n] + tuple(gen_binom(alpha - n, k - n) * d[k] for k in range(n, len(d)))
+    data = TaylorSeries(f_at_t.center, weighted, f_at_t.radius_hint, f_at_t.complete)
+    terms = slot_terms(data, alpha, n, len(d), data.complete)
+    return FracPowerSeries(float(a), tuple(terms), data.radius_hint, data.complete)
 
 
 def rl_caputo_bridge(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
@@ -165,7 +182,8 @@ def rl_caputo_bridge(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
     """
     ord_ = as_order(order)
     # a finite explicit sum: complete regardless of the source data
-    return _rl_slots(f, ord_, 0, min(ord_.n, f.truncation + 1), True)
+    terms = slot_terms(f, ord_.alpha, 0, min(ord_.n, f.truncation + 1), True)
+    return FracPowerSeries(f.center, tuple(terms), f.radius_hint, True)
 
 
 def frac_differintegral(
@@ -246,8 +264,8 @@ def integer_limit_check(
     if any(t <= f.center for t in grid):
         raise ValueError("grid points must lie strictly right of the center")
 
-    exact_d = _integer_shift(f, n)
-    exact_i = _integer_shift(f, -n)
+    exact_d = rl_differintegral(f, n)
+    exact_i = rl_differintegral(f, -n)
     return IntegerLimitReport(
         n=n,
         eps=eps,

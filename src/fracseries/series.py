@@ -110,35 +110,32 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class Order:
-    """A differintegration order with its branch integer.
+    """A differintegration order; its branch integer *n* is derived.
 
     For non-integer ``alpha > 0`` the branch satisfies
-    ``n - 1 < alpha < n``. Integer ``alpha >= 0`` keeps ``n = alpha``
+    ``n - 1 < alpha < n``. Integer ``alpha >= 0`` has ``n = alpha``
     (the classical branch). ``alpha <= 0`` marks the integral branch,
-    where *n* is unused and stored as 0.
+    where *n* is 0.
     """
 
     alpha: float
-    n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not math.isfinite(self.alpha):
             raise ValueError(f"order must be finite, got {self.alpha!r}")
 
     @classmethod
     def from_alpha(cls, alpha: float) -> Order:
-        alpha = float(alpha)
-        if not math.isfinite(alpha):
-            raise ValueError(f"order must be finite, got {alpha!r}")
-        if alpha.is_integer():
-            n = int(alpha) if alpha >= 0 else 0
-        else:
-            n = max(math.ceil(alpha), 0)
-        return cls(alpha=alpha, n=n)
+        return cls(alpha)
+
+    @property
+    def n(self) -> int:
+        return max(math.ceil(self.alpha), 0)
 
     @property
     def is_integer(self) -> bool:
-        return float(self.alpha).is_integer()
+        return self.alpha.is_integer()
 
 
 def as_order(order: Order | float) -> Order:
@@ -590,10 +587,13 @@ def _catalog_series(
         derivs = [base * rate**k for k in range(size)]
         return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
 
-    # sin or cos
+    # sin or cos: the k-th derivative is omega^k times a quarter turn of
+    # sin(omega a), so the zeros at omega a = 0 are exact
     omega = params[0]
-    phase = omega * a + (math.pi / 2 if name == "cos" else 0.0)
-    derivs = [omega**k * math.sin(phase + k * math.pi / 2) for k in range(size)]
+    sin_wa, cos_wa = math.sin(omega * a), math.cos(omega * a)
+    turns = (sin_wa, cos_wa, -sin_wa, -cos_wa)
+    first = 1 if name == "cos" else 0
+    derivs = [omega**k * turns[(k + first) % 4] for k in range(size)]
     return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
 
 

@@ -227,6 +227,12 @@ def test_rl_derivative_transform_integer_order():
     assert e.terms == (LaplaceTerm(2.0, 1.0),)
 
 
+def test_rl_derivative_transform_reads_exact_trig_zeros():
+    # -sin(0) rounded to -1.2e-16 at k = 1 read SINGULAR(k=1)
+    f = parse_function_spec("cos:1+poly:-1", 0.0)
+    assert laplace_rl_derivative(f, 3.5).render() == "SINGULAR(k=2)"
+
+
 def test_rl_derivative_matches_caputo_when_low_data_vanishes():
     # all data below the integer ceiling zero: the two derivatives agree
     f = poly([0.0, 0.0, 1.0])
@@ -382,6 +388,19 @@ def test_shifted_series_caputo_numeric():
     assert e.evaluate(s) == pytest.approx(want, rel=1e-8)
 
 
+def test_shifted_caputo_takes_integer_orders():
+    # it refused them, where laplace_caputo and generalized_laplace did not
+    f0 = series_from_catalog("exp", [1.0], truncation=16)
+    for m in (1, 2, 3):
+        assert laplace_shifted_series(f0, "caputo", m) == laplace_caputo(f0, m)
+    # at a < 0 the integer Caputo derivative is the classical one
+    f = series_from_catalog("exp", [-1.0], center=-1.0)
+    for m in (1, 2):
+        e = laplace_shifted_series(f, "caputo", m)
+        assert e == laplace_shifted_series(f.nth_derivative(m), "plain")
+        assert e.evaluate(2.0) == pytest.approx((-1.0) ** m / 3.0, rel=1e-14)
+
+
 def test_shifted_series_rejects_right_shift():
     f = poly([1.0], center=1.0)
     with pytest.raises(ValueError):
@@ -513,3 +532,31 @@ def test_laplace_expressions_reject_non_finite_coefficients():
     with pytest.raises(ValueError, match="is not finite"):
         laplace_fps(fps)
     assert LaplaceExpr(0.0, (LaplaceTerm(0.0, math.inf),)).is_zero
+
+
+@pytest.mark.parametrize(
+    "build, s, match",
+    [
+        # the termwise sums diverge for s < 3 and s < 1; they returned -6.07e10
+        # (the transform is 0.3264) and 9.9796 (it is 10)
+        (lambda: laplace_caputo(series_from_catalog("sin", [3.0]), 0.5), 2.0, "tail terms"),
+        (lambda: laplace_series(series_from_catalog("exp", [1.0])), 1.1, "tail terms"),
+        # these raised a bare OverflowError
+        (lambda: laplace_series(series_from_catalog("exp", [1.0])), 1e-10, "s = 1e-10"),
+        (lambda: laplace_shifted_series(series_from_catalog("exp", [1.0], center=-1.0)),
+         800.0, "s = 800.0"),
+    ],
+)
+def test_transform_values_beyond_the_sum_are_refused(build, s, match):
+    with pytest.raises(DivergenceError, match=match):
+        build().evaluate(s)
+
+
+def test_transforms_of_complete_data_skip_the_tail_test():
+    e = laplace_series(poly([1.0, 2.0]))
+    assert e.complete and "complete" not in e.to_json_dict()
+    assert e.evaluate(0.5) == 10.0
+    truncated = laplace_series(series_from_catalog("exp", [1.0]))
+    assert truncated.to_json_dict()["complete"] is False
+    back = LaplaceExpr.from_json(truncated.to_json())
+    assert back == truncated and not back.complete

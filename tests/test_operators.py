@@ -13,6 +13,7 @@ from fracseries.operators import (
     rl_local_form,
 )
 from fracseries.series import FracPowerSeries, TaylorSeries, series_from_catalog
+from fracseries.special import GammaRangeError
 
 rng = np.random.default_rng(101)
 
@@ -227,6 +228,14 @@ def test_local_form_rejects_point_left_of_terminal():
 
 
 # --- power-series operator ---------------------------------------------------
+
+
+def test_local_form_refuses_a_gamma_beyond_the_double_range():
+    # Gamma(k + 169.5) overflows from k = 3 on; dropping that term read
+    # 7.07e-13 at t = 50, where the local form is 9.33e-18
+    f_t = series_from_catalog("poly", [1.0, 1.0, 1.0, 1.0], center=50.0)
+    with pytest.raises(GammaRangeError, match=r"f\^\(3\) by Gamma\(172.5\)"):
+        rl_local_form(f_t, -168.5, 0.0)
 
 
 def test_frac_differintegral_power_rule():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -63,6 +64,16 @@ def test_order_is_integer():
 
 
 # --- TaylorSeries basics ---------------------------------------------------
+
+
+def test_order_derives_its_branch():
+    # a stored branch could disagree with alpha: Order(0.5, 5) summed the
+    # Caputo slots from k = 5 and read 0.0232 for C D^0.5 e^t at t = 1
+    assert [f.name for f in dataclasses.fields(Order)] == ["alpha"]
+    with pytest.raises(TypeError):
+        Order(0.5, 5)
+    assert Order(2).alpha == 2.0 and Order(2).alpha.is_integer()
+    assert [Order(a).n for a in (0.5, 2.0, 2.5, 0.0, -0.5, -2.0)] == [1, 2, 3, 0, 0, 0]
 
 
 def test_taylor_validation():
@@ -305,6 +316,32 @@ def test_catalog_trig():
     g12 = series_from_catalog("cos", [2.0], center=0.0, truncation=12)
     assert f12.evaluate(t) == pytest.approx(math.sin(t), abs=1e-11)
     assert g12.evaluate(t) == pytest.approx(math.cos(2 * t), abs=1e-9)
+
+
+def test_catalog_trig_zeros_are_exact():
+    # sin(k pi/2) rounded: the zeros read 1.2e-16, -2.4e-16, ...
+    assert series_from_catalog("sin", [2.0], truncation=8).derivs == (
+        0.0, 2.0, 0.0, -8.0, 0.0, 32.0, 0.0, -128.0, 0.0
+    )
+    assert series_from_catalog("cos", [2.0], truncation=8).derivs == (
+        1.0, 0.0, -4.0, 0.0, 16.0, 0.0, -64.0, 0.0, 256.0
+    )
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+@pytest.mark.parametrize("omega, a", [(3.0, 0.5), (-1.25, 2.0), (0.5, -1.5), (2.0, 0.0)])
+def test_catalog_trig_data_are_within_two_ulps(name, omega, a):
+    # omega * a is exact here, so the only errors are sin or cos, the power
+    # and one product; the phase omega a + k pi/2 cost up to 1e-14 at k = 64
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    f = series_from_catalog(name, [omega], center=a, truncation=64)
+    shift = mpmath.pi / 2 if name == "cos" else 0
+    for k, d in enumerate(f.derivs):
+        exact = mpmath.mpf(omega) ** k * mpmath.sin(omega * a + k * mpmath.pi / 2 + shift)
+        # the absolute part only admits mpmath's own error at exact zeros
+        bound = 2 * 2.0**-52 * abs(exact) + 1e-30 * abs(omega) ** k
+        assert abs(d - exact) <= bound, (k, d)
 
 
 def test_catalog_power_integer_exponent_is_polynomial():
