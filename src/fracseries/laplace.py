@@ -125,9 +125,8 @@ class LaplaceExpr:
         """Numeric value at real s > 0; refused for singular expressions.
 
         Raises:
-            DivergenceError: when a term or the value leaves the double
-                range, or the terms of truncated data fail the tail test
-                (:func:`series.check_tail`).
+            DivergenceError: beyond the double range, or when the terms of
+                truncated data fail the tail test (:func:`series.check_tail`).
         """
         if self.is_singular:
             raise ValueError(f"singular transform has no value: {self.singular}")
@@ -147,7 +146,7 @@ class LaplaceExpr:
             value = math.inf
         if not math.isfinite(value):
             raise DivergenceError(f"the transform leaves the double range at s = {s!r}")
-        check_tail(values, total, self.complete)
+        check_tail(values, total, self.complete, [t.power for t in self.terms[-2:]])
         return value
 
     def render(self) -> str:

@@ -56,8 +56,7 @@ def operator_terms(
 def operator_value(
     f: TaylorSeries, order: Order | float, t: float, caputo: bool = False
 ) -> float:
-    """The value at t > a of the series of :func:`operator_terms`, summed
-    by :func:`series.sum_terms` without building the series."""
+    """The value at t > a of :func:`operator_terms`, summed without a series."""
     terms = nonzero_terms(operator_terms(f, as_order(order), caputo))
     return sum_terms(terms, t - f.center, f.radius_hint, f.complete)
 

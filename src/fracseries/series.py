@@ -435,19 +435,24 @@ def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
             f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
             f"range at t - center = {x!r}"
         )
-    check_tail(term_values, total, complete)
+    check_tail(term_values, total, complete, [e for _, e in terms[-2:]])
     return total
 
 
-def check_tail(terms: list[float], total: float, complete: bool) -> None:
+def check_tail(terms: list[float], total: float, complete: bool, powers=None) -> None:
     """Raise DivergenceError unless the sum is of complete data or its last
-    two terms, standing in for the dropped tail, are below TAIL_TOL of it."""
+    two slots, standing in for the dropped tail, are below TAIL_TOL of it.
+    Last two terms whose *powers* lie more than one slot apart have a zero
+    slot between them (sin and cos data vanish at every other slot at 0)."""
     if complete or len(terms) < 2:
         return
+    last = terms[-2:]
+    if powers is not None and powers[-1] - powers[-2] > 1.0 + EXPONENT_MERGE_TOL:
+        last = [0.0, terms[-1]]
     bound = TAIL_TOL * (abs(total) + 1.0e-300)
-    if not (abs(terms[-1]) < bound and abs(terms[-2]) < bound):
+    if not (abs(last[1]) < bound and abs(last[0]) < bound):
         raise DivergenceError(
-            f"tail terms {terms[-2]:.3e}, {terms[-1]:.3e} fail the convergence "
+            f"tail terms {last[0]:.3e}, {last[1]:.3e} fail the convergence "
             f"test against the sum {total:.6e} (relative tolerance {TAIL_TOL:g})"
         )
 

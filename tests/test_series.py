@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fracseries.operators import rl_differintegral
 from fracseries.series import (
     DivergenceError,
     EvalResult,
@@ -13,6 +14,7 @@ from fracseries.series import (
     Order,
     TaylorSeries,
     as_order,
+    check_tail,
     eval_frac_series,
     series_from_catalog,
     taylor_arith,
@@ -247,6 +249,17 @@ def test_incomplete_series_tail_test_flags_slow_convergence():
     s = FracPowerSeries(center=0.0, terms=terms, radius_hint=1.2, complete=False)
     with pytest.raises(DivergenceError):
         eval_frac_series(s, 1.0)
+
+
+def test_tail_test_reads_a_zero_slot_between_the_last_terms():
+    # sin and cos data at 0 vanish at every other slot, so the last two
+    # nonzero terms are two slots apart; the zero slot between stands in
+    check_tail([1.0, 1e-3, 1e-14], 1.0, False, [0.5, 1.5, 3.5])
+    with pytest.raises(DivergenceError, match="tail terms 1.000e-03, 1.000e-14"):
+        check_tail([1.0, 1e-3, 1e-14], 1.0, False, [0.5, 1.5, 2.5])
+    f = series_from_catalog("cos", [2.0], truncation=32)
+    got = rl_differintegral(f, 2.5).evaluate(2.0).expect_finite()
+    assert got == pytest.approx(-0.39242782601354364, rel=1e-13)  # 40-digit sum
 
 
 def test_eval_beyond_double_range_names_point_and_exponent():
