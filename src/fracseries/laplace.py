@@ -146,7 +146,7 @@ class LaplaceExpr:
             value = math.inf
         if not math.isfinite(value):
             raise DivergenceError(f"the transform leaves the double range at s = {s!r}")
-        check_tail(values, total, self.complete, [t.power for t in self.terms[-2:]])
+        check_tail(values, total, self.complete)
         return value
 
     def render(self) -> str:

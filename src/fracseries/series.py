@@ -435,24 +435,19 @@ def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
             f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
             f"range at t - center = {x!r}"
         )
-    check_tail(term_values, total, complete, [e for _, e in terms[-2:]])
+    check_tail(term_values, total, complete)
     return total
 
 
-def check_tail(terms: list[float], total: float, complete: bool, powers=None) -> None:
+def check_tail(terms: list[float], total: float, complete: bool) -> None:
     """Raise DivergenceError unless the sum is of complete data or its last
-    two slots, standing in for the dropped tail, are below TAIL_TOL of it.
-    Last two terms whose *powers* lie more than one slot apart have a zero
-    slot between them (sin and cos data vanish at every other slot at 0)."""
+    two terms, standing in for the dropped tail, are below TAIL_TOL of it."""
     if complete or len(terms) < 2:
         return
-    last = terms[-2:]
-    if powers is not None and powers[-1] - powers[-2] > 1.0 + EXPONENT_MERGE_TOL:
-        last = [0.0, terms[-1]]
     bound = TAIL_TOL * (abs(total) + 1.0e-300)
-    if not (abs(last[1]) < bound and abs(last[0]) < bound):
+    if not (abs(terms[-1]) < bound and abs(terms[-2]) < bound):
         raise DivergenceError(
-            f"tail terms {last[0]:.3e}, {last[1]:.3e} fail the convergence "
+            f"tail terms {terms[-2]:.3e}, {terms[-1]:.3e} fail the convergence "
             f"test against the sum {total:.6e} (relative tolerance {TAIL_TOL:g})"
         )
 
@@ -592,13 +587,10 @@ def _catalog_series(
         derivs = [base * rate**k for k in range(size)]
         return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
 
-    # sin or cos: the k-th derivative is omega^k times a quarter turn of
-    # sin(omega a), so the zeros at omega a = 0 are exact
+    # sin or cos
     omega = params[0]
-    sin_wa, cos_wa = math.sin(omega * a), math.cos(omega * a)
-    turns = (sin_wa, cos_wa, -sin_wa, -cos_wa)
-    first = 1 if name == "cos" else 0
-    derivs = [omega**k * turns[(k + first) % 4] for k in range(size)]
+    phase = omega * a + (math.pi / 2 if name == "cos" else 0.0)
+    derivs = [omega**k * math.sin(phase + k * math.pi / 2) for k in range(size)]
     return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
 
 

@@ -283,13 +283,6 @@ def test_laplace_json(capsys):
     assert doc["terms"] == [{"coeff": 1.0, "power": 1.5}]
 
 
-def test_laplace_trig_zeros_are_exact(capsys):
-    # sin(pi) rounded: it printed 1.2246467991473532e-16 * s^(-3)
-    code, out, _ = run_cli(capsys, ["laplace", "sin:1", "--trunc", "6"])
-    assert code == 0
-    assert out == "1 * s^(-2) + -1 * s^(-4) + 1 * s^(-6)\n"
-
-
 def test_laplace_shifted_caputo_at_an_integer_order(capsys):
     # it was refused at a < 0 and taken at a = 0
     argv = ["laplace", "poly:0,0,1", "--a=-1", "--op", "caputo", "--alpha", "2"]

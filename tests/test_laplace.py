@@ -227,12 +227,6 @@ def test_rl_derivative_transform_integer_order():
     assert e.terms == (LaplaceTerm(2.0, 1.0),)
 
 
-def test_rl_derivative_transform_reads_exact_trig_zeros():
-    # -sin(0) rounded to -1.2e-16 at k = 1 read SINGULAR(k=1)
-    f = parse_function_spec("cos:1+poly:-1", 0.0)
-    assert laplace_rl_derivative(f, 3.5).render() == "SINGULAR(k=2)"
-
-
 def test_rl_derivative_matches_caputo_when_low_data_vanishes():
     # all data below the integer ceiling zero: the two derivatives agree
     f = poly([0.0, 0.0, 1.0])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracseries.operators import rl_differintegral
 from fracseries.series import (
     DivergenceError,
     EvalResult,
@@ -14,7 +13,6 @@ from fracseries.series import (
     Order,
     TaylorSeries,
     as_order,
-    check_tail,
     eval_frac_series,
     series_from_catalog,
     taylor_arith,
@@ -251,17 +249,6 @@ def test_incomplete_series_tail_test_flags_slow_convergence():
         eval_frac_series(s, 1.0)
 
 
-def test_tail_test_reads_a_zero_slot_between_the_last_terms():
-    # sin and cos data at 0 vanish at every other slot, so the last two
-    # nonzero terms are two slots apart; the zero slot between stands in
-    check_tail([1.0, 1e-3, 1e-14], 1.0, False, [0.5, 1.5, 3.5])
-    with pytest.raises(DivergenceError, match="tail terms 1.000e-03, 1.000e-14"):
-        check_tail([1.0, 1e-3, 1e-14], 1.0, False, [0.5, 1.5, 2.5])
-    f = series_from_catalog("cos", [2.0], truncation=32)
-    got = rl_differintegral(f, 2.5).evaluate(2.0).expect_finite()
-    assert got == pytest.approx(-0.39242782601354364, rel=1e-13)  # 40-digit sum
-
-
 def test_eval_beyond_double_range_names_point_and_exponent():
     # x**e itself overflows
     s = FracPowerSeries(center=0.0, terms=((1.0, 0.5), (2.0, 3.5)))
@@ -329,32 +316,6 @@ def test_catalog_trig():
     g12 = series_from_catalog("cos", [2.0], center=0.0, truncation=12)
     assert f12.evaluate(t) == pytest.approx(math.sin(t), abs=1e-11)
     assert g12.evaluate(t) == pytest.approx(math.cos(2 * t), abs=1e-9)
-
-
-def test_catalog_trig_zeros_are_exact():
-    # sin(k pi/2) rounded: the zeros read 1.2e-16, -2.4e-16, ...
-    assert series_from_catalog("sin", [2.0], truncation=8).derivs == (
-        0.0, 2.0, 0.0, -8.0, 0.0, 32.0, 0.0, -128.0, 0.0
-    )
-    assert series_from_catalog("cos", [2.0], truncation=8).derivs == (
-        1.0, 0.0, -4.0, 0.0, 16.0, 0.0, -64.0, 0.0, 256.0
-    )
-
-
-@pytest.mark.parametrize("name", ["sin", "cos"])
-@pytest.mark.parametrize("omega, a", [(3.0, 0.5), (-1.25, 2.0), (0.5, -1.5), (2.0, 0.0)])
-def test_catalog_trig_data_are_within_two_ulps(name, omega, a):
-    # omega * a is exact here, so the only errors are sin or cos, the power
-    # and one product; the phase omega a + k pi/2 cost up to 1e-14 at k = 64
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    f = series_from_catalog(name, [omega], center=a, truncation=64)
-    shift = mpmath.pi / 2 if name == "cos" else 0
-    for k, d in enumerate(f.derivs):
-        exact = mpmath.mpf(omega) ** k * mpmath.sin(omega * a + k * mpmath.pi / 2 + shift)
-        # the absolute part only admits mpmath's own error at exact zeros
-        bound = 2 * 2.0**-52 * abs(exact) + 1e-30 * abs(omega) ** k
-        assert abs(d - exact) <= bound, (k, d)
 
 
 def test_catalog_power_integer_exponent_is_polynomial():
