@@ -27,7 +27,7 @@ from .series import (
     positive_order,
 )
 from .operators import frac_differintegral, rl_differintegral
-from .special import GammaRangeError, pochhammer, recip_gamma, upsilon
+from .special import GammaRangeError, pochhammer, recip_gamma, upsilon_scaled
 
 __all__ = [
     "FreqDiffReport",
@@ -132,17 +132,24 @@ class LaplaceExpr:
             raise ValueError(f"singular transform has no value: {self.singular}")
         if not s > 0:
             raise ValueError(f"s must be > 0, got {s!r}")
-        total = 0.0
+        # plain terms share one e^(-shift*s) multiply at the end; an Upsilon
+        # term carries it inside e^q Upsilon(p, q), q = -shift*s, which stays
+        # in range where e^q and Upsilon(p, q) alone do not
+        q = -self.shift * s
+        plain = folded = 0.0
         values = []
         try:
             for t in self.terms:
                 v = t.coeff * s ** (-t.power)
-                if t.upsilon_arg is not None:
-                    v *= upsilon(t.upsilon_arg, -self.shift * s)
+                if t.upsilon_arg is None:
+                    plain += v
+                else:
+                    v *= upsilon_scaled(t.upsilon_arg, q)
+                    folded += v
                 values.append(v)
-                total += v
-            value = total * math.exp(-self.shift * s)
-        except OverflowError:
+            total = plain + folded
+            value = plain * math.exp(q) + folded if plain else folded
+        except (OverflowError, GammaRangeError):
             value = math.inf
         if not math.isfinite(value):
             raise DivergenceError(f"the transform leaves the double range at s = {s!r}")

@@ -535,15 +535,30 @@ def test_laplace_expressions_reject_non_finite_coefficients():
         # (the transform is 0.3264) and 9.9796 (it is 10)
         (lambda: laplace_caputo(series_from_catalog("sin", [3.0]), 0.5), 2.0, "tail terms"),
         (lambda: laplace_series(series_from_catalog("exp", [1.0])), 1.1, "tail terms"),
-        # these raised a bare OverflowError
+        # this raised a bare OverflowError
         (lambda: laplace_series(series_from_catalog("exp", [1.0])), 1e-10, "s = 1e-10"),
-        (lambda: laplace_shifted_series(series_from_catalog("exp", [1.0], center=-1.0)),
-         800.0, "s = 800.0"),
     ],
 )
 def test_transform_values_beyond_the_sum_are_refused(build, s, match):
     with pytest.raises(DivergenceError, match=match):
         build().evaluate(s)
+
+
+def test_shifted_transforms_carry_e_to_the_minus_a_s_inside_upsilon():
+    # at s = 800, e^(-a*s) = e^800 overflows and every Upsilon(p, 800)
+    # underflows; these were refused as leaving the double range
+    g = series_from_catalog("exp", [1.0], center=-1.0)
+    assert laplace_shifted_series(g, "plain").evaluate(800.0) == pytest.approx(1 / 799, rel=1e-15)
+    mpmath = pytest.importorskip("mpmath")
+    # both are e^t P(1/2, t + 1), P the regularized lower incomplete gamma
+    with mpmath.workdps(30):
+        want = mpmath.quad(
+            lambda t: mpmath.exp(-799 * t) * mpmath.gammainc(0.5, 0, t + 1, regularized=True),
+            [0, mpmath.inf],
+        )
+    for kind in ("rl_integral", "caputo"):
+        got = laplace_shifted_series(g, kind, 0.5).evaluate(800.0)
+        assert got == pytest.approx(float(want), rel=1e-14)
 
 
 def test_transforms_of_complete_data_skip_the_tail_test():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fracseries.special import (
     pochhammer,
     recip_gamma,
     upsilon,
+    upsilon_scaled,
 )
 
 RECURRENCE_TOL = 1e-12
@@ -225,6 +227,102 @@ def test_upsilon_rejects_bad_arguments():
         upsilon(-1.0, 1.0)
     with pytest.raises(ValueError):
         upsilon(0.5, -1.0)
+
+
+def test_upsilon_beyond_the_double_range_raises_and_names_p_and_q():
+    from fracseries.special import GammaRangeError
+
+    for p, q in ((200.5, 1.0), (180.0, 2.0), (171.7, 0.0)):
+        with pytest.raises(GammaRangeError, match=rf"Upsilon\({p!r}, {q!r}\)"):
+            upsilon(p, q)
+    with pytest.raises(GammaRangeError, match=r"e\^q \* Upsilon\(200.5, 900.0\)"):
+        upsilon_scaled(200.5, 900.0)
+
+
+def test_upsilon_in_range_where_gamma_p_is_not():
+    # Gamma(p) overflows past 171.62, and so did (p-1)! and Gamma(p) * Q(p, q)
+    cases = [
+        (200.5, 1500.0, 1.7799716898219364266e-18),
+        (200.0, 1500.0, 4.5941026278907481014e-20),
+        (172.0, 400.0, 2.9874272946325639954e271),
+    ]
+    for p, q, want in cases:
+        assert upsilon(p, q) == pytest.approx(want, rel=1e-14)
+
+
+def test_upsilon_scaled_stays_in_range_where_its_factors_do_not():
+    # e^800 overflows and Upsilon(p, 800) underflows; their product is about
+    # 800^(p-1), exactly 1 at p = 1
+    assert upsilon_scaled(1.0, 800.0) == 1.0
+    assert upsilon_scaled(2.5, 800.0) == pytest.approx(800.0**1.5, rel=1e-2)
+    assert upsilon_scaled(0.5, 1.0) == pytest.approx(math.e * upsilon(0.5, 1.0), rel=1e-15)
+
+
+# --- upsilon against mpmath -------------------------------------------------------
+
+
+def upsilon_bands() -> dict[str, tuple[bool, list[tuple[float, float]]]]:
+    """Seeded (p, q) samples of each panel band, with whether the band goes
+    through upsilon_scaled; p is never an integer."""
+    r = random.Random(20261018)
+
+    def p_in(lo, hi):
+        while True:
+            p = r.uniform(lo, hi)
+            if not p.is_integer():
+                return p
+
+    def band(n, p_lo, p_hi, q_lo, q_hi, log_q=False):
+        if log_q:
+            lo, hi = math.log(q_lo), math.log(q_hi)
+            return [(p_in(p_lo, p_hi), math.exp(r.uniform(lo, hi))) for _ in range(n)]
+        return [(p_in(p_lo, p_hi), r.uniform(q_lo, q_hi)) for _ in range(n)]
+
+    return {
+        "p <= 67, q in [1, 12]": (False, band(150, 0.01, 67.0, 1.0, 12.0)),
+        "p < 1, q < 0.5": (
+            False, band(75, 0.001, 1.0, 0.0, 0.5) + band(75, 0.001, 1.0, 1e-8, 0.5, log_q=True)
+        ),
+        "p < 1, q in [0.5, 2]": (False, band(150, 0.001, 1.0, 0.5, 2.0)),
+        "p in [1, 30], q in [0, 60]": (False, band(150, 1.0, 30.0, 0.0, 60.0)),
+        "p in [67, 170], q in [0, 340]": (False, band(150, 67.0, 170.0, 0.0, 340.0)),
+        "scaled, p <= 67, q in [12, 800]": (True, band(150, 0.01, 67.0, 12.0, 800.0, log_q=True)),
+    }
+
+
+#: Largest relative error allowed in each band against 40-digit mpmath;
+#: each is at most that of scipy's gammaincc(p, q) * Gamma(p) on the same
+#: samples (the scaled band: e^q times it, where that is finite).
+UPSILON_PANEL_TOL = {
+    "p <= 67, q in [1, 12]": 1.5e-15,
+    "p < 1, q < 0.5": 8e-16,
+    "p < 1, q in [0.5, 2]": 5e-15,
+    "p in [1, 30], q in [0, 60]": 3e-15,
+    "p in [67, 170], q in [0, 340]": 3e-15,
+    "scaled, p <= 67, q in [12, 800]": 2e-15,
+}
+
+
+def upsilon_panel_errors(band: str) -> list[float]:
+    """Relative errors of one band against 40-digit mpmath."""
+    import mpmath
+
+    scaled, points = upsilon_bands()[band]
+    errors = []
+    with mpmath.workdps(40):
+        for p, q in points:
+            want = mpmath.gammainc(p, q, mpmath.inf)
+            if scaled:
+                want *= mpmath.exp(q)
+            got = (upsilon_scaled if scaled else upsilon)(p, q)
+            errors.append(float(abs((got - want) / want)))
+    return errors
+
+
+@pytest.mark.parametrize("band", sorted(UPSILON_PANEL_TOL))
+def test_upsilon_panel_against_mpmath(band):
+    pytest.importorskip("mpmath")
+    assert max(upsilon_panel_errors(band)) <= UPSILON_PANEL_TOL[band]
 
 
 # --- arguments where math.gamma underflows ----------------------------------------
