@@ -1,9 +1,10 @@
 """Formal Laplace transforms of the fractional operators.
 
-Transforms are built directly in their final closed form (sums of
-c * s^(-p), an optional e^(-a*s) prefactor and Upsilon tail factors for
-a negative initial instant), so coefficients that cancel algebraically
-on paper cancel bitwise here. A transform that does not exist
+Transforms are built directly in their final closed form, so
+coefficients that cancel algebraically on paper cancel bitwise here. A
+term is (coeff, power), read as coeff * s^(-power); at a negative
+initial instant a every term also carries e^(-a*s) Upsilon(power, -a*s),
+the transform of (t - a)^(power - 1) from 0. A transform that does not exist
 classically is represented by a singular marker carrying the offending
 term, not by an exception: callers decide what to do with it.
 """
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .series import (
-    EXPONENT_MERGE_TOL,
     DivergenceError,
     EvalResult,
     FracPowerSeries,
@@ -60,21 +60,22 @@ def _fmt_num(x: float) -> str:
 
 @dataclass(frozen=True)
 class LaplaceTerm:
-    """One term coeff * s^(-power), optionally times Upsilon(upsilon_arg, -a*s)."""
+    """One term coeff * s^(-power) of a :class:`LaplaceExpr`."""
 
     coeff: float
     power: float
-    upsilon_arg: float | None = None
 
 
 @dataclass(frozen=True)
 class LaplaceExpr:
-    """A formal transform: e^(-shift*s) * sum of terms, or a singular marker.
+    """A formal transform: a sum of terms, or a singular marker.
 
-    Construction canonicalizes the term list (sorted by power then
-    upsilon argument, near-equal powers merged, zero coefficients
-    dropped), so structurally equal expressions compare equal. A transform
-    of truncated data has ``complete=False``: its values face the tail test.
+    At ``shift == 0`` a term is coeff * s^(-power). A ``shift = a < 0``
+    multiplies every term by e^(-a*s) Upsilon(power, -a*s); a positive
+    shift is refused. Construction canonicalizes the term list
+    (:func:`series.canonical_terms`), so structurally equal expressions
+    compare equal. A transform of truncated data has ``complete=False``:
+    its values face the tail test.
     """
 
     shift: float = 0.0
@@ -85,8 +86,12 @@ class LaplaceExpr:
     def __post_init__(self) -> None:
         if not math.isfinite(self.shift):
             raise ValueError("shift must be finite")
-        terms = ((float(t.coeff), float(t.power), t.upsilon_arg) for t in self.terms)
-        terms = canonical_terms(terms, _slot_key, _same_slot)
+        if self.shift > 0:
+            raise ValueError(
+                f"shift {self.shift!r} > 0 has no standard transform; "
+                "use generalized_laplace"
+            )
+        terms = canonical_terms((float(t.coeff), float(t.power)) for t in self.terms)
         object.__setattr__(self, "terms", tuple([LaplaceTerm(*t) for t in terms]))
 
     @property
@@ -111,14 +116,7 @@ class LaplaceExpr:
     def scaled(self, factor: float) -> LaplaceExpr:
         if self.is_singular:
             raise ValueError("cannot scale a singular transform")
-        terms = (LaplaceTerm(t.coeff * factor, t.power, t.upsilon_arg) for t in self.terms)
-        return replace(self, terms=tuple(terms))
-
-    def power_shifted(self, delta: float) -> LaplaceExpr:
-        """Multiply by s^(-delta): every power increases by delta."""
-        if self.is_singular:
-            raise ValueError("cannot shift a singular transform")
-        terms = (LaplaceTerm(t.coeff, t.power + delta, t.upsilon_arg) for t in self.terms)
+        terms = (LaplaceTerm(t.coeff * factor, t.power) for t in self.terms)
         return replace(self, terms=tuple(terms))
 
     def evaluate(self, s: float) -> float:
@@ -132,32 +130,27 @@ class LaplaceExpr:
             raise ValueError(f"singular transform has no value: {self.singular}")
         if not s > 0:
             raise ValueError(f"s must be > 0, got {s!r}")
-        # plain terms share one e^(-shift*s) multiply at the end; an Upsilon
-        # term carries it inside e^q Upsilon(p, q), q = -shift*s, which stays
-        # in range where e^q and Upsilon(p, q) alone do not
+        # a shifted term carries e^q inside e^q Upsilon(p, q), q = -shift*s,
+        # which stays in range where e^q and Upsilon(p, q) alone do not
         q = -self.shift * s
-        plain = folded = 0.0
+        total = 0.0
         values = []
         try:
             for t in self.terms:
                 v = t.coeff * s ** (-t.power)
-                if t.upsilon_arg is None:
-                    plain += v
-                else:
-                    v *= upsilon_scaled(t.upsilon_arg, q)
-                    folded += v
+                if self.shift:
+                    v *= upsilon_scaled(t.power, q)
+                total += v
                 values.append(v)
-            total = plain + folded
-            value = plain * math.exp(q) + folded if plain else folded
         except (OverflowError, GammaRangeError):
-            value = math.inf
-        if not math.isfinite(value):
+            total = math.inf
+        if not math.isfinite(total):
             raise DivergenceError(f"the transform leaves the double range at s = {s!r}")
         check_tail(values, total, self.complete)
-        return value
+        return total
 
     def render(self) -> str:
-        """Stable textual form: c * s^(-p) [* e^(-a*s)] [* Upsilon(p', -a*s)]."""
+        """Stable textual form: c * s^(-p) [* e^(-a*s) * Upsilon(p, -a*s)]."""
         if self.is_singular:
             return f"SINGULAR({self.singular})"
         if not self.terms:
@@ -165,13 +158,9 @@ class LaplaceExpr:
         parts = []
         for t in self.terms:
             piece = f"{_fmt_num(t.coeff)} * s^(-{_fmt_num(t.power)})"
-            if self.shift != 0.0:
-                piece += f" * e^(-({_fmt_num(self.shift)})*s)"
-            if t.upsilon_arg is not None:
-                piece += (
-                    f" * Upsilon({_fmt_num(t.upsilon_arg)}, "
-                    f"-({_fmt_num(self.shift)})*s)"
-                )
+            if self.shift:
+                a = _fmt_num(self.shift)
+                piece += f" * e^(-({a})*s) * Upsilon({_fmt_num(t.power)}, -({a})*s)"
             parts.append(piece)
         return " + ".join(parts)
 
@@ -181,8 +170,8 @@ class LaplaceExpr:
         terms = []
         for t in self.terms:
             item = {"coeff": t.coeff, "power": t.power}
-            if t.upsilon_arg is not None:
-                item["upsilon_arg"] = t.upsilon_arg
+            if self.shift:
+                item["upsilon_arg"] = t.power
             terms.append(item)
         out = {"shift": self.shift, "terms": terms}
         if not self.complete:
@@ -194,14 +183,26 @@ class LaplaceExpr:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LaplaceExpr:
-        return cls(
-            shift=float(data.get("shift", 0.0)),
-            terms=tuple(
-                LaplaceTerm(
-                    float(t["coeff"]), float(t["power"]), t.get("upsilon_arg")
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises:
+            ValueError: for a positive shift, or an ``upsilon_arg`` that is
+                not its term's power, present at shift 0 or absent at a
+                negative shift.
+        """
+        shift = float(data.get("shift", 0.0))
+        terms = []
+        for t in data.get("terms", []):
+            term = LaplaceTerm(float(t["coeff"]), float(t["power"]))
+            if t.get("upsilon_arg") != (term.power if shift else None):
+                raise ValueError(
+                    f"term {t!r} at shift {shift!r}: a term carries Upsilon exactly "
+                    "at a negative shift, with upsilon_arg equal to its power"
                 )
-                for t in data.get("terms", [])
-            ),
+            terms.append(term)
+        return cls(
+            shift=shift,
+            terms=tuple(terms),
             singular=data.get("singular"),
             complete=bool(data.get("complete", True)),
         )
@@ -209,21 +210,6 @@ class LaplaceExpr:
     @classmethod
     def from_json(cls, text: str) -> LaplaceExpr:
         return cls.from_json_dict(json.loads(text))
-
-
-def _slot_key(t: tuple) -> tuple:
-    """Sort key of a (coeff, power, upsilon_arg) term: power, then Upsilon."""
-    return (t[1], t[2] is not None, t[2] if t[2] is not None else 0.0)
-
-
-def _same_slot(a: tuple, b: tuple) -> bool:
-    if abs(a[1] - b[1]) > EXPONENT_MERGE_TOL:
-        return False
-    if (a[2] is None) != (b[2] is None):
-        return False
-    if a[2] is None:
-        return True
-    return abs(a[2] - b[2]) <= EXPONENT_MERGE_TOL
 
 
 def _require_center_zero(f: TaylorSeries, what: str) -> None:
@@ -263,7 +249,7 @@ def laplace_power(mu: float, a: float = 0.0) -> LaplaceExpr:
         return LaplaceExpr(singular=f"mu={_fmt_num(mu)}")
     if a == 0.0:
         return LaplaceExpr(0.0, (LaplaceTerm(_gamma(mu + 1.0), mu + 1.0),))
-    return LaplaceExpr(a, (LaplaceTerm(1.0, mu + 1.0, upsilon_arg=mu + 1.0),))
+    return LaplaceExpr(a, (LaplaceTerm(1.0, mu + 1.0),))
 
 
 def _taylor_transform(
@@ -299,10 +285,7 @@ def _taylor_transform(
         p = k + 1.0 - beta
         if p <= 0.0 and f.derivs[k] != 0.0:
             return LaplaceExpr(singular=f"k={k}")
-        if tail:
-            terms.append(LaplaceTerm(f.derivs[k] * recip_gamma(p), p, upsilon_arg=p))
-        else:
-            terms.append(LaplaceTerm(f.derivs[k], p))
+        terms.append(LaplaceTerm(f.derivs[k] * recip_gamma(p) if tail else f.derivs[k], p))
     return LaplaceExpr(shift if tail else 0.0, tuple(terms), complete=f.complete)
 
 
@@ -416,17 +399,16 @@ def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExp
 def frequency_derivative(expr: LaplaceExpr, m: int) -> LaplaceExpr:
     """m-th s-derivative: c s^(-p) maps to (-1)^m c poch(p, m) s^-(p+m).
 
-    Only plain zero-shift expressions with positive powers qualify
+    Only zero-shift expressions with positive powers qualify
     (differentiating through Upsilon factors is out of scope).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if expr.is_singular:
         raise ValueError("cannot differentiate a singular transform")
-    if expr.shift != 0.0 or any(t.upsilon_arg is not None for t in expr.terms):
+    if expr.shift != 0.0:
         raise ValueError(
-            "frequency differentiation is only supported for plain "
-            "zero-instant expressions"
+            "frequency differentiation is only supported for zero-instant expressions"
         )
     if any(t.power <= 0 for t in expr.terms):
         raise ValueError("all powers must be positive")
@@ -464,11 +446,11 @@ def frequency_differentiation_check(
         raise ValueError(f"m must be >= 0, got {m}")
     _require_center_zero(f, "frequency_differentiation_check")
 
-    weighted = frequency_derivative(laplace_series(f), m).power_shifted(alpha)
+    weighted = frequency_derivative(laplace_series(f), m)
     left = FracPowerSeries(
         0.0,
         tuple(
-            (t.coeff * recip_gamma(t.power), t.power - 1.0)
+            (t.coeff * recip_gamma(t.power + alpha), t.power + alpha - 1.0)
             for t in weighted.terms
         ),
         complete=f.complete,

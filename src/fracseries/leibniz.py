@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .series import (
+    DivergenceError,
     EvalResult,
     Order,
     TaylorSeries,
@@ -59,6 +60,11 @@ def _rule_sum(
 
     The factors are RL values, or with *caputo* Caputo values (which are
     RL values at orders alpha - j <= 0).
+
+    Raises:
+        DivergenceError: when a term or the sum leaves the double range,
+            naming t and the largest term, or when the sum of truncated
+            data fails the tail test.
     """
     if not t > other.center:
         raise ValueError(f"t={t!r} must lie right of the terminal {other.center!r}")
@@ -77,7 +83,16 @@ def _rule_sum(
             terms.append(0.0)
             continue
         terms.append(b * lead_t.derivs[j] * operator_value(other, alpha - j, t, caputo))
-    total = math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        j = max(range(len(terms)), key=lambda i: abs(terms[i]))
+        raise DivergenceError(
+            f"the product-rule sum leaves the double range at t = {t!r}; its "
+            f"largest term, j = {j}, is {terms[j]!r}"
+        )
     check_tail(terms, total, lead_t.complete)
     return total, j_max + 1
 

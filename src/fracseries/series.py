@@ -46,7 +46,6 @@ class DivergenceError(ArithmeticError):
 class ResultKind(enum.Enum):
     FINITE = "finite"
     INFINITE = "infinite"
-    SINGULAR = "singular"
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,12 @@ class EvalResult:
     """Outcome of evaluating a series or transform.
 
     Exactly one of the payload fields is meaningful: *value* for
-    ``FINITE``, *sign* for ``INFINITE``, *reason* for ``SINGULAR``.
+    ``FINITE``, *sign* for ``INFINITE``.
     """
 
     kind: ResultKind
     value: float = 0.0
     sign: int = 0
-    reason: str = ""
 
     @classmethod
     def finite(cls, value: float) -> EvalResult:
@@ -74,10 +72,6 @@ class EvalResult:
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         return cls(ResultKind.INFINITE, sign=sign)
 
-    @classmethod
-    def singular(cls, reason: str) -> EvalResult:
-        return cls(ResultKind.SINGULAR, reason=reason)
-
     @property
     def is_finite(self) -> bool:
         return self.kind is ResultKind.FINITE
@@ -85,10 +79,6 @@ class EvalResult:
     @property
     def is_infinite(self) -> bool:
         return self.kind is ResultKind.INFINITE
-
-    @property
-    def is_singular(self) -> bool:
-        return self.kind is ResultKind.SINGULAR
 
     def expect_finite(self) -> float:
         """Return the finite value or raise.
@@ -103,9 +93,7 @@ class EvalResult:
     def __str__(self) -> str:
         if self.is_finite:
             return f"Finite({self.value!r})"
-        if self.is_infinite:
-            return "Infinite(+1)" if self.sign > 0 else "Infinite(-1)"
-        return f"Singular({self.reason})"
+        return "Infinite(+1)" if self.sign > 0 else "Infinite(-1)"
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,9 @@ class TaylorSeries:
                 if i > 0:
                     power *= h
                     fact *= i
-                acc += self.derivs[k] * power / fact
+                # zero data adds nothing, even where power has overflowed
+                if self.derivs[k]:
+                    acc += self.derivs[k] * power / fact
             derivs.append(acc)
         return TaylorSeries(new_center, tuple(derivs), self.radius_hint, self.complete)
 
@@ -287,9 +277,7 @@ class FracPowerSeries:
 
     def __post_init__(self) -> None:
         terms = [(float(c), float(e)) for (c, e) in self.terms]
-        object.__setattr__(
-            self, "terms", canonical_terms(terms, itemgetter(1), _same_exponent)
-        )
+        object.__setattr__(self, "terms", canonical_terms(terms))
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
 
@@ -325,26 +313,22 @@ class FracPowerSeries:
         return self + other.scaled(-1.0)
 
 
-def _same_exponent(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return b[1] - a[1] <= EXPONENT_MERGE_TOL
-
-
-def canonical_terms(terms, key, same_slot) -> tuple:
-    """Canonical form of ``(coeff, *slot)`` tuples: :func:`nonzero_terms`,
-    stably sorted by *key*, each term added into the slot before it when
-    ``same_slot(slot, term)`` holds, and the zeros this leaves dropped."""
-    merged: list[tuple] = []
-    for term in sorted(nonzero_terms(terms), key=key):
-        if merged and same_slot(merged[-1], term):
-            prev = merged[-1]
-            merged[-1] = (prev[0] + term[0],) + prev[1:]
+def canonical_terms(terms) -> tuple[tuple[float, float], ...]:
+    """Canonical form of ``(coeff, exponent)`` pairs: :func:`nonzero_terms`,
+    stably sorted by exponent, each term added into the one before it when
+    their exponents are within EXPONENT_MERGE_TOL, and the zeros this
+    leaves dropped."""
+    merged: list[tuple[float, float]] = []
+    for term in sorted(nonzero_terms(terms), key=itemgetter(1)):
+        if merged and term[1] - merged[-1][1] <= EXPONENT_MERGE_TOL:
+            merged[-1] = (merged[-1][0] + term[0], merged[-1][1])
         else:
             merged.append(term)
     return tuple([t for t in merged if t[0] != 0.0])
 
 
 def nonzero_terms(terms) -> list[tuple]:
-    """The ``(coeff, exponent, ...)`` tuples with a nonzero coefficient.
+    """The ``(coeff, exponent)`` pairs with a nonzero coefficient.
 
     This is the whole canonical form of terms whose exponents already
     rise by more than EXPONENT_MERGE_TOL, as the operator slots do.

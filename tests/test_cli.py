@@ -386,6 +386,8 @@ def test_installed_script_runs():
         ["laplace", "power:171.5"],
         ["laplace", "power:200.5", "--op", "rl-int", "--alpha", "0.5"],
         ["laplace", "poly:" + "0," * 50 + "1e300"],
+        ["leibniz", "--f", "poly:2e152,2e152", "--g", "poly:1e150", "--alpha", "0.5",
+         "--t", "1e12", "--rule", "rl", "--trunc", "4"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -393,6 +395,30 @@ def test_extreme_order_exits_cleanly(capsys, argv):
     assert code in (2, 3)
     assert "Traceback" not in err
     assert err.startswith(("error:", "numerical failure:"))
+
+
+def test_product_rule_sum_beyond_the_double_range_is_numeric_failure(capsys):
+    # it ended in an OverflowError traceback from math.fsum
+    code, out, err = run_cli(capsys, [
+        "leibniz", "--f", "poly:2e152,2e152", "--g", "poly:1e150", "--alpha", "0.5",
+        "--t", "1e12", "--rule", "rl", "--trunc", "4",
+    ])
+    assert code == 3
+    assert out == ""
+    assert "double range at t = 1000000000000.0" in err and "term, j = 0" in err
+
+
+def test_product_rules_of_constants_far_from_the_terminal(capsys):
+    # re-centring the constant at t = 1e12 gave NaN data and exit 2
+    argv = ["leibniz", "--f", "poly:1", "--g", "poly:1", "--alpha", "0.5", "--t", "1e12"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert "rule value      0\n" in out  # the Caputo derivative of a constant
+    code, out, _ = run_cli(capsys, argv + ["--rule", "rl", "--format", "json"])
+    assert code == 0
+    value = json.loads(out)["rule_value"]
+    assert value == 5.641895835477562e-07
+    assert value == pytest.approx(1e-6 / math.sqrt(math.pi), rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ def test_expr_add_and_scale():
     b = LaplaceExpr(0.0, (LaplaceTerm(2.0, 2.0),))
     assert (a + b).terms == (LaplaceTerm(1.0, 1.0), LaplaceTerm(2.0, 2.0))
     assert a.scaled(3.0).terms == (LaplaceTerm(3.0, 1.0),)
-    shifted = LaplaceExpr(-1.0, (LaplaceTerm(1.0, 1.0, 1.0),))
+    shifted = LaplaceExpr(-1.0, (LaplaceTerm(1.0, 1.0),))
     with pytest.raises(ValueError):
         a + shifted
 
@@ -100,12 +100,38 @@ def test_expr_evaluate():
 def test_expr_json_round_trip():
     for e in (
         LaplaceExpr(0.0, (LaplaceTerm(2.0, 1.5),)),
-        LaplaceExpr(-1.0, (LaplaceTerm(1.0, 1.5, 1.5),)),
+        LaplaceExpr(-1.0, (LaplaceTerm(1.0, 1.5),)),
         LaplaceExpr(singular="mu=-1.5"),
     ):
         d = e.to_json_dict()
         back = LaplaceExpr.from_json_dict(json.loads(json.dumps(d)))
         assert back == e
+
+
+def test_positive_shifts_are_refused():
+    # a term carries Upsilon exactly at a negative shift; no builder makes a
+    # positive one (the generalized transforms have shift 0)
+    with pytest.raises(ValueError, match="shift 1.0 > 0"):
+        LaplaceExpr(1.0, (LaplaceTerm(1.0, 1.5),))
+    with pytest.raises(ValueError, match="shift 1.0 > 0"):
+        LaplaceExpr.from_json_dict({"shift": 1.0, "terms": []})
+
+
+def test_json_upsilon_argument_must_be_the_power_of_a_shifted_term():
+    with pytest.raises(ValueError, match="upsilon_arg equal to its power"):
+        LaplaceExpr.from_json_dict(
+            {"shift": -1.0, "terms": [{"coeff": 1.0, "power": 1.5, "upsilon_arg": 2.5}]}
+        )
+    with pytest.raises(ValueError, match="upsilon_arg equal to its power"):
+        LaplaceExpr.from_json_dict(
+            {"shift": 0.0, "terms": [{"coeff": 1.0, "power": 1.5, "upsilon_arg": 1.5}]}
+        )
+    with pytest.raises(ValueError, match="upsilon_arg equal to its power"):
+        LaplaceExpr.from_json_dict(
+            {"shift": -1.0, "terms": [{"coeff": 1.0, "power": 1.5}]}
+        )
+    d = {"shift": -1.0, "terms": [{"coeff": 1.0, "power": 1.5, "upsilon_arg": 1.5}]}
+    assert LaplaceExpr.from_json_dict(d).to_json_dict() == d
 
 
 def test_expr_render_golden():
@@ -309,7 +335,7 @@ def test_frequency_derivative_validation():
     with pytest.raises(ValueError):
         frequency_derivative(LaplaceExpr(singular="k=0"), 1)
     with pytest.raises(ValueError):
-        frequency_derivative(LaplaceExpr(-1.0, (LaplaceTerm(1.0, 1.5, 1.5),)), 1)
+        frequency_derivative(LaplaceExpr(-1.0, (LaplaceTerm(1.0, 1.5),)), 1)
     with pytest.raises(ValueError):
         frequency_derivative(LaplaceExpr(0.0, (LaplaceTerm(1.0, -0.5),)), 1)
 
@@ -519,7 +545,7 @@ def test_power_transforms_beyond_the_gamma_range_name_the_argument():
 
 
 def test_laplace_expressions_reject_non_finite_coefficients():
-    with pytest.raises(ValueError, match=r"term \(inf, 51.0, None\) is not finite"):
+    with pytest.raises(ValueError, match=r"term \(inf, 51.0\) is not finite"):
         LaplaceExpr(0.0, (LaplaceTerm(1.0, 1.0), LaplaceTerm(math.inf, 51.0)))
     # c Gamma(e + 1) of the last coefficient overflows
     fps = FracPowerSeries(0.0, ((1.0e300, 50.0),))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracseries.series import (
+    DEFAULT_TRUNCATION,
     DivergenceError,
     EvalResult,
     FracPowerSeries,
@@ -33,16 +34,10 @@ def test_eval_result_constructors():
     assert r.is_infinite and r.sign == -1
     assert str(r) == "Infinite(-1)"
 
-    r = EvalResult.singular("k=0")
-    assert r.is_singular and r.reason == "k=0"
-    assert str(r) == "Singular(k=0)"
-
 
 def test_expect_finite_raises_on_infinite():
     with pytest.raises(ValueError):
         EvalResult.infinite(1).expect_finite()
-    with pytest.raises(ValueError):
-        EvalResult.singular("k=1").expect_finite()
 
 
 # --- Order ----------------------------------------------------------------
@@ -111,6 +106,14 @@ def test_taylor_recentered_exact_for_polynomials():
     h = g.recentered(0.0)
     for a, b in zip(h.derivs, f.derivs):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+def test_recentering_skips_zero_data_past_the_overflow_of_h_to_the_i():
+    # h^i overflows at i = 26 for h = 1e12; 0 * inf made every value NaN
+    g = series_from_catalog("poly", [1.0]).recentered(1e12)
+    assert g.center == 1e12 and g.derivs == (1.0,) + (0.0,) * DEFAULT_TRUNCATION
+    line = series_from_catalog("poly", [1.0, 2.0]).recentered(1e12)
+    assert line.derivs[:3] == (1.0 + 2e12, 2.0, 0.0)
 
 
 def test_taylor_add_and_mul():
