@@ -13,7 +13,6 @@ from .series import (
     EvalResult,
     FracPowerSeries,
     Order,
-    ResultKind,
     TaylorSeries,
     eval_frac_series,
     series_from_catalog,
@@ -90,7 +89,6 @@ __all__ = [
     "LeibnizReport",
     "Order",
     "QuadratureError",
-    "ResultKind",
     "TaylorSeries",
     "caputo_derivative",
     "caputo_local_form",

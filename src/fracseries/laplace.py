@@ -212,9 +212,9 @@ class LaplaceExpr:
         return cls.from_json_dict(json.loads(text))
 
 
-def _require_center_zero(f: TaylorSeries, what: str) -> None:
+def _require_center_zero(f: TaylorSeries | FracPowerSeries, what: str) -> None:
     if f.center != 0.0:
-        raise ValueError(f"{what} requires Taylor data at 0, center={f.center!r}")
+        raise ValueError(f"{what} requires center 0, got {f.center!r}")
 
 
 def _gamma(x: float) -> float:
@@ -329,27 +329,25 @@ def laplace_rl_derivative(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
     return _taylor_transform(f, ord_.alpha, ord_.n if ord_.is_integer else 0)
 
 
-def _power_sum_transform(
-    series: FracPowerSeries, delta: float, name: str, derivative: bool = False
-) -> LaplaceExpr:
+def _power_sum_transform(series: FracPowerSeries, delta: float, name: str) -> LaplaceExpr:
     """sum c Gamma(e+1) s^-(e+delta+1) over the terms c t^e.
 
     This is the transform of the order -delta RL differintegral: the
     image c Gamma(e+1)/Gamma(e+delta+1) t^(e+delta) is never formed, so
-    the Gamma(e+delta+1) pair cancels algebraically. On the derivative
-    route only its pole-kill is evaluated, and an exponent e <= -1 is an
-    error rather than a singular transform.
+    the Gamma(e+delta+1) pair cancels algebraically, and an image whose
+    denominator sits on a pole is 0. An exponent e <= -1 makes the plain
+    transform (delta = 0) singular and leaves the operator images
+    without a meaning.
     """
-    if series.center != 0.0:
-        raise ValueError(f"{name} requires center 0, got {series.center!r}")
+    _require_center_zero(series, name)
     terms = []
     for c, e in series.terms:
         if e <= -1.0:
-            if derivative:
+            if delta:
                 raise ValueError(f"term exponent {e} <= -1 has no differintegral")
             return LaplaceExpr(singular=_offender(e))
         p = e + delta + 1.0
-        if derivative and recip_gamma(p) == 0.0:
+        if p <= 0.0 and p.is_integer():
             continue
         if e + delta <= -1.0:
             return LaplaceExpr(singular=_offender(e))
@@ -376,16 +374,23 @@ def laplace_rl_derivative_fps(
     A term c t^mu maps to c Gamma(mu+1) s^-(mu-alpha+1). Terms whose
     image dies on a gamma pole are skipped; terms landing at exponent
     <= -1 make the transform singular.
+
+    Raises:
+        ValueError: for a term exponent mu <= -1 at alpha != 0.
+        GammaRangeError: when Gamma(mu+1) is beyond the double range.
     """
-    return _power_sum_transform(
-        series, -float(alpha), "laplace_rl_derivative_fps", derivative=True
-    )
+    return _power_sum_transform(series, -float(alpha), "laplace_rl_derivative_fps")
 
 
 def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExpr:
     """Transform of the RL integral of a real-exponent sum.
 
     c t^mu maps to c Gamma(mu+1) s^-(mu+alpha+1).
+
+    Raises:
+        ValueError: for a term exponent mu <= -1, whose RL integral does
+            not exist.
+        GammaRangeError: when Gamma(mu+1) is beyond the double range.
     """
     alpha = positive_order(alpha).alpha
     return _power_sum_transform(series, alpha, "laplace_rl_integral_fps")

@@ -22,10 +22,11 @@ from .series import (
     as_order,
     check_tail,
     positive_order,
+    series_from_catalog,
     taylor_arith,
 )
 from .operators import operator_value
-from .special import gen_binom, pochhammer, recip_gamma
+from .special import gen_binom, recip_gamma
 
 __all__ = [
     "LeibnizReport",
@@ -72,13 +73,8 @@ def _rule_sum(
         raise ValueError(f"truncation must be >= 1, got {trunc}")
     j_max = min(trunc, lead_t.truncation)
     terms = []
-    num, fact = 1.0, 1
     for j in range(j_max + 1):
-        if j:
-            # gen_binom(alpha, j), its falling product carried across j
-            num *= alpha - (j - 1)
-            fact *= j
-        b = num / fact
+        b = gen_binom(alpha, j)
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue
@@ -124,31 +120,25 @@ def leibniz_monomial(
 ) -> EvalResult:
     """Finite product rule for a monomial factor t^m.
 
-    kind="derivative": RL D^alpha {t^m f} as
-    sum_k (-1)^k C(m,k) poch(-alpha,k) t^(m-k) D^(alpha-k) f(t);
-    kind="integral": RL I^alpha {t^m f} with poch(alpha,k) and
-    I^(alpha+k). Both need alpha > 0.
+    The RL rule of :func:`leibniz_rl` with t^m as the lead factor, whose
+    data at t ends at j = m: kind="derivative" gives RL D^alpha {t^m f}
+    as sum_j gen_binom(alpha, j) (t^m)^(j) D^(alpha-j) f(t), and
+    kind="integral" gives RL I^alpha {t^m f} at order -alpha. Both need
+    alpha > 0.
+
+    Raises:
+        ValueError: when the data of t^m at t is beyond the double range.
+        DivergenceError: as :func:`leibniz_rl`.
     """
     alpha = positive_order(order).alpha
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if not t > f.center:
-        raise ValueError(f"t={t!r} must lie right of the terminal {f.center!r}")
     if kind not in ("derivative", "integral"):
         raise ValueError(f"kind must be 'derivative' or 'integral', got {kind!r}")
-
-    total = 0.0
-    for k in range(m + 1):
-        sign = -1.0 if k % 2 else 1.0
-        binom = math.comb(m, k)
-        if kind == "derivative":
-            factor = pochhammer(-alpha, k)
-            value = operator_value(f, alpha - k, t)
-        else:
-            factor = pochhammer(alpha, k)
-            value = operator_value(f, -(alpha + k), t)
-        total += sign * binom * factor * t ** (m - k) * value
-    return EvalResult.finite(total)
+    lead_t = series_from_catalog("poly", [0.0] * m + [1.0], t, max(m, 1))
+    beta = alpha if kind == "derivative" else -alpha
+    value, _ = _rule_sum(lead_t, f, beta, t, lead_t.truncation, False)
+    return EvalResult.finite(value)
 
 
 def leibniz_caputo_wrong(

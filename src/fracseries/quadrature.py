@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .operators import rl_caputo_bridge
-from .series import DivergenceError, Order, TaylorSeries, as_order
-from .special import recip_gamma
+from .series import DivergenceError, Order, TaylorSeries, as_order, check_slots
+from .special import GammaRangeError, recip_gamma
 
 __all__ = [
     "QuadratureError",
@@ -58,8 +58,6 @@ def _jacobi_rule(alpha: float, nodes: int) -> tuple[tuple[float, ...], tuple[flo
     largest relative error at 16 to 64 nodes is 30-400x below that of
     scipy's roots_jacobi, whose weights come from the derivative formula.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if nodes < 1:
         raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
     a = alpha - 1.0
@@ -134,7 +132,19 @@ def rl_integral_fixed(
     With tau = (a+t)/2 + (t-a)x/2 the memory integral becomes
     ((t-a)/2)^alpha / Gamma(alpha) * sum w_i f(tau_i), the kernel being
     exactly the Jacobi weight (1-x)^(alpha-1).
+
+    Raises:
+        GammaRangeError: when Gamma(alpha) is beyond the double range.
+        DivergenceError: when ((t - a)/2)^alpha is.
     """
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    rg = recip_gamma(alpha)
+    if rg == 0.0:
+        raise GammaRangeError(
+            f"order {alpha!r} divides the memory integral by Gamma({alpha!r}), which is "
+            "beyond the double range"
+        )
     x, w = _jacobi_rule(float(alpha), int(nodes))
     mid = 0.5 * (a + t)
     half = 0.5 * (t - a)
@@ -145,7 +155,7 @@ def rl_integral_fixed(
         raise DivergenceError(
             f"((t - a)/2)^alpha = {half!r}^{alpha!r} is beyond the double range"
         ) from None
-    return scale * total * recip_gamma(alpha)
+    return scale * total * rg
 
 
 def rl_integral_quad(
@@ -165,11 +175,8 @@ def rl_integral_quad(
     Raises:
         QuadratureError: if doubling never stabilizes (f not analytic on
             the interval, or rel_tol beyond double precision).
-        DivergenceError: if ((t - a)/2)^alpha is beyond the double range.
+        GammaRangeError, DivergenceError: as :func:`rl_integral_fixed`.
     """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     if not t > a:
         raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
     if nodes < 8:
@@ -190,22 +197,19 @@ def rl_integral_quad(
     )
 
 
-def _checked_callable(f: TaylorSeries, n: int, t: float) -> Callable[[float], float]:
+def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float], float]:
     """Evaluation closure for the n-th derivative of f, vetted on [center, t].
 
-    Truncated data must carry enough terms that the dropped tail is
-    negligible at the far end of [center, t]; the last two carried terms
+    Truncated data must carry two of the slots k >= n
+    (:func:`series.check_slots`), and so many that the dropped tail is
+    negligible at the far end of [center, t]: the last two carried terms
     stand in for the tail and must be tiny relative to the value there.
     """
+    n = ord_.n
+    check_slots(f, ord_.alpha, n, f.truncation + 1, f.complete)
     g = f.nth_derivative(n)
     if not g.complete:
         x = t - g.center
-        if g.truncation < 2:
-            raise ValueError(
-                f"the derivative of order n = {n} keeps {max(f.truncation + 1 - n, 0)} "
-                f"of the terms of truncated Taylor data of truncation {f.truncation}; "
-                f"an accuracy assessment needs 3 (truncation >= {n + 2})"
-            )
         scale = abs(g.evaluate(t)) + 1.0
         fact = math.factorial(g.truncation)
         try:
@@ -238,16 +242,17 @@ def caputo_quad(
     The derivative order n - alpha lies in (0, 1) for non-integer alpha,
     so this is a genuine memory integral; integer orders collapse to the
     exact classical derivative. Negative orders fall through to the
-    plain memory integral (n = 0).
+    plain memory integral (n = 0). Every order faces the same vetting of
+    the data (:func:`_checked_callable`).
     """
     ord_ = as_order(order)
     if not t > f.center:
         raise ValueError(
             f"t must exceed the terminal, got t={t!r}, a={f.center!r}"
         )
+    g = _checked_callable(f, ord_, t)
     if ord_.is_integer and ord_.alpha >= 0:
-        return f.nth_derivative(int(ord_.alpha)).evaluate(t)
-    g = _checked_callable(f, ord_.n, t)
+        return g(t)
     return rl_integral_quad(g, ord_.n - ord_.alpha, f.center, t, nodes, rel_tol)
 
 

@@ -9,7 +9,6 @@ lower terminal is a value, not an exception.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ __all__ = [
     "EvalResult",
     "FracPowerSeries",
     "Order",
-    "ResultKind",
     "TaylorSeries",
     "eval_frac_series",
     "series_from_catalog",
@@ -43,20 +41,14 @@ class DivergenceError(ArithmeticError):
     """Raised when a series sum fails the tail test or leaves the double range."""
 
 
-class ResultKind(enum.Enum):
-    FINITE = "finite"
-    INFINITE = "infinite"
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Outcome of evaluating a series or transform.
 
-    Exactly one of the payload fields is meaningful: *value* for
-    ``FINITE``, *sign* for ``INFINITE``.
+    *sign* is 0 for a finite result, whose number is *value*, and +1 or
+    -1 for an infinite one.
     """
 
-    kind: ResultKind
     value: float = 0.0
     sign: int = 0
 
@@ -64,21 +56,21 @@ class EvalResult:
     def finite(cls, value: float) -> EvalResult:
         if not math.isfinite(value):
             raise ValueError(f"finite result requires a finite value, got {value!r}")
-        return cls(ResultKind.FINITE, value=float(value))
+        return cls(value=float(value))
 
     @classmethod
     def infinite(cls, sign: int) -> EvalResult:
         if sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        return cls(ResultKind.INFINITE, sign=sign)
+        return cls(sign=sign)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is ResultKind.FINITE
+        return self.sign == 0
 
     @property
     def is_infinite(self) -> bool:
-        return self.kind is ResultKind.INFINITE
+        return self.sign != 0
 
     def expect_finite(self) -> float:
         """Return the finite value or raise.
@@ -601,9 +593,8 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     complete = f.complete and g.complete
 
     if op == "add":
-        derivs = tuple(f.derivs[k] + g.derivs[k] for k in range(n + 1))
-        return TaylorSeries(f.center, derivs, radius, complete)
-    if op == "mul":
+        derivs = [f.derivs[k] + g.derivs[k] for k in range(n + 1)]
+    elif op == "mul":
         derivs = []
         for k in range(n + 1):
             acc = 0.0
@@ -618,5 +609,12 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
             if df is not None and dg is not None and df + dg > n:
                 # the data cannot hold the full product; it is a truncation
                 complete = False
-        return TaylorSeries(f.center, tuple(derivs), radius, complete)
-    raise ValueError(f"unknown op {op!r} (expected 'add' or 'mul')")
+    else:
+        raise ValueError(f"unknown op {op!r} (expected 'add' or 'mul')")
+    for k, d in enumerate(derivs):
+        if not math.isfinite(d):
+            raise ValueError(
+                f"the {'sum' if op == 'add' else 'product'} of Taylor data at center "
+                f"{f.center!r} is beyond the double range: its datum k = {k} is {d!r}"
+            )
+    return TaylorSeries(f.center, tuple(derivs), radius, complete)

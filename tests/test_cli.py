@@ -388,6 +388,9 @@ def test_installed_script_runs():
         ["laplace", "poly:" + "0," * 50 + "1e300"],
         ["leibniz", "--f", "poly:2e152,2e152", "--g", "poly:1e150", "--alpha", "0.5",
          "--t", "1e12", "--rule", "rl", "--trunc", "4"],
+        # both printed 0 with exit 0: 1/Gamma past 171.6 read as a pole
+        ["oracle", "exp:1", "--alpha", "-200", "--grid", "20:20:1"],
+        ["laplace", "power:200", "--op", "rl-der", "--alpha", "0.5"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -564,6 +567,41 @@ def test_non_finite_or_overflowing_input_is_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert "convergence radius" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # integer orders skipped the tail test: they printed -2.41e36 (the
+        # value is 1/(2 sqrt 5)) and 21865338.14 (e^30 is 1.07e13)
+        ["oracle", "power:0.5", "--a", "1", "--alpha", "1", "--grid", "5:5:1"],
+        ["oracle", "exp:1", "--alpha", "0", "--trunc", "8", "--grid", "30:30:1"],
+    ],
+)
+def test_oracle_vets_integer_orders_like_the_others(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "too short for 1e-12-accurate evaluation" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["leibniz", "--f", "poly:1e300,1e300", "--g", "poly:1,1e8", "--alpha", "0.5",
+          "--t", "3"], "the product of Taylor data at center 0.0 is beyond the double "
+         "range: its datum k = 2 is inf"),
+        (["eval", "poly:1e308+poly:1e308", "--alpha", "0.5", "--grid", "1:1:1"],
+         "the sum of Taylor data at center 0.0 is beyond the double range: its datum "
+         "k = 0 is inf"),
+    ],
+)
+def test_sum_or_product_beyond_the_double_range_names_its_datum(capsys, argv, what):
+    # both read "derivative values must be finite", which names nothing
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert what in err
 
 
 def test_oracle_failure_reports_nonzero_last_change(capsys):

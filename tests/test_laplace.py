@@ -541,7 +541,17 @@ def test_power_transforms_beyond_the_gamma_range_name_the_argument():
         laplace_fps(FracPowerSeries(0.0, ((1.0, 171.5),)))
     with pytest.raises(GammaRangeError, match=r"Gamma\(201\.5\)"):
         laplace_rl_integral_fps(FracPowerSeries(0.0, ((1.0, 200.5),)), 0.5)
+    # 1/Gamma(200.5) underflows to 0.0; this read as a pole and returned 0
+    with pytest.raises(GammaRangeError, match=r"Gamma\(201\.0\)"):
+        laplace_rl_derivative_fps(FracPowerSeries(0.0, ((1.0, 200.0),)), 0.5)
     assert laplace_power(170.0).terms == (LaplaceTerm(math.gamma(171.0), 171.0),)
+
+
+def test_rl_integral_of_a_power_at_or_below_minus_one_is_refused():
+    # it returned SINGULAR(mu=-1.5), as if the integral existed
+    with pytest.raises(ValueError, match="-1.5 <= -1 has no differintegral"):
+        laplace_rl_integral_fps(FracPowerSeries(0.0, ((1.0, -1.5),)), 0.5)
+    assert laplace_fps(FracPowerSeries(0.0, ((1.0, -1.5),))).singular == "mu=-1.5"
 
 
 def test_laplace_expressions_reject_non_finite_coefficients():

@@ -161,6 +161,12 @@ def test_monomial_rule_validation():
         leibniz_monomial(f, 1, 0.5, 1.0, kind="sideways")
 
 
+def test_monomial_rule_beyond_the_double_range_is_refused():
+    # (1e120)^3 raised a bare OverflowError
+    with pytest.raises(ValueError, match="beyond the double range at center 1e\\+120"):
+        leibniz_monomial(unit(), 3, 0.5, 1e120)
+
+
 # --- the naive Caputo transplant ----------------------------------------------
 
 

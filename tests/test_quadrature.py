@@ -13,6 +13,7 @@ from fracseries.quadrature import (
     rl_integral_quad,
 )
 from fracseries.series import series_from_catalog
+from fracseries.special import GammaRangeError
 
 rng = np.random.default_rng(909)
 
@@ -60,6 +61,12 @@ def test_fixed_rule_converges_spectrally():
 def test_integral_flags_nonsmooth_integrand():
     with pytest.raises(QuadratureError):
         rl_integral_quad(lambda t: abs(t - 0.5) ** 0.3, 0.5, 0.0, 1.0, max_doublings=4)
+
+
+def test_integral_past_the_gamma_range_is_refused():
+    # 1/Gamma(200) underflows to 0.0, and the integral read 0 (it is 2.26e-115)
+    with pytest.raises(GammaRangeError, match=r"Gamma\(200\.0\)"):
+        rl_integral_quad(math.exp, 200.0, 0.0, 20.0)
 
 
 def test_integral_validation():
