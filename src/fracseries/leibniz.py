@@ -72,13 +72,17 @@ def _rule_sum(
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")
     j_max = min(trunc, lead_t.truncation)
+    # the factors' slots k divide by Gamma(k + 1 - (alpha - j)), which repeat
+    # along k + j: each distinct argument is evaluated once per sum
+    rg_memo: dict[float, float] = {}
     terms = []
     for j in range(j_max + 1):
         b = gen_binom(alpha, j)
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue
-        terms.append(b * lead_t.derivs[j] * operator_value(other, alpha - j, t, caputo))
+        value = operator_value(other, alpha - j, t, caputo, rg_memo)
+        terms.append(b * lead_t.derivs[j] * value)
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # intermediate overflow, or inf - inf

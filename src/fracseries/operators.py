@@ -22,8 +22,8 @@ from .series import (
     Order,
     TaylorSeries,
     as_order,
+    check_finite,
     check_slots,
-    nonzero_terms,
     positive_order,
     sum_terms,
 )
@@ -42,22 +42,26 @@ __all__ = [
 
 
 def operator_terms(
-    f: TaylorSeries, ord_: Order, caputo: bool = False
+    f: TaylorSeries, ord_: Order, caputo: bool = False, rg_memo: dict | None = None
 ) -> list[tuple[float, float]]:
-    """The terms of the RL (or, with *caputo*, the Caputo) series of f: the
-    exact factorial shift at integer orders, else :func:`slot_terms` from
-    k = n (Caputo) or k = 0 (RL), which agree at alpha < 0, where n = 0."""
+    """The nonzero terms of the RL (or, with *caputo*, the Caputo) series of
+    f: the exact factorial shift at integer orders, else :func:`slot_terms`
+    from k = n (Caputo) or k = 0 (RL), which agree at alpha < 0, where n = 0."""
     if ord_.is_integer:
         return _integer_shift(f, int(ord_.alpha))
     k0 = ord_.n if caputo else 0
-    return slot_terms(f, ord_.alpha, k0, f.truncation + 1, f.complete)
+    return slot_terms(f, ord_.alpha, k0, f.truncation + 1, f.complete, rg_memo)
 
 
 def operator_value(
-    f: TaylorSeries, order: Order | float, t: float, caputo: bool = False
+    f: TaylorSeries,
+    order: Order | float,
+    t: float,
+    caputo: bool = False,
+    rg_memo: dict | None = None,
 ) -> float:
     """The value at t > a of :func:`operator_terms`, summed without a series."""
-    terms = nonzero_terms(operator_terms(f, as_order(order), caputo))
+    terms = operator_terms(f, as_order(order), caputo, rg_memo)
     return sum_terms(terms, t - f.center, f.radius_hint, f.complete)
 
 
@@ -75,7 +79,9 @@ def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
                 f"order {m} divides f^({k}) by ({k - m:.6g})!, which is beyond the "
                 "double range"
             )
-        terms.append((d / math.factorial(k - m), float(k - m)))
+        c = d / math.factorial(k - m)
+        if c != 0.0:
+            terms.append((c, float(k - m)))
     return terms
 
 
@@ -96,32 +102,51 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
 
 
 def slot_terms(
-    f: TaylorSeries, alpha: float, k0: int, k1: int, complete: bool
+    f: TaylorSeries,
+    alpha: float,
+    k0: int,
+    k1: int,
+    complete: bool,
+    rg_memo: dict | None = None,
 ) -> list[tuple[float, float]]:
-    """The terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for k0 <= k < k1.
+    """The nonzero terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for
+    k0 <= k < k1.
 
     Their exponents rise by about 1, so no two of them merge: dropping
-    the zeros (pole slots and zero data) is all that is left of the
-    canonical form.
+    the zeros (pole slots and zero data) is the whole canonical form.
+    *rg_memo*, when given, maps each argument k+1-alpha to its 1/Gamma, so
+    that callers summing many orders whose arguments repeat evaluate each
+    once.
 
     Raises:
         ValueError: for truncated data that keeps fewer than two slots.
         GammaRangeError: when Gamma(k+1-alpha) of a nonzero datum is
             beyond the double range (1/Gamma would read as 0.0 and drop
-            the term), or 1/Gamma(k+1-alpha) is.
+            the term), or 1/Gamma(k+1-alpha) is, even for a zero datum.
+        ValueError: naming the first term that is not finite, once every
+            slot has passed the Gamma checks.
     """
     check_slots(f, alpha, k0, k1, complete)
     terms = []
+    finite = True
     for k in range(k0, k1):
-        d = f.derivs[k]
         arg = k + 1 - alpha
-        rg = recip_gamma(arg)
+        if rg_memo is None:
+            rg = recip_gamma(arg)
+        elif (rg := rg_memo.get(arg)) is None:
+            rg = rg_memo[arg] = recip_gamma(arg)
+        d = f.derivs[k]
         if rg == 0.0 and d != 0.0 and arg > 0.0:
             raise GammaRangeError(
                 f"order {alpha} divides f^({k}) by Gamma({arg!r}), which is beyond "
                 "the double range"
             )
-        terms.append((d * rg, k - alpha))
+        c = d * rg
+        if c != 0.0:
+            finite = finite and math.isfinite(c)
+            terms.append((c, k - alpha))
+    if not finite:
+        check_finite(terms)
     return terms
 
 

@@ -206,19 +206,17 @@ class TaylorSeries:
         high-order values are only as good as the original truncation.
         """
         h = new_center - self.center
-        n = len(self.derivs)
+        d = self.derivs
+        n = len(d)
+        powers = list(accumulate(range(1, n), lambda p, _: p * h, initial=1.0))
+        facts = list(accumulate(range(1, n), lambda f, i: f * i, initial=1.0))
         derivs = []
         for j in range(n):
             acc = 0.0
-            power = 1.0
-            fact = 1.0
-            for i, k in enumerate(range(j, n)):
-                if i > 0:
-                    power *= h
-                    fact *= i
-                # zero data adds nothing, even where power has overflowed
-                if self.derivs[k]:
-                    acc += self.derivs[k] * power / fact
+            for i in range(n - j):
+                # zero data adds nothing, even where the power has overflowed
+                if d[j + i]:
+                    acc += d[j + i] * powers[i] / facts[i]
             derivs.append(acc)
         return TaylorSeries(new_center, tuple(derivs), self.radius_hint, self.complete)
 
@@ -306,12 +304,19 @@ class FracPowerSeries:
 
 
 def canonical_terms(terms) -> tuple[tuple[float, float], ...]:
-    """Canonical form of ``(coeff, exponent)`` pairs: :func:`nonzero_terms`,
-    stably sorted by exponent, each term added into the one before it when
-    their exponents are within EXPONENT_MERGE_TOL, and the zeros this
-    leaves dropped."""
+    """Canonical form of ``(coeff, exponent)`` pairs: the terms with a
+    nonzero coefficient, stably sorted by exponent, each term added into the
+    one before it when their exponents are within EXPONENT_MERGE_TOL, and
+    the zeros this leaves dropped.
+
+    Raises:
+        ValueError: naming the first nonzero term whose coefficient or
+            exponent is not finite (:func:`check_finite`).
+    """
+    nonzero = [term for term in terms if term[0] != 0.0]
+    check_finite(nonzero)
     merged: list[tuple[float, float]] = []
-    for term in sorted(nonzero_terms(terms), key=itemgetter(1)):
+    for term in sorted(nonzero, key=itemgetter(1)):
         if merged and term[1] - merged[-1][1] <= EXPONENT_MERGE_TOL:
             merged[-1] = (merged[-1][0] + term[0], merged[-1][1])
         else:
@@ -319,23 +324,12 @@ def canonical_terms(terms) -> tuple[tuple[float, float], ...]:
     return tuple([t for t in merged if t[0] != 0.0])
 
 
-def nonzero_terms(terms) -> list[tuple]:
-    """The ``(coeff, exponent)`` pairs with a nonzero coefficient.
-
-    This is the whole canonical form of terms whose exponents already
-    rise by more than EXPONENT_MERGE_TOL, as the operator slots do.
-
-    Raises:
-        ValueError: naming the first nonzero term whose coefficient or
-            exponent is not finite.
-    """
-    out = []
+def check_finite(terms) -> None:
+    """Raise ValueError naming the first ``(coeff, exponent)`` pair whose
+    coefficient or exponent is not finite."""
     for term in terms:
-        if term[0] != 0.0:
-            if not (math.isfinite(term[0]) and math.isfinite(term[1])):
-                raise ValueError(f"term {term!r} is not finite")
-            out.append(term)
-    return out
+        if not (math.isfinite(term[0]) and math.isfinite(term[1])):
+            raise ValueError(f"term {term!r} is not finite")
 
 
 def _min_radius(a: float | None, b: float | None) -> float | None:
@@ -395,23 +389,27 @@ def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
         )
 
     total = 0.0
-    term_values = []
     try:
         for c, e in terms:
-            v = c * x**e
-            term_values.append(v)
-            total += v
+            total += c * x**e
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
-        # the first running sum that leaves the double range names the term
-        sums = accumulate(term_values + [math.inf])
-        c, e = terms[next(i for i, v in enumerate(sums) if not math.isfinite(v))]
+        # the first term whose power overflows or whose running sum leaves
+        # the double range names the failure
+        total = 0.0
+        for c, e in terms:
+            try:
+                total += c * x**e
+            except OverflowError:
+                total = math.inf
+            if not math.isfinite(total):
+                break
         raise DivergenceError(
             f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
             f"range at t - center = {x!r}"
         )
-    check_tail(term_values, total, complete)
+    check_tail([c * x**e for c, e in terms[-2:]], total, complete)
     return total
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +57,27 @@ def test_report_recenters_the_lead_factor_once(monkeypatch, rule):
     g = series_from_catalog("sin", [1.0], truncation=32)
     leibniz_report(f, g, 0.5, 0.75, rule=rule)
     assert calls == [0.75]
+
+
+@pytest.mark.parametrize("rule", ["rl", "corrected"])
+def test_report_evaluates_each_reciprocal_gamma_once(monkeypatch, rule):
+    # the 65 factors' slots divide by 129 distinct Gamma(k + 1 - (alpha - j))
+    # and the reference by 65 more; evaluated per slot that was 4290 calls
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return recip_gamma(x)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "fracseries"]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if value is recip_gamma:
+                monkeypatch.setattr(mod, attr, counting)
+    f = series_from_catalog("exp", [0.75], truncation=64)
+    g = series_from_catalog("cos", [1.0], truncation=64)
+    leibniz_report(f, g, 0.734521, 1.25, rule=rule, trunc=64)
+    assert 0 < len(calls) <= 200
 
 
 def test_rl_rule_square_closed_form():

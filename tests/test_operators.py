@@ -8,11 +8,17 @@ from fracseries.operators import (
     caputo_local_form,
     frac_differintegral,
     integer_limit_check,
+    operator_value,
     rl_caputo_bridge,
     rl_differintegral,
     rl_local_form,
 )
-from fracseries.series import FracPowerSeries, TaylorSeries, series_from_catalog
+from fracseries.series import (
+    DivergenceError,
+    FracPowerSeries,
+    TaylorSeries,
+    series_from_catalog,
+)
 from fracseries.special import GammaRangeError
 
 rng = np.random.default_rng(101)
@@ -236,6 +242,31 @@ def test_local_form_refuses_a_gamma_beyond_the_double_range():
     f_t = series_from_catalog("poly", [1.0, 1.0, 1.0, 1.0], center=50.0)
     with pytest.raises(GammaRangeError, match=r"f\^\(3\) by Gamma\(172.5\)"):
         rl_local_form(f_t, -168.5, 0.0)
+
+
+def test_zero_datum_still_refuses_a_reciprocal_gamma_beyond_the_double_range():
+    # k = 0 holds a zero datum, yet 1/Gamma(1 - 172.5) is beyond the range
+    f = series_from_catalog("poly", [0.0, 0.0, 0.0, 1.0], 0.0, 8)
+    with pytest.raises(GammaRangeError, match=r"Gamma\(-171\.5\)"):
+        rl_differintegral(f, 172.5)
+
+
+def test_a_term_beyond_the_double_range_is_named_after_the_gamma_checks():
+    # 1e100 / Gamma(-149.5) overflows at k = 0; Gamma(172.5) at k = 322
+    # still refuses first, and without it the k = 0 term is named
+    for n, error, match in (
+        (330, GammaRangeError, r"f\^\(322\) by Gamma\(172\.5\)"),
+        (100, ValueError, r"term \(inf, -150\.5\) is not finite"),
+    ):
+        f = TaylorSeries(0.0, [1.0e100] * n, None, False)
+        with pytest.raises(error, match=match):
+            operator_value(f, 150.5, 0.5)
+
+
+def test_operator_value_names_a_term_that_overflows_by_multiplication():
+    f = series_from_catalog("poly", [1.0e300, 1.0e300], 0.0, 4)
+    with pytest.raises(DivergenceError, match=r"\^0\.5 "):
+        operator_value(f, 0.5, 1.0e20)
 
 
 def test_frac_differintegral_power_rule():

@@ -265,6 +265,13 @@ def test_eval_beyond_double_range_names_point_and_exponent():
     assert eval_frac_series(s, 1.0e-10).expect_finite() == 1.0e308 + 1.0e298 + 1.0e-20
 
 
+def test_eval_names_a_term_that_overflows_by_multiplication():
+    # c * x**e overflows to inf without an OverflowError
+    s = FracPowerSeries(0.0, ((1.0e300, 0.0), (1.0e300, 2.0)))
+    with pytest.raises(DivergenceError, match=r"\^2\.0 .* t - center = 100000\.0"):
+        eval_frac_series(s, 1.0e5)
+
+
 # --- catalog ----------------------------------------------------------------
 
 
