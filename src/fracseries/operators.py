@@ -114,9 +114,9 @@ def slot_terms(
 
     Their exponents rise by about 1, so no two of them merge: dropping
     the zeros (pole slots and zero data) is the whole canonical form.
-    *rg_memo*, when given, maps each argument k+1-alpha to its 1/Gamma, so
-    that callers summing many orders whose arguments repeat evaluate each
-    once.
+    *rg_memo* maps each argument k+1-alpha to its 1/Gamma; callers summing
+    many orders whose arguments repeat pass one memo to all of them, so
+    that each argument is evaluated once.
 
     Raises:
         ValueError: for truncated data that keeps fewer than two slots.
@@ -127,14 +127,12 @@ def slot_terms(
             slot has passed the Gamma checks.
     """
     check_slots(f, alpha, k0, k1, complete)
+    memo = {} if rg_memo is None else rg_memo
     terms = []
-    finite = True
     for k in range(k0, k1):
         arg = k + 1 - alpha
-        if rg_memo is None:
-            rg = recip_gamma(arg)
-        elif (rg := rg_memo.get(arg)) is None:
-            rg = rg_memo[arg] = recip_gamma(arg)
+        if (rg := memo.get(arg)) is None:
+            rg = memo[arg] = recip_gamma(arg)
         d = f.derivs[k]
         if rg == 0.0 and d != 0.0 and arg > 0.0:
             raise GammaRangeError(
@@ -143,10 +141,8 @@ def slot_terms(
             )
         c = d * rg
         if c != 0.0:
-            finite = finite and math.isfinite(c)
             terms.append((c, k - alpha))
-    if not finite:
-        check_finite(terms)
+    check_finite(terms)
     return terms
 
 

@@ -395,22 +395,27 @@ def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
-        # the first term whose power overflows or whose running sum leaves
-        # the double range names the failure
-        total = 0.0
-        for c, e in terms:
-            try:
-                total += c * x**e
-            except OverflowError:
-                total = math.inf
-            if not math.isfinite(total):
-                break
+        c, e = _diverging_term(terms, x)
         raise DivergenceError(
             f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
             f"range at t - center = {x!r}"
         )
     check_tail([c * x**e for c, e in terms[-2:]], total, complete)
     return total
+
+
+def _diverging_term(terms, x: float) -> tuple[float, float]:
+    """The first of the terms whose power overflows or whose running sum
+    leaves the double range at x; only a sum that did so asks for it."""
+    total = 0.0
+    for c, e in terms:
+        try:
+            total += c * x**e
+        except OverflowError:
+            break
+        if not math.isfinite(total):
+            break
+    return c, e
 
 
 def check_tail(terms: list[float], total: float, complete: bool) -> None:
