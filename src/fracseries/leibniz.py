@@ -25,7 +25,7 @@ from .series import (
     series_from_catalog,
     taylor_arith,
 )
-from .operators import operator_value
+from .operators import check_right_of_terminal, operator_value
 from .special import gen_binom, recip_gamma
 
 __all__ = [
@@ -55,33 +55,40 @@ def _data_at(f: TaylorSeries, t: float) -> TaylorSeries:
 
 
 def _rule_sum(
-    lead_t: TaylorSeries, other: TaylorSeries, alpha: float, t: float, trunc: int, caputo: bool
+    lead_t: TaylorSeries,
+    other: TaylorSeries,
+    alpha: float,
+    t: float,
+    trunc: int,
+    caputo: bool,
+    memo: dict | None = None,
 ) -> tuple[float, int]:
     """sum_j gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t), and its length.
 
     The factors are RL values, or with *caputo* Caputo values (which are
-    RL values at orders alpha - j <= 0).
+    RL values at orders alpha - j <= 0). Their slots k divide by
+    Gamma(k + 1 - (alpha - j)) and take t - a to the power k - (alpha - j),
+    both of which repeat along k + j: all factors read one *memo* of
+    :func:`operators.operator_value` (a fresh one when none is passed),
+    so each distinct argument and power is evaluated once.
 
     Raises:
         DivergenceError: when a term or the sum leaves the double range,
             naming t and the largest term, or when the sum of truncated
             data fails the tail test.
     """
-    if not t > other.center:
-        raise ValueError(f"t={t!r} must lie right of the terminal {other.center!r}")
+    check_right_of_terminal(t, other.center)
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")
     j_max = min(trunc, lead_t.truncation)
-    # the factors' slots k divide by Gamma(k + 1 - (alpha - j)), which repeat
-    # along k + j: each distinct argument is evaluated once per sum
-    rg_memo: dict[float, float] = {}
+    memo = {} if memo is None else memo
     terms = []
     for j in range(j_max + 1):
         b = gen_binom(alpha, j)
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue
-        value = operator_value(other, alpha - j, t, caputo, rg_memo)
+        value = operator_value(other, alpha - j, t, caputo, memo)
         terms.append(b * lead_t.derivs[j] * value)
     try:
         total = math.fsum(terms)
@@ -249,7 +256,9 @@ def _report(
     lead, other = (g, f) if swap else (f, g)
     lead_t = _data_at(lead, t)
     caputo = rule != "rl"
-    value, terms_used = _rule_sum(lead_t, other, alpha, t, trunc, caputo)
+    # the factors and the reference share one t - a: one memo serves them all
+    memo: dict = {}
+    value, terms_used = _rule_sum(lead_t, other, alpha, t, trunc, caputo, memo)
     correction = 0.0
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
     if caputo and not ord_.is_integer:
@@ -258,7 +267,7 @@ def _report(
         positive_order(ord_, non_integer=True)
     if rule == "corrected":
         value += correction
-    ref_value = operator_value(product, ord_, t, caputo)
+    ref_value = operator_value(product, ord_, t, caputo, memo)
     return LeibnizReport(
         rule_value=EvalResult.finite(value),
         reference_value=EvalResult.finite(ref_value),

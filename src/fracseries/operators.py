@@ -24,6 +24,7 @@ from .series import (
     as_order,
     check_finite,
     check_slots,
+    check_tail,
     positive_order,
     sum_terms,
 )
@@ -42,7 +43,7 @@ __all__ = [
 
 
 def operator_terms(
-    f: TaylorSeries, ord_: Order, caputo: bool = False, rg_memo: dict | None = None
+    f: TaylorSeries, ord_: Order, caputo: bool = False
 ) -> list[tuple[float, float]]:
     """The nonzero terms of the RL (or, with *caputo*, the Caputo) series of
     f: the exact factorial shift at integer orders, else :func:`slot_terms`
@@ -50,7 +51,13 @@ def operator_terms(
     if ord_.is_integer:
         return _integer_shift(f, int(ord_.alpha))
     k0 = ord_.n if caputo else 0
-    return slot_terms(f, ord_.alpha, k0, f.truncation + 1, f.complete, rg_memo)
+    return slot_terms(f, ord_.alpha, k0, f.truncation + 1, f.complete)
+
+
+def check_right_of_terminal(t: float, a: float) -> None:
+    """The operators are evaluated only right of their terminal a."""
+    if not t > a:
+        raise ValueError(f"t={t!r} must lie right of the terminal {a!r}")
 
 
 def operator_value(
@@ -58,11 +65,88 @@ def operator_value(
     order: Order | float,
     t: float,
     caputo: bool = False,
-    rg_memo: dict | None = None,
+    memo: dict | None = None,
 ) -> float:
-    """The value at t > a of :func:`operator_terms`, summed without a series."""
-    terms = operator_terms(f, as_order(order), caputo, rg_memo)
-    return sum_terms(terms, t - f.center, f.radius_hint, f.complete)
+    """The value at t > a of :func:`operator_terms`, summed without a series.
+
+    It is ``sum_terms(operator_terms(...))`` bit for bit, refusals
+    included. A non-integer order takes :func:`_slot_sum`, which reads
+    *memo*; a sum that it cannot finish, and data summed at or past its
+    radius, take the term-list route, which states the refusal.
+
+    Raises:
+        ValueError: for t at or left of the terminal f.center, and as
+            :func:`slot_terms`.
+        GammaRangeError: as :func:`slot_terms`.
+        DivergenceError: as :func:`series.sum_terms`.
+    """
+    check_right_of_terminal(t, f.center)
+    ord_ = as_order(order)
+    x = t - f.center
+    if not ord_.is_integer and (f.complete or f.radius_hint is None or x < f.radius_hint):
+        k0 = ord_.n if caputo else 0
+        total = _slot_sum(f, ord_.alpha, k0, x, {} if memo is None else memo)
+        if total is not None:
+            return total
+    return sum_terms(operator_terms(f, ord_, caputo), x, f.radius_hint, f.complete)
+
+
+def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> float | None:
+    """The sum over k >= k0 of f^(k)(a)/Gamma(k+1-alpha) * x^(k-alpha) in one
+    pass that keeps no term list, or None when it is not finite.
+
+    Each slot with a nonzero coefficient adds its term with the float
+    operations of ``sum_terms(slot_terms(...))``, in the same order, and
+    the tail test reads the last two of them. *memo* maps a Gamma argument
+    k+1-alpha to ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha
+    is slot k-1's argument, so only the first slot's power is computed
+    directly. Callers that sum many orders at one x pass one memo to all
+    of them, so that each argument is evaluated once; a memo serves one x.
+
+    Raises:
+        ValueError: for truncated data that keeps fewer than two slots.
+        GammaRangeError: as :func:`slot_terms`, in slot order.
+        DivergenceError: when the sum of truncated data fails the tail test.
+    """
+    k1 = f.truncation + 1
+    check_slots(f, alpha, k0, k1, f.complete)
+    derivs = f.derivs
+    power = _power(x, k0 - alpha)
+    total = 0.0
+    prev = last = None
+    for k in range(k0, k1):
+        arg = k + 1 - alpha
+        if (entry := memo.get(arg)) is None:
+            entry = memo[arg] = (recip_gamma(arg), _power(x, arg))
+        rg, next_power = entry
+        d = derivs[k]
+        if rg == 0.0 and d != 0.0 and arg > 0.0:
+            raise _gamma_range_error(alpha, k, arg)
+        c = d * rg
+        if c != 0.0:
+            prev, last = last, c * power
+            total += last
+        power = next_power
+    if not math.isfinite(total):  # a term is not finite, or a power overflowed
+        return None
+    if prev is not None:
+        check_tail([prev, last], total, f.complete)
+    return total
+
+
+def _power(x: float, e: float) -> float:
+    """x**e, with inf for a power that overflows: a nonzero term that uses
+    it makes the sum non-finite."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+def _gamma_range_error(alpha: float, k: int, arg: float) -> GammaRangeError:
+    return GammaRangeError(
+        f"order {alpha} divides f^({k}) by Gamma({arg!r}), which is beyond the double range"
+    )
 
 
 def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
@@ -102,21 +186,13 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
 
 
 def slot_terms(
-    f: TaylorSeries,
-    alpha: float,
-    k0: int,
-    k1: int,
-    complete: bool,
-    rg_memo: dict | None = None,
+    f: TaylorSeries, alpha: float, k0: int, k1: int, complete: bool
 ) -> list[tuple[float, float]]:
     """The nonzero terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for
     k0 <= k < k1.
 
     Their exponents rise by about 1, so no two of them merge: dropping
     the zeros (pole slots and zero data) is the whole canonical form.
-    *rg_memo* maps each argument k+1-alpha to its 1/Gamma; callers summing
-    many orders whose arguments repeat pass one memo to all of them, so
-    that each argument is evaluated once.
 
     Raises:
         ValueError: for truncated data that keeps fewer than two slots.
@@ -127,18 +203,13 @@ def slot_terms(
             slot has passed the Gamma checks.
     """
     check_slots(f, alpha, k0, k1, complete)
-    memo = {} if rg_memo is None else rg_memo
     terms = []
     for k in range(k0, k1):
         arg = k + 1 - alpha
-        if (rg := memo.get(arg)) is None:
-            rg = memo[arg] = recip_gamma(arg)
+        rg = recip_gamma(arg)
         d = f.derivs[k]
         if rg == 0.0 and d != 0.0 and arg > 0.0:
-            raise GammaRangeError(
-                f"order {alpha} divides f^({k}) by Gamma({arg!r}), which is beyond "
-                "the double range"
-            )
+            raise _gamma_range_error(alpha, k, arg)
         c = d * rg
         if c != 0.0:
             terms.append((c, k - alpha))

@@ -100,10 +100,17 @@ def gen_binom(alpha: float, k: int) -> float:
     Computed as alpha(alpha-1)...(alpha-k+1)/k!, never as a ratio of
     gammas, so that a non-negative integer *alpha* with k > alpha yields
     a bitwise 0.0 (one factor is exactly alpha - alpha).
+
+    Raises:
+        GammaRangeError: for k > 170, whose k! is beyond the double range.
     """
     alpha = _check_finite(alpha, "alpha")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if k > 170:
+        raise GammaRangeError(
+            f"gen_binom({alpha!r}, {k}) divides by {k}!, which is beyond the double range"
+        )
     num = 1.0
     for j in range(k):
         num *= alpha - j

@@ -391,6 +391,9 @@ def test_installed_script_runs():
         # both printed 0 with exit 0: 1/Gamma past 171.6 read as a pole
         ["oracle", "exp:1", "--alpha", "-200", "--grid", "20:20:1"],
         ["laplace", "power:200", "--op", "rl-der", "--alpha", "0.5"],
+        # gen_binom(0.5, 171) ended in an OverflowError traceback from 171!
+        ["leibniz", "--f", "exp:1", "--g", "poly:1", "--alpha", "0.5", "--t", "1",
+         "--trunc", "200", "--rule", "rl"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -634,7 +637,7 @@ _GRID = st.builds(
     lambda lo, hi, count: f"--grid={lo}:{hi}:{count}",
     _NUMBERS, _NUMBERS, st.integers(-1, 3),
 )
-_TRUNC = st.integers(-1, 64).map(lambda n: f"--trunc={n}")
+_TRUNC = st.integers(-1, 200).map(lambda n: f"--trunc={n}")
 
 
 def _opt(flag, values=_NUMBERS):

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +10,20 @@ from fracseries.operators import (
     caputo_local_form,
     frac_differintegral,
     integer_limit_check,
+    operator_terms,
     operator_value,
     rl_caputo_bridge,
     rl_differintegral,
     rl_local_form,
 )
+from fracseries.grammar import GrammarError, parse_function_spec
 from fracseries.series import (
     DivergenceError,
     FracPowerSeries,
     TaylorSeries,
+    as_order,
     series_from_catalog,
+    sum_terms,
 )
 from fracseries.special import GammaRangeError
 
@@ -267,6 +273,77 @@ def test_operator_value_names_a_term_that_overflows_by_multiplication():
     f = series_from_catalog("poly", [1.0e300, 1.0e300], 0.0, 4)
     with pytest.raises(DivergenceError, match=r"\^0\.5 "):
         operator_value(f, 0.5, 1.0e20)
+
+
+@pytest.mark.parametrize("order", [0.5, -0.5, 2, -1, 150.5])
+@pytest.mark.parametrize("t", [0.5, 0.0, -3.0])
+def test_operator_value_refuses_t_at_or_left_of_the_terminal(order, t):
+    # t < a summed complex powers (TypeError), and t = a divided by zero at
+    # negative exponents or returned a value
+    f = series_from_catalog("exp", [1.0], 0.5, 8)
+    with pytest.raises(ValueError, match=re.escape(f"t={t!r} must lie right of the terminal 0.5")):
+        operator_value(f, order, t)
+
+
+def _outcome(thunk):
+    """A value as its bits, or a refusal as its type and message."""
+    try:
+        return thunk().hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_DIFF_DATA = [
+    *(
+        (spec, a)
+        for spec in ("exp:1", "exp:-2", "sin:3", "cos:-2+poly:0,1", "poly:1,2,3", "const:2",
+                     "shifted-poly:0,0,1")
+        for a in (-1.0, 0.0, 0.5, 1.0)
+    ),
+    # power data about a has radius a: most t lie at or past it
+    *((spec, a) for spec in ("power:0.5", "exp:-1+power:2.5") for a in (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("spec, a", _DIFF_DATA)
+def test_operator_value_is_the_term_list_sum_bit_for_bit(spec, a):
+    # the term-list route is the reference for the one-pass sum: the same
+    # value bit for bit, or the same refusal, with one memo shared by every
+    # order at one t as a product-rule report shares it
+    orders = (0, 3, -2, 0.5, -0.5, 1.5, 2.25, -2.75, 150.5, -178.5, 171.3)
+    for trunc in (1, 2, 7, 33, 64):
+        try:
+            f = parse_function_spec(spec, a, trunc)
+        except GrammarError:  # a polynomial of higher degree than the truncation
+            continue
+        for dt in (1e-3, 0.5, 1.0, 2.5, 40.0, 1e20):
+            t, memo = a + dt, {}
+            for order in orders:
+                for caputo in (False, True):
+                    want = _outcome(lambda: sum_terms(
+                        operator_terms(f, as_order(order), caputo), t - a, f.radius_hint,
+                        f.complete))
+                    got = _outcome(lambda: operator_value(f, order, t, caputo, memo))
+                    assert got == want, (spec, a, trunc, t, order, caputo)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operator_value_matches_the_term_list_sum_on_extreme_data(seed):
+    # zeros, +-1e300 and subnormals: terms that are not finite, sums that
+    # leave the double range and powers that overflow take the term-list
+    # route, which must refuse exactly as before
+    r = random.Random(seed)
+    for _ in range(150):
+        derivs = [r.choice([0.0, 1.0, -3.0, 1.0e300, -1.0e300, 5.0e-324, r.uniform(-9.0, 9.0)])
+                  for _ in range(r.randint(1, 40))]
+        a = r.choice([-1.0, 0.0, 0.5, 1.0])
+        f = TaylorSeries(a, derivs, r.choice([None, 0.5, 2.0]), r.random() < 0.3)
+        t = a + r.choice([1e-3, 0.4, 1.0, 3.0, 1e20])
+        order = r.choice([1, -2, 0.5, -0.5, 2.25, 150.5, -178.5, 171.3])
+        caputo = r.random() < 0.5
+        want = _outcome(lambda: sum_terms(
+            operator_terms(f, as_order(order), caputo), t - a, f.radius_hint, f.complete))
+        assert _outcome(lambda: operator_value(f, order, t, caputo)) == want, (derivs, a, t, order)
 
 
 def test_frac_differintegral_power_rule():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracseries.special import (
+    GammaRangeError,
     gamma_real,
     gamma_ratio,
     gen_binom,
@@ -106,6 +107,16 @@ def test_gen_binom_matches_comb_for_integers():
     for n in range(0, 12):
         for k in range(0, n + 1):
             assert gen_binom(float(n), k) == float(math.comb(n, k))
+
+
+def test_gen_binom_past_170_is_a_gamma_range_error():
+    # k! is beyond the double range from k = 171 on: it was a bare
+    # OverflowError from the int-to-float conversion
+    want = math.gamma(1.5) / (math.gamma(171) * math.gamma(-168.5))
+    assert gen_binom(0.5, 170) == pytest.approx(want, rel=1e-12)
+    for alpha, k in ((0.5, 171), (2.0, 171), (-1.5, 200)):
+        with pytest.raises(GammaRangeError, match=rf"gen_binom\({alpha!r}, {k}\) divides by {k}!"):
+            gen_binom(alpha, k)
 
 
 def test_gen_binom_negative_k():
