@@ -11,6 +11,7 @@ golden check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,56 +64,57 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _result_text(r: EvalResult) -> str:
-    if r.is_finite:
-        return f"{r.value:.17g}"
-    return "inf" if r.sign > 0 else "-inf"
+def _result_text(value: float) -> str:
+    return f"{value:.17g}"  # inf and -inf print as such
 
 
-def _result_json(r: EvalResult):
-    if r.is_finite:
-        return r.value
-    return _result_text(r)
+def _result_json(value: float):
+    return value if math.isfinite(value) else _result_text(value)
 
 
-def _print_rows(args, rows: list[tuple[float, EvalResult]]) -> None:
+def _print_rows(args, grid: list[float], values: list[float]) -> None:
     if args.format == "json":
         payload = {
             "alpha": args.alpha,
             "a": args.a,
-            "rows": [{"t": t, "value": _result_json(r)} for t, r in rows],
+            "rows": [{"t": t, "value": _result_json(v)} for t, v in zip(grid, values)],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
         print("t,value")
-        for t, r in rows:
-            print(f"{t:.17g},{_result_text(r)}")
+        for t, v in zip(grid, values):
+            print(f"{t:.17g},{_result_text(v)}")
 
 
 def cmd_eval(args) -> int:
     op = caputo_derivative if args.definition == "caputo" else rl_differintegral
-    return _grid_command(args, lambda f: op(f, args.alpha).evaluate, strict=False)
+    return _grid_command(args, lambda f: op(f, args.alpha).evaluate_grid, strict=False)
 
 
 def cmd_oracle(args) -> int:
     quad = caputo_quad if args.definition == "caputo" else rl_derivative_quad
 
+    # EvalResult.finite refuses a value that is not finite: an integer order's
+    # Taylor sum, or Caputo plus the bridge, can overflow
     def build(f):
-        return lambda t: EvalResult.finite(quad(f, args.alpha, t, rel_tol=args.tol))
+        return lambda grid: [
+            EvalResult.finite(quad(f, args.alpha, t, rel_tol=args.tol)).value for t in grid
+        ]
 
     return _grid_command(args, build, strict=True)
 
 
 def _grid_command(args, build, strict: bool) -> int:
-    """Print build(f) on the grid, which must start right of the terminal
-    a, or at it unless *strict* (quadrature needs t > a)."""
+    """Print build(f)(grid), the values on the grid, which must start
+    right of the terminal a, or at it unless *strict* (quadrature needs
+    t > a)."""
     f = parse_function_spec(args.fspec, center=args.a, truncation=args.trunc)
-    value = build(f)
+    values = build(f)
     grid = _parse_grid(args.grid)
     if grid[0] < args.a or (strict and grid[0] == args.a):
         where = "at or left of" if strict else "left of"
         raise GrammarError(f"grid starts at {grid[0]} {where} the terminal a={args.a}")
-    _print_rows(args, [(t, value(t)) for t in grid])
+    _print_rows(args, grid, values(grid))
     return EXIT_OK
 
 
@@ -120,14 +122,16 @@ def cmd_leibniz(args) -> int:
     f = parse_function_spec(args.f, center=args.a, truncation=args.trunc)
     g = parse_function_spec(args.g, center=args.a, truncation=args.trunc)
     report = leibniz_report(f, g, args.alpha, args.t, rule=args.rule, trunc=args.trunc)
+    rule_value = report.rule_value.expect_finite()
+    reference_value = report.reference_value.expect_finite()
     if args.format == "json":
         payload = {
             "rule": args.rule,
             "alpha": args.alpha,
             "a": args.a,
             "t": args.t,
-            "rule_value": _result_json(report.rule_value),
-            "reference_value": _result_json(report.reference_value),
+            "rule_value": _result_json(rule_value),
+            "reference_value": _result_json(reference_value),
             "residual": report.residual,
             "correction": report.correction_value,
             "terms_used": report.terms_used,
@@ -135,8 +139,8 @@ def cmd_leibniz(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"rule            {args.rule}")
-        print(f"rule value      {_result_text(report.rule_value)}")
-        print(f"reference value {_result_text(report.reference_value)}")
+        print(f"rule value      {_result_text(rule_value)}")
+        print(f"reference value {_result_text(reference_value)}")
         print(f"residual        {report.residual:.17g}")
         print(f"correction (R1) {report.correction_value:.17g}")
         print(f"terms used      {report.terms_used}")
@@ -283,7 +287,9 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="fracseries",
         description="Series-based fractional calculus with Laplace and "

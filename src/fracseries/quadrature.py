@@ -135,7 +135,8 @@ def rl_integral_fixed(
 
     Raises:
         GammaRangeError: when Gamma(alpha) is beyond the double range.
-        DivergenceError: when ((t - a)/2)^alpha is.
+        DivergenceError: when the weighted sum, ((t - a)/2)^alpha or the
+            value is.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
@@ -148,14 +149,23 @@ def rl_integral_fixed(
     x, w = _jacobi_rule(float(alpha), int(nodes))
     mid = 0.5 * (a + t)
     half = 0.5 * (t - a)
-    total = math.fsum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+    try:
+        total = math.fsum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+    except OverflowError:  # an intermediate sum overflowed
+        total = math.inf
     try:
         scale = half**alpha
     except OverflowError:
         raise DivergenceError(
             f"((t - a)/2)^alpha = {half!r}^{alpha!r} is beyond the double range"
         ) from None
-    return scale * total * rg
+    value = scale * total * rg
+    if not math.isfinite(value):
+        raise DivergenceError(
+            f"the {nodes}-node Gauss-Jacobi sum of order {alpha!r} at t = {t!r} is "
+            "beyond the double range"
+        )
+    return value
 
 
 def rl_integral_quad(

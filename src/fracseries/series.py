@@ -3,8 +3,9 @@
 Analytic functions are carried around as Taylor data (raw derivative
 values ``f^(k)(a)``, not divided by ``k!``), and the fractional operators
 produce formal sums of real-exponent powers of ``(t - a)``. Evaluation of
-such a sum returns an :class:`EvalResult` so that the blow-up at the
-lower terminal is a value, not an exception.
+such a sum returns an :class:`EvalResult` (on a grid, a float that is
+inf or -inf there) so that the blow-up at the lower terminal is a value,
+not an exception.
 """
 
 from __future__ import annotations
@@ -278,6 +279,32 @@ class FracPowerSeries:
     def evaluate(self, t: float) -> EvalResult:
         return eval_frac_series(self, t)
 
+    def evaluate_grid(self, ts) -> list[float]:
+        """The values at the points *ts*, vetted and summed in order.
+
+        At the center the value is classified by the least exponent: all
+        positive -> 0.0; zero -> the leading coefficient; negative -> inf
+        with the sign of the leading coefficient. Elsewhere it is
+        :func:`sum_terms`.
+
+        Raises:
+            ValueError: at the first t < center (the operators never look
+                left of the lower terminal).
+            DivergenceError: as :func:`sum_terms`, at the first point that
+                fails.
+        """
+        a, terms, radius, complete = self.center, self.terms, self.radius_hint, self.complete
+        values = []
+        for t in ts:
+            if t < a:
+                raise ValueError(f"t={t!r} is left of the center {a!r}")
+            x = t - a
+            if x == 0.0 and terms:
+                values.append(_terminal_value(terms[0]))
+            else:
+                values.append(sum_terms(terms, x, radius, complete))
+        return values
+
     def scaled(self, factor: float) -> FracPowerSeries:
         return FracPowerSeries(
             self.center,
@@ -341,40 +368,38 @@ def _min_radius(a: float | None, b: float | None) -> float | None:
 
 
 def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
-    """Evaluate a fractional power series at ``t >= center``.
-
-    At the center itself the result is classified by the least exponent:
-    all positive -> Finite(0); zero -> Finite(leading coeff);
-    negative -> Infinite with the sign of the leading coefficient.
+    """Evaluate a fractional power series at ``t >= center``: the one-point
+    case of :meth:`FracPowerSeries.evaluate_grid`, whose infinite value at
+    the center becomes ``Infinite``.
 
     Raises:
-        ValueError: for t < center (the operators never look left of
-            the lower terminal).
+        ValueError: for t < center.
         DivergenceError: when a truncated series fails the tail test,
             t lies outside the known convergence radius, or a term or the
             sum leaves the double range.
     """
-    if t < series.center:
-        raise ValueError(f"t={t!r} is left of the center {series.center!r}")
+    (value,) = series.evaluate_grid((t,))
+    if math.isinf(value):
+        return EvalResult.infinite(1 if value > 0.0 else -1)
+    return EvalResult.finite(value)
 
-    x = t - series.center
-    if x == 0.0 and series.terms:
-        c0, e0 = series.terms[0]
-        if abs(e0) <= EXPONENT_MERGE_TOL:
-            return EvalResult.finite(c0)
-        if e0 < 0.0:
-            return EvalResult.infinite(1 if c0 > 0 else -1)
-        return EvalResult.finite(0.0)
-    return EvalResult.finite(
-        sum_terms(series.terms, x, series.radius_hint, series.complete)
-    )
+
+def _terminal_value(lead: tuple[float, float]) -> float:
+    """The value at the center of canonical terms led by *lead*."""
+    c0, e0 = lead
+    if abs(e0) <= EXPONENT_MERGE_TOL:
+        return c0
+    if e0 < 0.0:
+        return math.copysign(math.inf, c0)
+    return 0.0
 
 
 def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
     """Sum of c * x**e over canonical terms at x = t - center > 0.
 
-    This is the summation of :func:`eval_frac_series` and its verdicts;
-    callers that hold the terms without a series use it directly.
+    This is the summation of :meth:`FracPowerSeries.evaluate_grid` and its
+    verdicts; callers that hold the terms without a series use it directly.
+    The tail test reads the last two terms as the pass computed them.
 
     Raises:
         DivergenceError: when truncated terms are summed outside the
@@ -390,17 +415,21 @@ def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
 
     total = 0.0
     try:
-        for c, e in terms:
+        for c, e in terms[:-2]:
             total += c * x**e
+        tail = [c * x**e for c, e in terms[-2:]]
     except OverflowError:
         total = math.inf
+    else:
+        for term in tail:
+            total += term
     if not math.isfinite(total):
         c, e = _diverging_term(terms, x)
         raise DivergenceError(
             f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
             f"range at t - center = {x!r}"
         )
-    check_tail([c * x**e for c, e in terms[-2:]], total, complete)
+    check_tail(tail, total, complete)
     return total
 
 

@@ -394,6 +394,9 @@ def test_installed_script_runs():
         # gen_binom(0.5, 171) ended in an OverflowError traceback from 171!
         ["leibniz", "--f", "exp:1", "--g", "poly:1", "--alpha", "0.5", "--t", "1",
          "--trunc", "200", "--rule", "rl"],
+        # the quadrature's weighted sum overflowed in fsum, or read inf
+        ["oracle", "poly:0,1e308", "--alpha", "0.5", "--grid", "1:1:1"],
+        ["oracle", "poly:0,1e307", "--alpha", "0.5", "--grid", "1e3:1e3:1"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -440,6 +443,25 @@ def test_oracle_overflowing_tail_is_numeric_failure(capsys, argv):
     assert code == 3
     assert out == ""
     assert "t - center = 1e+" in err and "Taylor truncation 64" in err
+
+
+@pytest.mark.parametrize(
+    "argv, t",
+    [
+        # an OverflowError traceback from math.fsum
+        (["oracle", "poly:0,1e308", "--alpha", "0.5", "--grid", "1:1:1"], "1.0"),
+        # inf on every pass, doubled to 1024 nodes and refused on "last change nan"
+        (["oracle", "poly:0,1e307", "--alpha", "0.5", "--grid", "1e3:1e3:1"], "1000.0"),
+    ],
+)
+def test_oracle_weighted_sum_beyond_the_double_range_is_numeric_failure(capsys, argv, t):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"numerical failure: the 16-node Gauss-Jacobi sum of order 0.5 at t = {t} is "
+        "beyond the double range\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -679,3 +701,33 @@ def test_every_invocation_exits_0_2_or_3_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_repeated_calls_in_one_process_match_a_fresh_process(monkeypatch):
+    # the parser is built once per process; no call may leave state in it
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["eval", "const:1", "--alpha", "0.5", "--grid", "0:1:3", "--format", "json"],
+        ["oracle", "exp:1", "--alpha", "0.5", "--grid", "0.5:2:3", "--def", "caputo"],
+        ["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha", "0.5", "--t", "1"],
+    ]
+    usage_error = ["eval", "exp:1", "--grid", "0:1:2"]  # no --alpha
+    first = [_in_process(argv) for argv in runs]
+    assert _in_process(usage_error)[0] == 2
+    second = [_in_process(argv) for argv in runs]
+    assert first == second
+    for argv, got in zip(runs + [usage_error], first + [_in_process(usage_error)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracseries.cli", *argv], capture_output=True
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -399,3 +399,64 @@ def test_non_finite_terms_are_named():
         FracPowerSeries(0.0, ((1.0, 1.0), (math.inf, 2.0)))
     # zero coefficients are dropped before the check
     assert FracPowerSeries(0.0, ((0.0, math.inf), (1.0, 1.0))).terms == ((1.0, 1.0),)
+
+
+# --- grid evaluation ---------------------------------------------------------
+
+
+def _pointwise(series, ts):
+    """eval_frac_series at each t in turn, Infinite(+1) and Infinite(-1)
+    read as inf and -inf; the first refusal propagates."""
+    out = []
+    for t in ts:
+        r = eval_frac_series(series, t)
+        out.append(r.value if r.is_finite else math.copysign(math.inf, r.sign))
+    return out
+
+
+def _outcome(call):
+    try:
+        values = call()
+    except (ValueError, DivergenceError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in values]
+
+
+_GRID_CASES = [
+    # t = center with a lead exponent of 0, below 0 and above 0
+    (FracPowerSeries(1.0, ((3.0, 0.0), (1.0, 0.5))), [1.0, 1.5, 2.0]),
+    (FracPowerSeries(1.0, ((3.0, -0.5), (1.0, 0.5))), [1.0, 1.25]),
+    (FracPowerSeries(1.0, ((-3.0, -0.5),)), [1.0, 4.0]),
+    (FracPowerSeries(1.0, ((3.0, 0.5),)), [1.0, 2.0]),
+    # the empty series, at and right of the center
+    (FracPowerSeries(0.5), [0.5, 1.0, 1e300]),
+    # the radius edge: the last point sits on it
+    (FracPowerSeries(0.0, tuple((0.5**k, float(k)) for k in range(80)),
+                     radius_hint=2.0, complete=False), [0.0, 0.5, 1.0, 2.0]),
+    # an overflowing term, after points that sum
+    (FracPowerSeries(0.0, ((1.0e300, 0.0), (1.0e300, 2.0))), [0.0, 1.0, 1.0e5, 2.0]),
+    # a failing tail test at the second point
+    (FracPowerSeries(0.0, tuple((0.9**k, float(k)) for k in range(12)),
+                     radius_hint=1.2, complete=False), [0.01, 1.0, 0.02]),
+    # t < center in the middle of the grid, after a terminal point
+    (FracPowerSeries(1.0, ((2.0, -0.5), (1.0, 1.5))), [1.0, 2.0, 0.5, 3.0]),
+    # a refusal at the first point comes before a later one
+    (FracPowerSeries(0.0, tuple((0.9**k, float(k)) for k in range(12)),
+                     radius_hint=1.2, complete=False), [1.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("series, ts", _GRID_CASES)
+def test_grid_evaluation_is_pointwise_evaluation(series, ts):
+    assert _outcome(lambda: series.evaluate_grid(ts)) == _outcome(lambda: _pointwise(series, ts))
+
+
+def test_grid_evaluation_refuses_at_the_first_failing_point():
+    s = FracPowerSeries(1.0, ((2.0, -0.5), (1.0, 1.5)))
+    with pytest.raises(ValueError, match=r"t=0\.5 is left of the center 1\.0"):
+        s.evaluate_grid([1.0, 2.0, 0.5, 0.25])
+    tail = FracPowerSeries(0.0, tuple((0.9**k, float(k)) for k in range(12)),
+                           radius_hint=1.2, complete=False)
+    with pytest.raises(DivergenceError, match="tail terms"):
+        tail.evaluate_grid([0.01, 1.0, -1.0])
+    assert tail.evaluate_grid([]) == []
