@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .series import (
     DivergenceError,
@@ -58,9 +59,9 @@ def _fmt_num(x: float) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
-class LaplaceTerm:
-    """One term coeff * s^(-power) of a :class:`LaplaceExpr`."""
+class LaplaceTerm(NamedTuple):
+    """One term coeff * s^(-power) of a :class:`LaplaceExpr`: a
+    ``(coeff, power)`` pair."""
 
     coeff: float
     power: float
@@ -72,8 +73,9 @@ class LaplaceExpr:
 
     At ``shift == 0`` a term is coeff * s^(-power). A ``shift = a < 0``
     multiplies every term by e^(-a*s) Upsilon(power, -a*s); a positive
-    shift is refused. Construction canonicalizes the term list
-    (:func:`series.canonical_terms`), so structurally equal expressions
+    shift is refused. Construction canonicalizes the ``(coeff, power)``
+    pairs once (:func:`series.canonical_terms`) and wraps each canonical
+    pair in a :class:`LaplaceTerm`, so structurally equal expressions
     compare equal. A transform of truncated data has ``complete=False``:
     its values face the tail test.
     """
@@ -91,8 +93,8 @@ class LaplaceExpr:
                 f"shift {self.shift!r} > 0 has no standard transform; "
                 "use generalized_laplace"
             )
-        terms = canonical_terms((float(t.coeff), float(t.power)) for t in self.terms)
-        object.__setattr__(self, "terms", tuple([LaplaceTerm(*t) for t in terms]))
+        terms = canonical_terms((float(c), float(p)) for c, p in self.terms)
+        object.__setattr__(self, "terms", tuple(map(LaplaceTerm._make, terms)))
 
     @property
     def is_singular(self) -> bool:
@@ -116,8 +118,7 @@ class LaplaceExpr:
     def scaled(self, factor: float) -> LaplaceExpr:
         if self.is_singular:
             raise ValueError("cannot scale a singular transform")
-        terms = (LaplaceTerm(t.coeff * factor, t.power) for t in self.terms)
-        return replace(self, terms=tuple(terms))
+        return replace(self, terms=tuple([(c * factor, p) for c, p in self.terms]))
 
     def evaluate(self, s: float) -> float:
         """Numeric value at real s > 0; refused for singular expressions.
@@ -131,15 +132,17 @@ class LaplaceExpr:
         if not s > 0:
             raise ValueError(f"s must be > 0, got {s!r}")
         # a shifted term carries e^q inside e^q Upsilon(p, q), q = -shift*s,
-        # which stays in range where e^q and Upsilon(p, q) alone do not
+        # which stays in range where e^q and Upsilon(p, q) alone do not; the
+        # terms share q, and so one memo of its powers
         q = -self.shift * s
+        memo: dict = {}
         total = 0.0
         values = []
         try:
-            for t in self.terms:
-                v = t.coeff * s ** (-t.power)
+            for c, p in self.terms:
+                v = c * s ** (-p)
                 if self.shift:
-                    v *= upsilon_scaled(t.power, q)
+                    v *= upsilon_scaled(p, q, memo)
                 total += v
                 values.append(v)
         except (OverflowError, GammaRangeError):
@@ -155,12 +158,13 @@ class LaplaceExpr:
             return f"SINGULAR({self.singular})"
         if not self.terms:
             return "0"
+        a = _fmt_num(self.shift)
         parts = []
-        for t in self.terms:
-            piece = f"{_fmt_num(t.coeff)} * s^(-{_fmt_num(t.power)})"
+        for c, p in self.terms:
+            power = _fmt_num(p)
+            piece = f"{_fmt_num(c)} * s^(-{power})"
             if self.shift:
-                a = _fmt_num(self.shift)
-                piece += f" * e^(-({a})*s) * Upsilon({_fmt_num(t.power)}, -({a})*s)"
+                piece += f" * e^(-({a})*s) * Upsilon({power}, -({a})*s)"
             parts.append(piece)
         return " + ".join(parts)
 
@@ -168,10 +172,10 @@ class LaplaceExpr:
         if self.is_singular:
             return {"shift": self.shift, "terms": [], "singular": self.singular}
         terms = []
-        for t in self.terms:
-            item = {"coeff": t.coeff, "power": t.power}
+        for c, p in self.terms:
+            item = {"coeff": c, "power": p}
             if self.shift:
-                item["upsilon_arg"] = t.power
+                item["upsilon_arg"] = p
             terms.append(item)
         out = {"shift": self.shift, "terms": terms}
         if not self.complete:
@@ -193,13 +197,13 @@ class LaplaceExpr:
         shift = float(data.get("shift", 0.0))
         terms = []
         for t in data.get("terms", []):
-            term = LaplaceTerm(float(t["coeff"]), float(t["power"]))
-            if t.get("upsilon_arg") != (term.power if shift else None):
+            power = float(t["power"])
+            if t.get("upsilon_arg") != (power if shift else None):
                 raise ValueError(
                     f"term {t!r} at shift {shift!r}: a term carries Upsilon exactly "
                     "at a negative shift, with upsilon_arg equal to its power"
                 )
-            terms.append(term)
+            terms.append((float(t["coeff"]), power))
         return cls(
             shift=shift,
             terms=tuple(terms),
@@ -248,8 +252,8 @@ def laplace_power(mu: float, a: float = 0.0) -> LaplaceExpr:
     if mu <= -1.0:
         return LaplaceExpr(singular=f"mu={_fmt_num(mu)}")
     if a == 0.0:
-        return LaplaceExpr(0.0, (LaplaceTerm(_gamma(mu + 1.0), mu + 1.0),))
-    return LaplaceExpr(a, (LaplaceTerm(1.0, mu + 1.0),))
+        return LaplaceExpr(0.0, ((_gamma(mu + 1.0), mu + 1.0),))
+    return LaplaceExpr(a, ((1.0, mu + 1.0),))
 
 
 def _taylor_transform(
@@ -285,7 +289,7 @@ def _taylor_transform(
         p = k + 1.0 - beta
         if p <= 0.0 and f.derivs[k] != 0.0:
             return LaplaceExpr(singular=f"k={k}")
-        terms.append(LaplaceTerm(f.derivs[k] * recip_gamma(p) if tail else f.derivs[k], p))
+        terms.append((f.derivs[k] * recip_gamma(p) if tail else f.derivs[k], p))
     return LaplaceExpr(shift if tail else 0.0, tuple(terms), complete=f.complete)
 
 
@@ -351,7 +355,7 @@ def _power_sum_transform(series: FracPowerSeries, delta: float, name: str) -> La
             continue
         if e + delta <= -1.0:
             return LaplaceExpr(singular=_offender(e))
-        terms.append(LaplaceTerm(c * _gamma(e + 1.0), p))
+        terms.append((c * _gamma(e + 1.0), p))
     return LaplaceExpr(0.0, tuple(terms), complete=series.complete)
 
 
@@ -415,13 +419,10 @@ def frequency_derivative(expr: LaplaceExpr, m: int) -> LaplaceExpr:
         raise ValueError(
             "frequency differentiation is only supported for zero-instant expressions"
         )
-    if any(t.power <= 0 for t in expr.terms):
+    if any(p <= 0 for _, p in expr.terms):
         raise ValueError("all powers must be positive")
     sign = -1.0 if m % 2 else 1.0
-    terms = (
-        LaplaceTerm(sign * t.coeff * pochhammer(t.power, m), t.power + m)
-        for t in expr.terms
-    )
+    terms = [(sign * c * pochhammer(p, m), p + m) for c, p in expr.terms]
     return replace(expr, terms=tuple(terms))
 
 
@@ -455,8 +456,8 @@ def frequency_differentiation_check(
     left = FracPowerSeries(
         0.0,
         tuple(
-            (t.coeff * recip_gamma(t.power + alpha), t.power + alpha - 1.0)
-            for t in weighted.terms
+            (c * recip_gamma(p + alpha), p + alpha - 1.0)
+            for c, p in weighted.terms
         ),
         complete=f.complete,
     )

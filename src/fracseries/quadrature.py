@@ -254,6 +254,10 @@ def caputo_quad(
     exact classical derivative. Negative orders fall through to the
     plain memory integral (n = 0). Every order faces the same vetting of
     the data (:func:`_checked_callable`).
+
+    Raises:
+        DivergenceError: when an integer order's derivative at t is beyond
+            the double range, and as :func:`rl_integral_quad`.
     """
     ord_ = as_order(order)
     if not t > f.center:
@@ -262,7 +266,13 @@ def caputo_quad(
         )
     g = _checked_callable(f, ord_, t)
     if ord_.is_integer and ord_.alpha >= 0:
-        return g(t)
+        value = g(t)
+        if not math.isfinite(value):
+            raise DivergenceError(
+                f"the derivative of order {ord_.alpha!r} at t = {t!r} is beyond the "
+                "double range"
+            )
+        return value
     return rl_integral_quad(g, ord_.n - ord_.alpha, f.center, t, nodes, rel_tol)
 
 
@@ -278,8 +288,18 @@ def rl_derivative_quad(
     Differentiating the quadrature n times would be hopeless numerically;
     the bridge identity converts the task into caputo_quad plus an
     explicit finite sum.
+
+    Raises:
+        DivergenceError: when the sum is beyond the double range, and as
+            :func:`caputo_quad`.
     """
     ord_ = as_order(order)
     base = caputo_quad(f, ord_, t, nodes, rel_tol)
     bridge = rl_caputo_bridge(f, ord_).evaluate(t).expect_finite()
-    return base + bridge
+    value = base + bridge
+    if not math.isfinite(value):
+        raise DivergenceError(
+            f"the Caputo value {base!r} plus the bridge {bridge!r} of order {ord_.alpha!r} "
+            f"at t = {t!r} is beyond the double range"
+        )
+    return value

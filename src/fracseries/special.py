@@ -196,6 +196,11 @@ _SMALL_P_Q = 1.5
 #: Integer p beyond it takes the routes of non-integer p.
 _CLOSED_FORM_P_MAX = 171
 
+#: Integer p at q < 0 sums Gamma(p) minus the lower integral where the
+#: closed form's alternating terms outgrow the value by more than this factor,
+#: and refuses where those two parts do: a loss of at most 3 bits either way.
+_CANCEL_MAX = 8.0
+
 #: Terms allowed to the continued fraction. For q >= p + 1 or q >= 1.5 it
 #: converges in under 100 terms while p stays below 1000; near q = p it
 #: needs about sqrt(p)/3.
@@ -220,29 +225,35 @@ def upsilon(p: float, q: float) -> float:
     """Tail integral of the gamma integrand: int_q^inf tau^(p-1) e^(-tau) dtau.
 
     Normalized so that upsilon(p, 0) = Gamma(p). Integer p admits any
-    real q through the exact finite antiderivative; non-integer p
-    requires q >= 0 (negative bases have no real power).
+    real q; non-integer p requires q >= 0 (negative bases have no real
+    power).
 
     Raises:
         GammaRangeError: if the value is beyond the double range.
+        ValueError: for integer p and q < 0 where Gamma(p) and gamma(p, q)
+            cancel in the value to under 1/8 of the larger (near a zero of
+            the value, which even p has).
     """
-    return _upsilon(p, q, scaled=False)
+    return _upsilon(p, q, False, None)
 
 
-def upsilon_scaled(p: float, q: float) -> float:
+def upsilon_scaled(p: float, q: float, memo: dict | None = None) -> float:
     """e^q * upsilon(p, q), computed without forming e^q where q is large.
 
     This is the factor a shifted Laplace transform needs: its e^(-a*s)
     prefactor with q = -a*s, which alone overflows at s = 800 when
-    a = -1 while upsilon underflows.
+    a = -1 while upsilon underflows. Callers that take many p at one q
+    pass one *memo* to all of them, so that the powers q**i of the integer
+    closed form are computed once; a memo serves one q.
 
     Raises:
         GammaRangeError: if the value is beyond the double range.
+        ValueError: as :func:`upsilon`.
     """
-    return _upsilon(p, q, scaled=True)
+    return _upsilon(p, q, True, memo)
 
 
-def _upsilon(p: float, q: float, scaled: bool) -> float:
+def _upsilon(p: float, q: float, scaled: bool, memo: dict | None) -> float:
     p = _check_finite(p, "p")
     q = _check_finite(q, "q")
     if p <= 0:
@@ -252,7 +263,7 @@ def _upsilon(p: float, q: float, scaled: bool) -> float:
             f"q must be >= 0 for non-integer p (got p={p}, q={q})"
         )
     try:
-        value = _upsilon_kernel(p, q, scaled)
+        value = _upsilon_kernel(p, q, scaled, memo)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -261,17 +272,21 @@ def _upsilon(p: float, q: float, scaled: bool) -> float:
     return value
 
 
-def _upsilon_kernel(p: float, q: float, scaled: bool) -> float:
+def _upsilon_kernel(p: float, q: float, scaled: bool, memo: dict | None) -> float:
     if p.is_integer() and p <= _CLOSED_FORM_P_MAX:
-        # -d/dtau [e^-tau * sum_{i<p} (p-1)!/i! tau^i] = tau^(p-1) e^-tau
         m = int(p)
-        acc = 0.0
-        coeff = float(math.factorial(m - 1))
-        for i in range(m):
-            if i > 0:
-                coeff /= i
-            acc += coeff * q**i
-        return acc if scaled else math.exp(-q) * acc
+        try:
+            acc = _closed_form(m, q, memo)
+        except OverflowError:
+            acc = math.inf
+        # at q < 0 the terms alternate; their magnitudes are the terms at -q
+        if q < 0.0 and not _closed_form(m, -q, None) <= _CANCEL_MAX * abs(acc):
+            value = _negative_q_upsilon(p, q)
+            return value * math.exp(q) if scaled else value
+        if scaled or acc < math.inf:
+            return acc if scaled else math.exp(-q) * acc
+        # e^q Upsilon(p, q) is beyond the double range where Upsilon(p, q)
+        # need not be: take the routes of non-integer p
     if q < 0.0:
         # integer p past the closed form: the integral over [q, 0] alone
         # exceeds the double range
@@ -293,6 +308,50 @@ def _upsilon_kernel(p: float, q: float, scaled: bool) -> float:
         if lead:
             value -= lead * _lower_series(p, q, _UPSILON_EPS * gamma_p / (8.0 * lead))
     return value * math.exp(q) if scaled else value
+
+
+def _closed_form(m: int, q: float, memo: dict | None) -> float:
+    """sum_{i<m} (m-1)!/i! q^i, which is e^q Upsilon(m, q): its derivative
+    -d/dq [e^-q sum_{i<m} (m-1)!/i! q^i] is q^(m-1) e^-q. The powers q**i
+    come from the list memo["powers"], which grows to the largest m asked."""
+    powers = ({} if memo is None else memo).setdefault("powers", [1.0])
+    if len(powers) < m:
+        powers.extend([q**i for i in range(len(powers), m)])
+    acc = coeff = float(math.factorial(m - 1))  # i = 0: q**0 is 1.0
+    for i in range(1, m):
+        coeff /= i
+        acc += coeff * powers[i]
+    return acc
+
+
+def _negative_q_upsilon(p: float, q: float) -> float:
+    """Upsilon(p, q) for integer p and q < 0 as Gamma(p) - gamma(p, q), with
+    gamma(p, q) = q^p sum_k |q|^k / (k! (p+k)) (DLMF 8.7.3), a sum of
+    positive terms. Past k = 2|q| a term bounds the rest of the sum, so it
+    stops at the first such term below eps/2 of the total.
+
+    Raises:
+        ValueError: where Gamma(p) and gamma(p, q) cancel to under 1/8 of
+            the larger.
+    """
+    x = -q
+    term, step, total, k = 1.0, 1.0 / p, 1.0 / p, 0
+    while k <= 2.0 * x or step > 0.5 * _UPSILON_EPS * total:
+        if total == math.inf:
+            raise OverflowError
+        k += 1
+        term *= x / k
+        step = term / (p + k)
+        total += step
+    gamma_p = float(math.factorial(int(p) - 1))
+    lower = q**p * total
+    value = gamma_p - lower
+    if max(gamma_p, abs(lower)) > _CANCEL_MAX * abs(value):
+        raise ValueError(
+            f"Upsilon({p!r}, {q!r}) = Gamma(p) - gamma(p, q) = {gamma_p!r} - {lower!r} "
+            f"cancels to {value!r}, under 1/{_CANCEL_MAX:g} of the larger part"
+        )
+    return value
 
 
 def _power_exp(p: float, q: float) -> float:

@@ -397,6 +397,9 @@ def test_installed_script_runs():
         # the quadrature's weighted sum overflowed in fsum, or read inf
         ["oracle", "poly:0,1e308", "--alpha", "0.5", "--grid", "1:1:1"],
         ["oracle", "poly:0,1e307", "--alpha", "0.5", "--grid", "1e3:1e3:1"],
+        # an integer order's derivative overflowed: a usage error naming neither
+        # t nor the order
+        ["oracle", "poly:0,1e308,1e307", "--alpha", "1", "--grid", "10:10:1"],
     ],
 )
 def test_extreme_order_exits_cleanly(capsys, argv):
@@ -462,6 +465,27 @@ def test_oracle_weighted_sum_beyond_the_double_range_is_numeric_failure(capsys, 
         f"numerical failure: the 16-node Gauss-Jacobi sum of order 0.5 at t = {t} is "
         "beyond the double range\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # both exited 2 with "finite result requires a finite value, got inf"
+        (["oracle", "poly:0,1e308,1e307", "--alpha", "1", "--grid", "10:10:1"],
+         "the derivative of order 1.0 at t = 10.0 is beyond the double range"),
+        (["oracle", "poly:0,1e308,1e307", "--alpha", "1", "--grid", "10:10:1",
+          "--def", "caputo"],
+         "the derivative of order 1.0 at t = 10.0 is beyond the double range"),
+        (["oracle", "poly:1.5e308,2e307", "--alpha", "0.1", "--grid", "3:3:1"],
+         "the Caputo value 5.58945907693904e+307 plus the bridge 1.2576282923112843e+308 "
+         "of order 0.1 at t = 3.0 is beyond the double range"),
+    ],
+)
+def test_oracle_value_beyond_the_double_range_is_numeric_failure(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.parametrize(

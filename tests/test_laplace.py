@@ -25,11 +25,12 @@ from fracseries.laplace import (
 )
 from fracseries.operators import caputo_derivative, rl_caputo_bridge, rl_differintegral
 from fracseries.grammar import parse_function_spec
-from fracseries.special import GammaRangeError
+from fracseries.special import GammaRangeError, upsilon_scaled
 from fracseries.series import (
     DivergenceError,
     FracPowerSeries,
     TaylorSeries,
+    check_tail,
     series_from_catalog,
 )
 
@@ -605,3 +606,119 @@ def test_transforms_of_complete_data_skip_the_tail_test():
     assert truncated.to_json_dict()["complete"] is False
     back = LaplaceExpr.from_json(truncated.to_json())
     assert back == truncated and not back.complete
+
+
+# --- evaluation, rendering and terms bit for bit ----------------------------------
+
+
+def _evaluate_term_by_term(expr, s):
+    """LaplaceExpr.evaluate as one loop over the terms that calls
+    upsilon_scaled afresh for each term, without a memo."""
+    if expr.is_singular:
+        raise ValueError(f"singular transform has no value: {expr.singular}")
+    if not s > 0:
+        raise ValueError(f"s must be > 0, got {s!r}")
+    q = -expr.shift * s
+    total = 0.0
+    values = []
+    try:
+        for t in expr.terms:
+            v = t.coeff * s ** (-t.power)
+            if expr.shift:
+                v *= upsilon_scaled(t.power, q)
+            total += v
+            values.append(v)
+    except (OverflowError, GammaRangeError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise DivergenceError(f"the transform leaves the double range at s = {s!r}")
+    check_tail(values, total, expr.complete)
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+SHIFTED_KINDS = [("plain", None), ("rl_integral", 0.5), ("caputo", 0.5), ("caputo", 2.0)]
+
+
+def test_shifted_evaluate_matches_a_fresh_upsilon_per_term():
+    # past truncation 170 the integer powers leave the closed form for the
+    # routes of non-integer p; s = 800 at a = -3 puts q at 2400
+    truncations = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 170, 171, 172, 200)
+    s_values = (1e-3, 0.1, 1.0, 3.0, 10.0, 50.0, 200.0, 800.0)
+    compared = values = 0
+    for a in (-0.25, -1.0, -3.0):
+        for spec in ("exp:1", "sin:2"):
+            for trunc in truncations:
+                f = parse_function_spec(spec, center=a, truncation=trunc)
+                for kind, order in SHIFTED_KINDS:
+                    try:
+                        expr = laplace_shifted_series(f, kind, order)
+                    except ValueError:  # fewer than two slots carried
+                        continue
+                    for s in s_values:
+                        want = _outcome(_evaluate_term_by_term, expr, s)
+                        assert _outcome(expr.evaluate, s) == want, (a, spec, trunc, kind, s)
+                        compared += 1
+                        values += isinstance(want, str)
+    assert compared > 2500 and values > 500
+
+
+def test_evaluate_refuses_in_term_order():
+    # the first term's s^300 overflows at s = 800 before the second term's
+    # Upsilon(-0.5, q) would refuse its p; at s = 2 the first term's Upsilon refuses
+    expr = LaplaceExpr.from_json(json.dumps({"shift": -1.0, "terms": [
+        {"coeff": 1.0, "power": -300.0, "upsilon_arg": -300.0},
+        {"coeff": 1.0, "power": -0.5, "upsilon_arg": -0.5},
+    ]}))
+    for s, error, match in (
+        (800.0, DivergenceError, "the transform leaves the double range at s = 800.0"),
+        (2.0, ValueError, r"p must be > 0, got -300.0"),
+    ):
+        assert _outcome(expr.evaluate, s) == _outcome(_evaluate_term_by_term, expr, s)
+        with pytest.raises(error, match=match):
+            expr.evaluate(s)
+
+
+def test_render_strings_are_pinned():
+    g = series_from_catalog("exp", [1.0], center=-0.25, truncation=3)
+    h = series_from_catalog("poly", [1.0, -2.5, 1e17], center=-3.0)
+    upsilon = "e^(-(-0.25)*s) * Upsilon({0}, -(-0.25)*s)"
+    assert laplace_shifted_series(g, "plain").render() == " + ".join(
+        f"{c} * s^(-{p}) * " + upsilon.format(p)
+        for c, p in (("0.7788007830714049", 1), ("0.7788007830714049", 2),
+                     ("0.38940039153570244", 3), ("0.1298001305119008", 4))
+    )
+    assert laplace_shifted_series(g, "rl_integral", 0.5).render() == " + ".join(
+        f"{c} * s^(-{p}) * " + upsilon.format(p)
+        for c, p in (("0.8787825789354448", 1.5), ("0.5858550526236298", 2.5),
+                     ("0.234342021049452", 3.5), ("0.06695486315698629", 4.5))
+    )
+    assert laplace_shifted_series(h, "caputo", 1.0).render() == (
+        "-6e+17 * s^(-1) * e^(-(-3)*s) * Upsilon(1, -(-3)*s) + "
+        "2e+17 * s^(-2) * e^(-(-3)*s) * Upsilon(2, -(-3)*s)"
+    )
+    assert laplace_series(poly([1.0, -2.5, 1e17])).render() == (
+        "1 * s^(-1) + -2.5 * s^(-2) + 2e+17 * s^(-3)"
+    )
+    assert laplace_rl_derivative(poly([2.0, 1.0 / 3.0]), 0.5).render() == (
+        "2 * s^(-0.5) + 0.3333333333333333 * s^(-1.5)"
+    )
+
+
+def test_laplace_term_is_a_coeff_power_pair():
+    term = LaplaceTerm(1.0, 2.0)
+    coeff, power = term
+    assert (coeff, power) == (term.coeff, term.power) == (1.0, 2.0)
+    assert term == (1.0, 2.0) and hash(term) == hash((1.0, 2.0))
+    # plain pairs and terms build equal expressions, whose terms are LaplaceTerms
+    pairs = LaplaceExpr(-1.0, ((2.0, 1.5), (1.0, 0.5)))
+    assert pairs == LaplaceExpr(-1.0, (LaplaceTerm(2.0, 1.5), LaplaceTerm(1.0, 0.5)))
+    assert all(type(t) is LaplaceTerm for t in pairs.terms)
+    assert pairs.terms == ((1.0, 0.5), (2.0, 1.5))
+    assert [t.power for t in laplace_series(poly([1.0, 2.0])).terms] == [1.0, 2.0]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,78 @@ def test_upsilon_rejects_bad_arguments():
         upsilon(0.5, -1.0)
 
 
+def test_upsilon_integer_p_negative_q_sums_from_zero():
+    # the closed form's alternating terms cancelled: these read relative
+    # errors of 6.4e-9, 3.6 and 2.8e18
+    cases = [
+        (50.0, -10.0, 6.0828186399745566669e62),
+        (80.0, -20.0, 8.9461762538124694835e116),
+        (150.0, -40.0, 3.8088973734985098743e260),
+    ]
+    for p, q, want in cases:
+        assert upsilon(p, q) == pytest.approx(want, rel=1e-15)
+        assert upsilon_scaled(p, q) == pytest.approx(want * math.exp(q), rel=1e-15)
+    # where the closed form does not cancel it keeps its value, also where
+    # Upsilon alone is beyond the double range
+    assert upsilon(2.0, -1.5) == math.exp(1.5) * -0.5
+    assert upsilon_scaled(2.0, -1000.0) == -999.0
+
+
+def test_upsilon_integer_p_negative_q_refuses_where_its_parts_cancel():
+    # Upsilon(2, -1) = 0, and Upsilon(4, q) changes sign at q = -1.596
+    for p, q in ((2.0, -1.0), (4.0, -1.6)):
+        for fn in (upsilon, upsilon_scaled):
+            with pytest.raises(ValueError, match=(
+                rf"Upsilon\({p!r}, {q!r}\) = Gamma\(p\) - gamma\(p, q\) = {math.gamma(p)!r} - "
+                r".* cancels to .*, under 1/8 of the larger part"
+            )):
+                fn(p, q)
+
+
+def test_upsilon_integer_p_where_e_to_the_q_upsilon_is_beyond_the_double_range():
+    # the closed form is e^q Upsilon(p, q), which overflows here; these were
+    # refused as beyond the double range
+    for p, q, want in ((171.0, 10.0, 7.2574156153079989674e306),
+                       (168.0, 25.25, 1.5036165148649990402e300)):
+        assert upsilon(p, q) == pytest.approx(want, rel=1e-15)
+    with pytest.raises(GammaRangeError, match=r"e\^q \* Upsilon\(171.0, 10.0\)"):
+        upsilon_scaled(171.0, 10.0)
+
+
+def _hex_or_error(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _closed_form_term_by_term(p, q):
+    """e^q Upsilon(p, q) for integer p: the sum over i < p of (p-1)!/i! q^i,
+    each power taken afresh."""
+    acc = 0.0
+    coeff = float(math.factorial(int(p) - 1))
+    for i in range(int(p)):
+        if i > 0:
+            coeff /= i
+        acc += coeff * q**i
+    return acc
+
+
+def test_upsilon_scaled_memo_matches_fresh_calls_in_any_order():
+    # one memo per q; the powers of q grow on demand, whatever order p comes in
+    r = random.Random(7)
+    ps = [float(p) for p in range(1, 176)] + [p + 0.5 for p in range(0, 175, 7)]
+    for q in (0.0, 1e-9, 0.75, 3.0, 25.0, 120.0, 800.0, 2400.0):
+        shuffled = r.sample(ps, len(ps))
+        for order in (ps, ps[::-1], shuffled):
+            memo = {}
+            for p in order:
+                fresh, memoized = (_hex_or_error(upsilon_scaled, p, q, *m) for m in ((), (memo,)))
+                assert memoized == fresh, (p, q)
+                if p.is_integer() and p <= 171 and isinstance(fresh, str):
+                    assert fresh == _closed_form_term_by_term(p, q).hex(), (p, q)
+
+
 def test_upsilon_beyond_the_double_range_raises_and_names_p_and_q():
     from fracseries.special import GammaRangeError
 
@@ -274,7 +347,7 @@ def test_upsilon_scaled_stays_in_range_where_its_factors_do_not():
 
 def upsilon_bands() -> dict[str, tuple[bool, list[tuple[float, float]]]]:
     """Seeded (p, q) samples of each panel band, with whether the band goes
-    through upsilon_scaled; p is never an integer."""
+    through upsilon_scaled; p is an integer exactly in the bands that say so."""
     r = random.Random(20261018)
 
     def p_in(lo, hi):
@@ -298,12 +371,20 @@ def upsilon_bands() -> dict[str, tuple[bool, list[tuple[float, float]]]]:
         "p in [1, 30], q in [0, 60]": (False, band(150, 1.0, 30.0, 0.0, 60.0)),
         "p in [67, 170], q in [0, 340]": (False, band(150, 67.0, 170.0, 0.0, 340.0)),
         "scaled, p <= 67, q in [12, 800]": (True, band(150, 0.01, 67.0, 12.0, 800.0, log_q=True)),
+        "integer p <= 171, q in [-p, 0)": (False, [
+            (p, -p * (1.0 - r.random())) for p in (float(r.randint(1, 171)) for _ in range(150))
+        ]),
+        "integer p <= 171, q in [0, 60]": (
+            False, [(float(r.randint(1, 171)), r.uniform(0.0, 60.0)) for _ in range(150)]
+        ),
     }
 
 
 #: Largest relative error allowed in each band against 40-digit mpmath;
-#: each is at most that of scipy's gammaincc(p, q) * Gamma(p) on the same
-#: samples (the scaled band: e^q times it, where that is finite).
+#: for non-integer p each is at most that of scipy's gammaincc(p, q) *
+#: Gamma(p) on the same samples (the scaled band: e^q times it, where that
+#: is finite). The closed form for integer p read up to 2.4e12 at q < 0,
+#: where its alternating terms cancel.
 UPSILON_PANEL_TOL = {
     "p <= 67, q in [1, 12]": 1.5e-15,
     "p < 1, q < 0.5": 8e-16,
@@ -311,11 +392,16 @@ UPSILON_PANEL_TOL = {
     "p in [1, 30], q in [0, 60]": 3e-15,
     "p in [67, 170], q in [0, 340]": 3e-15,
     "scaled, p <= 67, q in [12, 800]": 2e-15,
+    "integer p <= 171, q in [-p, 0)": 2.5e-15,
+    "integer p <= 171, q in [0, 60]": 1.5e-15,
 }
 
 
 def upsilon_panel_errors(band: str) -> list[float]:
-    """Relative errors of one band against 40-digit mpmath."""
+    """Relative errors of one band against 40-digit mpmath, over the points
+    answered. A point may be refused only where its value is beyond the
+    double range or, at q < 0, under 1/8 of Gamma(p) and the integral over
+    [q, 0] that cancel in it."""
     import mpmath
 
     scaled, points = upsilon_bands()[band]
@@ -325,7 +411,15 @@ def upsilon_panel_errors(band: str) -> list[float]:
             want = mpmath.gammainc(p, q, mpmath.inf)
             if scaled:
                 want *= mpmath.exp(q)
-            got = (upsilon_scaled if scaled else upsilon)(p, q)
+            try:
+                got = (upsilon_scaled if scaled else upsilon)(p, q)
+            except GammaRangeError:
+                assert abs(want) > sys.float_info.max, (p, q)
+                continue
+            except ValueError:
+                gamma_p = mpmath.gamma(p)
+                assert q < 0 and 8 * abs(want) < max(gamma_p, abs(gamma_p - want)), (p, q)
+                continue
             errors.append(float(abs((got - want) / want)))
     return errors
 
