@@ -21,7 +21,6 @@ from .series import (
 from .special import (
     GammaRangeError,
     gamma_ratio,
-    gamma_real,
     gen_binom,
     pochhammer,
     recip_gamma,
@@ -39,7 +38,6 @@ from .operators import (
 )
 from .leibniz import (
     LeibnizReport,
-    leibniz_caputo_corrected,
     leibniz_caputo_wrong,
     leibniz_monomial,
     leibniz_report,
@@ -99,7 +97,6 @@ __all__ = [
     "frequency_derivative",
     "frequency_differentiation_check",
     "gamma_ratio",
-    "gamma_real",
     "gen_binom",
     "generalized_laplace",
     "initial_value_equivalence",
@@ -113,7 +110,6 @@ __all__ = [
     "laplace_rl_integral_fps",
     "laplace_series",
     "laplace_shifted_series",
-    "leibniz_caputo_corrected",
     "leibniz_caputo_wrong",
     "leibniz_monomial",
     "leibniz_report",

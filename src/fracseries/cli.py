@@ -208,6 +208,8 @@ def cmd_examples(args) -> int:
     tol = args.tol
     if not 0.0 < alpha < 1.0:
         raise GrammarError(f"examples need 0 < alpha < 1, got {alpha}")
+    if not tol >= 0.0:
+        raise GrammarError(f"examples need --tol >= 0, got {tol}")
     grid = [a + 0.25 * i for i in range(1, 9)]
     failures: list[str] = []
 

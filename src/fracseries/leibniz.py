@@ -1,12 +1,18 @@
 """Product-rule evaluators for fractional orders.
 
-Four variants are exposed: the correct Riemann-Liouville series rule,
-its finite monomial corollary, the naive Caputo transplant of the RL
-rule (kept deliberately, as the thing to falsify), and the corrected
-Caputo rule whose compensation term R1 accounts exactly for the naive
-rule's error. Reference values always come from the Caputo (or RL)
-operator applied to the product's Taylor data, never from another rule,
-so comparisons stay non-circular.
+:func:`leibniz_report` evaluates one of three rules against its
+operator reference: the correct Riemann-Liouville series rule, the
+naive Caputo transplant of the RL rule (kept deliberately, as the thing
+to falsify), and the corrected Caputo rule whose compensation term R1
+accounts exactly for the naive rule's error. Reference values always
+come from the Caputo (or RL) operator applied to the product's Taylor
+data, never from another rule, so comparisons stay non-circular.
+
+:func:`leibniz_rl` and :func:`leibniz_caputo_wrong` return the first two
+rule values alone, so they answer where the reference refuses: where the
+product's data fails its tail test, or at a non-integer alpha < 0, where
+no Caputo derivative exists. :func:`leibniz_monomial` is the finite RL
+rule for a factor t^m.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .special import gen_binom, recip_gamma
 
 __all__ = [
     "LeibnizReport",
-    "leibniz_caputo_corrected",
     "leibniz_caputo_wrong",
     "leibniz_monomial",
     "leibniz_report",
@@ -49,21 +54,17 @@ class LeibnizReport:
     terms_used: int
 
 
-def _data_at(f: TaylorSeries, t: float) -> TaylorSeries:
-    """Derivative data of f at the evaluation point t."""
-    return f if f.center == t else f.recentered(t)
-
-
 def _rule_sum(
-    lead_t: TaylorSeries,
+    lead: TaylorSeries,
     other: TaylorSeries,
     alpha: float,
     t: float,
     trunc: int,
     caputo: bool,
     memo: dict | None = None,
-) -> tuple[float, int]:
-    """sum_j gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t), and its length.
+) -> tuple[float, int, TaylorSeries]:
+    """sum_j gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t), its
+    length, and the data of *lead* at t (*lead* itself when centred there).
 
     The factors are RL values, or with *caputo* Caputo values (which are
     RL values at orders alpha - j <= 0). Their slots k divide by
@@ -77,6 +78,7 @@ def _rule_sum(
             naming t and the largest term, or when the sum of truncated
             data fails the tail test.
     """
+    lead_t = lead if lead.center == t else lead.recentered(t)
     check_right_of_terminal(t, other.center)
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")
@@ -101,7 +103,7 @@ def _rule_sum(
             f"largest term, j = {j}, is {terms[j]!r}"
         )
     check_tail(terms, total, lead_t.complete)
-    return total, j_max + 1
+    return total, j_max + 1, lead_t
 
 
 def leibniz_rl(
@@ -118,7 +120,7 @@ def leibniz_rl(
     polynomial *f* the sum is exact once j exceeds the degree.
     """
     alpha = as_order(order).alpha
-    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, False)
+    value = _rule_sum(f, g, alpha, t, trunc, False)[0]
     return EvalResult.finite(value)
 
 
@@ -148,7 +150,7 @@ def leibniz_monomial(
         raise ValueError(f"kind must be 'derivative' or 'integral', got {kind!r}")
     lead_t = series_from_catalog("poly", [0.0] * m + [1.0], t, max(m, 1))
     beta = alpha if kind == "derivative" else -alpha
-    value, _ = _rule_sum(lead_t, f, beta, t, lead_t.truncation, False)
+    value = _rule_sum(lead_t, f, beta, t, lead_t.truncation, False)[0]
     return EvalResult.finite(value)
 
 
@@ -164,10 +166,11 @@ def leibniz_caputo_wrong(
     Factors C D^(alpha-j) g with j >= n are read as RL integrals of
     order j - alpha (the reading under which the rule circulates).
     The result is deliberately NOT the Caputo derivative of f g in
-    general; see :func:`leibniz_caputo_corrected` for what is missing.
+    general; :func:`leibniz_report` with rule="corrected" adds what is
+    missing.
     """
     alpha = as_order(order).alpha
-    value, _ = _rule_sum(_data_at(f, t), g, alpha, t, trunc, True)
+    value = _rule_sum(f, g, alpha, t, trunc, True)[0]
     return EvalResult.finite(value)
 
 
@@ -203,23 +206,6 @@ def _compensation(
     return total
 
 
-def leibniz_caputo_corrected(
-    f: TaylorSeries,
-    g: TaylorSeries,
-    order: Order | float,
-    t: float,
-    trunc: int = 32,
-    swap: bool = False,
-) -> LeibnizReport:
-    """Corrected Caputo product rule: naive sum plus the compensation R1.
-
-    With ``swap=True`` the roles are exchanged (g differentiated in the
-    series, compensation R2); both variants must agree with the same
-    reference, the Caputo derivative of the product series.
-    """
-    return _report(f, g, as_order(order), t, trunc, "corrected", swap)
-
-
 def leibniz_report(
     f: TaylorSeries,
     g: TaylorSeries,
@@ -227,38 +213,29 @@ def leibniz_report(
     t: float,
     rule: str = "corrected",
     trunc: int = 32,
+    swap: bool = False,
 ) -> LeibnizReport:
     """Evaluate one named rule against its operator reference.
 
     rule="rl" compares the RL series rule with the RL differintegral of
-    the product; "wrong" and "corrected" compare the naive/corrected
-    Caputo rules with the Caputo derivative of the product. The "wrong"
-    report carries the compensation the naive rule is missing, so
-    callers can see that residual and compensation cancel.
+    the product; "wrong" and "corrected" compare the naive and corrected
+    Caputo rules with the Caputo derivative of the product. The corrected
+    rule is the naive sum plus the compensation R1; the "wrong" report
+    carries that compensation too, so callers can see that residual and
+    compensation cancel. With ``swap=True`` the roles are exchanged for
+    every rule (g differentiated in the series, compensation R2); both
+    variants must agree with the same reference.
     """
     if rule not in ("rl", "wrong", "corrected"):
         raise ValueError(f"unknown rule {rule!r} (expected rl, wrong, corrected)")
-    return _report(f, g, as_order(order), t, trunc, rule)
-
-
-def _report(
-    f: TaylorSeries,
-    g: TaylorSeries,
-    ord_: Order,
-    t: float,
-    trunc: int,
-    rule: str,
-    swap: bool = False,
-) -> LeibnizReport:
-    """One rule against the operator value of the product's Taylor data."""
+    ord_ = as_order(order)
     product = taylor_arith(f, g, "mul")
     alpha = ord_.alpha
     lead, other = (g, f) if swap else (f, g)
-    lead_t = _data_at(lead, t)
     caputo = rule != "rl"
     # the factors and the reference share one t - a: one memo serves them all
     memo: dict = {}
-    value, terms_used = _rule_sum(lead_t, other, alpha, t, trunc, caputo, memo)
+    value, terms_used, lead_t = _rule_sum(lead, other, alpha, t, trunc, caputo, memo)
     correction = 0.0
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
     if caputo and not ord_.is_integer:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .operators import rl_caputo_bridge
-from .series import DivergenceError, Order, TaylorSeries, as_order, check_slots
+from .series import TAIL_TOL, DivergenceError, Order, TaylorSeries, as_order, check_slots
 from .special import GammaRangeError, recip_gamma
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
 
 #: Relative node-doubling agreement required to accept a quadrature value.
 DOUBLING_TOL = 1.0e-9
-
-#: Relative size allowed for the last carried Taylor terms of the integrand.
-EVAL_ACCURACY_TOL = 1.0e-12
 
 #: Gauss-Jacobi rules kept, keyed by (alpha, nodes); least recently used go.
 JACOBI_CACHE_SIZE = 256
@@ -191,6 +188,8 @@ def rl_integral_quad(
         raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
+    if not rel_tol >= 0.0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol!r}")
     if max_doublings < 1:
         raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
     prev = rl_integral_fixed(f, alpha, a, t, nodes)
@@ -213,7 +212,7 @@ def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float
     Truncated data must carry two of the slots k >= n
     (:func:`series.check_slots`), and so many that the dropped tail is
     negligible at the far end of [center, t]: the last two carried terms
-    stand in for the tail and must be tiny relative to the value there.
+    stand in for the tail and must be below TAIL_TOL of the value there.
     """
     n = ord_.n
     check_slots(f, ord_.alpha, n, f.truncation + 1, f.complete)
@@ -231,10 +230,10 @@ def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float
                 f"{x!r}: (t - center)^{g.truncation} is beyond the double range "
                 f"(Taylor truncation {f.truncation})"
             ) from None
-        if not (last <= EVAL_ACCURACY_TOL * scale and second <= EVAL_ACCURACY_TOL * scale):
+        if not (last <= TAIL_TOL * scale and second <= TAIL_TOL * scale):
             raise ValueError(
                 f"Taylor truncation {g.truncation} is too short for "
-                f"1e-12-accurate evaluation on [{g.center}, {t}] "
+                f"{TAIL_TOL:g}-accurate evaluation on [{g.center}, {t}] "
                 f"(tail terms {second:.3e}, {last:.3e})"
             )
     return g.evaluate
@@ -244,7 +243,7 @@ def caputo_quad(
     f: TaylorSeries,
     order: Order | float,
     t: float,
-    nodes: int = 16,
+    *,
     rel_tol: float = DOUBLING_TOL,
 ) -> float:
     """Caputo value at t by integrating the n-th derivative of f.
@@ -273,14 +272,14 @@ def caputo_quad(
                 "double range"
             )
         return value
-    return rl_integral_quad(g, ord_.n - ord_.alpha, f.center, t, nodes, rel_tol)
+    return rl_integral_quad(g, ord_.n - ord_.alpha, f.center, t, rel_tol=rel_tol)
 
 
 def rl_derivative_quad(
     f: TaylorSeries,
     order: Order | float,
     t: float,
-    nodes: int = 16,
+    *,
     rel_tol: float = DOUBLING_TOL,
 ) -> float:
     """RL value at t as Caputo plus the lower-terminal bridge series.
@@ -294,7 +293,7 @@ def rl_derivative_quad(
             :func:`caputo_quad`.
     """
     ord_ = as_order(order)
-    base = caputo_quad(f, ord_, t, nodes, rel_tol)
+    base = caputo_quad(f, ord_, t, rel_tol=rel_tol)
     bridge = rl_caputo_bridge(f, ord_).evaluate(t).expect_finite()
     value = base + bridge
     if not math.isfinite(value):

@@ -106,10 +106,6 @@ class Order:
         if not math.isfinite(self.alpha):
             raise ValueError(f"order must be finite, got {self.alpha!r}")
 
-    @classmethod
-    def from_alpha(cls, alpha: float) -> Order:
-        return cls(alpha)
-
     @property
     def n(self) -> int:
         return max(math.ceil(self.alpha), 0)
@@ -123,7 +119,7 @@ def as_order(order: Order | float) -> Order:
     """Coerce a bare float into an :class:`Order`."""
     if isinstance(order, Order):
         return order
-    return Order.from_alpha(order)
+    return Order(order)
 
 
 def positive_order(order: Order | float, non_integer: bool = False) -> Order:
@@ -288,16 +284,17 @@ class FracPowerSeries:
         :func:`sum_terms`.
 
         Raises:
-            ValueError: at the first t < center (the operators never look
-                left of the lower terminal).
+            ValueError: at the first t not >= center, NaN or left of it
+                (the operators never look left of the lower terminal).
             DivergenceError: as :func:`sum_terms`, at the first point that
                 fails.
         """
         a, terms, radius, complete = self.center, self.terms, self.radius_hint, self.complete
         values = []
         for t in ts:
-            if t < a:
-                raise ValueError(f"t={t!r} is left of the center {a!r}")
+            if not t >= a:
+                where = "left of" if t < a else "not comparable with"
+                raise ValueError(f"t={t!r} is {where} the center {a!r}")
             x = t - a
             if x == 0.0 and terms:
                 values.append(_terminal_value(terms[0]))
@@ -615,17 +612,23 @@ def _check_no_underflow(value: float, name: str, param: float, center: float) ->
 def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     """Pointwise sum or product of Taylor data with a common center.
 
-    Truncation of the result is the minimum of the inputs; callers that
-    need an exact polynomial product must supply adequately padded data.
+    Truncation of the result is the minimum of the inputs, unless just one
+    is complete: its data is exactly 0 past its truncation, so the result
+    has the other's. Callers that need an exact polynomial product must
+    supply adequately padded data.
     """
     if f.center != g.center:
         raise ValueError(f"center mismatch: {f.center!r} vs {g.center!r}")
+    fd, gd = f.derivs, g.derivs
     n = min(f.truncation, g.truncation)
+    if f.complete != g.complete:
+        n = (g if f.complete else f).truncation
+        fd, gd = fd + (0.0,) * (n - f.truncation), gd + (0.0,) * (n - g.truncation)
     radius = _min_radius(f.radius_hint, g.radius_hint)
     complete = f.complete and g.complete
 
     if op == "add":
-        derivs = [f.derivs[k] + g.derivs[k] for k in range(n + 1)]
+        derivs = [fd[k] + gd[k] for k in range(n + 1)]
     elif op == "mul":
         derivs = []
         for k in range(n + 1):
@@ -634,7 +637,7 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
             for j in range(k + 1):
                 if j > 0:
                     binom = binom * (k - j + 1) / j
-                acc += binom * f.derivs[j] * g.derivs[k - j]
+                acc += binom * fd[j] * gd[k - j]
             derivs.append(acc)
         if complete:
             df, dg = f.degree(), g.degree()

@@ -1,4 +1,4 @@
-"""Real-argument gamma, generalized binomials, and the tail integral.
+"""Reciprocal gamma, gamma ratios, generalized binomials, and the tail integral.
 
 Every operator in this package divides by gamma values at negative
 non-integer arguments as a matter of course, and relies on exact zeros
@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 import sys
 
-from .series import EvalResult
-
 __all__ = [
     "GammaRangeError",
     "gamma_ratio",
-    "gamma_real",
     "gen_binom",
     "pochhammer",
     "recip_gamma",
@@ -42,23 +39,6 @@ def _check_finite(x: float, name: str = "x") -> float:
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-def gamma_real(x: float) -> EvalResult:
-    """Gamma on the real line with poles as signed-infinity markers.
-
-    The sign at the pole ``x = -m`` is the one-sided limit from the
-    right, ``(-1)^m``. Arguments beyond the overflow threshold
-    (~171.62) also report Infinite(+1) rather than raising.
-    """
-    x = _check_finite(x)
-    if _is_nonpositive_integer(x):
-        m = int(round(-x))
-        return EvalResult.infinite(1 if m % 2 == 0 else -1)
-    try:
-        return EvalResult.finite(math.gamma(x))
-    except OverflowError:
-        return EvalResult.infinite(1)
 
 
 def recip_gamma(x: float) -> float:

@@ -653,6 +653,26 @@ def test_sum_or_product_beyond_the_double_range_names_its_datum(capsys, argv, wh
     assert what in err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # rules up to 1024 nodes, then exit 3: "node doubling did not stabilize"
+        (["oracle", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--tol=nan"],
+         "rel_tol must be >= 0, got nan"),
+        (["oracle", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--tol=-1"],
+         "rel_tol must be >= 0, got -1.0"),
+        # two FAILs and exit 3
+        (["examples", "--tol=nan"], "examples need --tol >= 0, got nan"),
+        (["examples", "--tol=-1"], "examples need --tol >= 0, got -1.0"),
+    ],
+)
+def test_tolerance_below_zero_or_nan_is_a_usage_error(capsys, argv, what):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what}\n"
+
+
 def test_oracle_failure_reports_nonzero_last_change(capsys):
     code, _, err = run_cli(
         # two rules of this entire integrand agree bitwise at t = 1 and 2;

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fracseries.leibniz import (
-    leibniz_caputo_corrected,
     leibniz_caputo_wrong,
     leibniz_monomial,
     leibniz_report,
@@ -269,7 +268,7 @@ def test_corrected_rule_linear_example():
     g = unit(center=a)
     t = 2.0
     alpha = 0.5
-    report = leibniz_caputo_corrected(f, g, alpha, t)
+    report = leibniz_report(f, g, alpha, t)
     truth = 1.0 / math.gamma(1.5)
     assert report.reference_value.value == pytest.approx(truth, rel=1e-14)
     assert report.residual == 0.0
@@ -282,7 +281,7 @@ def test_corrected_rule_square_example():
     t = 2.0
     alpha = 0.5
     f = poly([0.0, 1.0], center=a)
-    report = leibniz_caputo_corrected(f, f, alpha, t)
+    report = leibniz_report(f, f, alpha, t)
     want_corr = (
         (t - a) ** (1.0 - alpha)
         / math.gamma(3.0 - alpha)
@@ -306,7 +305,7 @@ def test_corrected_rule_random_polynomials():
         if abs(alpha - 1.0) < 1e-3:
             continue
         t = a + float(rng.uniform(0.2, 2.0))
-        report = leibniz_caputo_corrected(f, g, alpha, t)
+        report = leibniz_report(f, g, alpha, t)
         ref = report.reference_value.value
         assert report.residual <= 1e-10 * (1.0 + abs(ref))
 
@@ -318,8 +317,8 @@ def test_corrected_rule_swap_symmetry():
         g = poly(rng.uniform(-1.0, 1.0, size=4), center=a)
         alpha = float(rng.uniform(0.1, 0.9))
         t = 1.5
-        r1 = leibniz_caputo_corrected(f, g, alpha, t)
-        r2 = leibniz_caputo_corrected(f, g, alpha, t, swap=True)
+        r1 = leibniz_report(f, g, alpha, t)
+        r2 = leibniz_report(f, g, alpha, t, swap=True)
         assert r1.reference_value.value == r2.reference_value.value
         assert abs(r1.rule_value.value - r2.rule_value.value) <= 1e-10 * (
             1.0 + abs(r1.reference_value.value)
@@ -330,7 +329,7 @@ def test_corrected_rule_integer_order_collapses():
     f = poly([1.0, 2.0])
     g = poly([0.0, 1.0])
     t = 1.5
-    report = leibniz_caputo_corrected(f, g, 1.0, t)
+    report = leibniz_report(f, g, 1.0, t)
     assert report.correction_value == 0.0
     # (t + 2t^2)' = 1 + 4t
     assert report.rule_value.value == pytest.approx(1.0 + 4.0 * t, rel=1e-14)
@@ -341,20 +340,32 @@ def test_correction_vanishes_with_flat_cofactor():
     a = 0.0
     f = poly(rng.uniform(-1.0, 1.0, size=4), center=a)
     g = shifted([0.0, 0.0, 1.0], center=a)  # (t-a)^2: data 0 below k=2
-    report = leibniz_caputo_corrected(f, g, 1.5, 1.0)
+    report = leibniz_report(f, g, 1.5, 1.0)
     assert report.correction_value == 0.0
 
 
 def test_corrected_rule_transcendental_factors():
     f = series_from_catalog("exp", [1.0], truncation=24)
     g = series_from_catalog("sin", [1.0], truncation=24)
-    report = leibniz_caputo_corrected(f, g, 0.5, 0.8, trunc=24)
+    report = leibniz_report(f, g, 0.5, 0.8, trunc=24)
     assert report.residual <= 1e-8 * (1.0 + abs(report.reference_value.value))
 
 
 def test_corrected_rule_center_mismatch():
     with pytest.raises(ValueError):
-        leibniz_caputo_corrected(poly([1.0]), poly([1.0], center=1.0), 0.5, 2.0)
+        leibniz_report(poly([1.0]), poly([1.0], center=1.0), 0.5, 2.0)
+
+
+def test_corrected_rule_with_a_shorter_complete_factor():
+    # the product was cut to g's truncation 12 and failed its tail test
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    g = poly([1.0, 2.0, -0.5], truncation=12)
+    # 40-digit mpmath value of C D^0.3 {e^t (1 + 2t - t^2/2)} at t = 0.5
+    want = 2.992387555082328762347
+    for swap in (False, True):
+        report = leibniz_report(f, g, 0.3, 0.5, swap=swap)
+        assert report.reference_value.value == pytest.approx(want, rel=1e-15)
+        assert report.residual <= 1e-14
 
 
 # --- report dispatcher ----------------------------------------------------------
@@ -414,7 +425,7 @@ def _series_rule(f, g, alpha, t, rule, trunc, swap=False):
     total = math.fsum(terms)
     check_tail(terms, total, lead_t.complete)
 
-    ord_ = Order.from_alpha(alpha)
+    ord_ = Order(alpha)
     rl_reading = rule == "rl" or ord_.is_integer
     correction = 0.0
     if not rl_reading:
@@ -462,8 +473,9 @@ def test_product_rules_match_the_operator_series_bit_for_bit(fspec, gspec, a, tr
         for rule_trunc in (24, 32):
             want = _series_rule(f, g, alpha, t, rule, rule_trunc)
             assert _fields(leibniz_report(f, g, alpha, t, rule, rule_trunc)) == want
-    want = _series_rule(f, g, alpha, t, "corrected", 32, swap=True)
-    assert _fields(leibniz_caputo_corrected(f, g, alpha, t, swap=True)) == want
+    for rule in ("rl", "wrong", "corrected"):
+        want = _series_rule(f, g, alpha, t, rule, 32, swap=True)
+        assert _fields(leibniz_report(f, g, alpha, t, rule, swap=True)) == want
     assert leibniz_rl(f, g, alpha, t).value == _series_rule(f, g, alpha, t, "rl", 32)[0]
     wrong = _series_rule(f, g, alpha, t, "wrong", 32)[0]
     assert leibniz_caputo_wrong(f, g, alpha, t).value == wrong

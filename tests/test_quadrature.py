@@ -76,6 +76,20 @@ def test_integral_validation():
         rl_integral_quad(lambda t: 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         rl_integral_quad(lambda t: 1.0, 0.5, 0.0, 1.0, nodes=4)
+    # nan and -1 doubled to 1024 nodes and then failed as non-convergence
+    for rel_tol in (math.nan, -1.0):
+        with pytest.raises(ValueError, match=f"^rel_tol must be >= 0, got {rel_tol!r}$"):
+            rl_integral_quad(lambda t: 1.0, 0.5, 0.0, 1.0, rel_tol=rel_tol)
+
+
+def test_oracle_tolerance_is_keyword_only():
+    # a positional fourth argument was the node count; it must not become
+    # a tolerance
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    for quad in (caputo_quad, rl_derivative_quad):
+        with pytest.raises(TypeError):
+            quad(f, 0.5, 1.0, 16)
+        assert quad(f, 0.5, 1.0, rel_tol=1e-9) == quad(f, 0.5, 1.0)
 
 
 # --- Caputo and RL values from Taylor data ----------------------------------------

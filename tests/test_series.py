@@ -44,18 +44,18 @@ def test_expect_finite_raises_on_infinite():
 
 
 def test_order_from_alpha():
-    assert Order.from_alpha(0.5).n == 1
-    assert Order.from_alpha(1.5).n == 2
-    assert Order.from_alpha(2.0).n == 2
-    assert Order.from_alpha(0.0).n == 0
-    assert Order.from_alpha(-0.5).n == 0
-    assert Order.from_alpha(-2.0).n == 0
+    assert Order(0.5).n == 1
+    assert Order(1.5).n == 2
+    assert Order(2.0).n == 2
+    assert Order(0.0).n == 0
+    assert Order(-0.5).n == 0
+    assert Order(-2.0).n == 0
 
 
 def test_order_is_integer():
-    assert Order.from_alpha(3.0).is_integer
-    assert not Order.from_alpha(2.999999).is_integer
-    assert as_order(1.5) == Order.from_alpha(1.5)
+    assert Order(3.0).is_integer
+    assert not Order(2.999999).is_integer
+    assert as_order(1.5) == Order(1.5)
 
 
 # --- TaylorSeries basics ---------------------------------------------------
@@ -149,6 +149,22 @@ def test_taylor_mul_degree_within_truncation_is_complete():
     assert p.complete
     for t in (-2.0, 0.3, 1.7):
         assert p.evaluate(t) == pytest.approx(t * (1 + 2 * t), rel=1e-14, abs=1e-14)
+
+
+def test_taylor_arith_pads_a_shorter_complete_operand_with_its_zeros():
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    g = series_from_catalog("poly", [1.0, 2.0, -0.5], truncation=12)
+    padded = series_from_catalog("poly", [1.0, 2.0, -0.5], truncation=32)
+    for op in ("add", "mul"):
+        for h in (taylor_arith(f, g, op), taylor_arith(g, f, op)):
+            assert h.truncation == 32 and not h.complete
+        # complete data is exactly 0 past its truncation
+        assert taylor_arith(f, g, op).derivs == taylor_arith(f, padded, op).derivs
+        assert taylor_arith(g, f, op).derivs == taylor_arith(padded, f, op).derivs
+    # two complete or two truncated operands keep the shorter truncation
+    short = series_from_catalog("exp", [1.0], truncation=12)
+    assert taylor_arith(short, f, "mul").truncation == 12
+    assert taylor_arith(padded, g, "mul").truncation == 12
 
 
 def test_taylor_json_round_trip():
@@ -460,3 +476,8 @@ def test_grid_evaluation_refuses_at_the_first_failing_point():
     with pytest.raises(DivergenceError, match="tail terms"):
         tail.evaluate_grid([0.01, 1.0, -1.0])
     assert tail.evaluate_grid([]) == []
+    # a NaN t read as a divergence: a sum leaving the double range "at
+    # t - center = nan", or "t - center = nan is outside the convergence radius"
+    for series in (s, tail):
+        with pytest.raises(ValueError, match=r"^t=nan is not comparable with the center"):
+            series.evaluate_grid([series.center, math.nan, -1.0])

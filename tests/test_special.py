@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from fracseries.special import (
     GammaRangeError,
-    gamma_real,
     gamma_ratio,
     gen_binom,
     pochhammer,
@@ -24,52 +23,35 @@ CONVOLUTION_TOL = 1e-11
 rng = np.random.default_rng(20260814)
 
 
-# --- gamma_real ---------------------------------------------------------
+# --- Gamma, through recip_gamma ------------------------------------------
 
 
 def test_gamma_known_values():
-    assert gamma_real(4.0).expect_finite() == 6.0
-    assert math.isclose(gamma_real(0.5).expect_finite(), 1.7724538509055160, rel_tol=1e-15)
-    assert math.isclose(gamma_real(-0.5).expect_finite(), -3.5449077018110320, rel_tol=1e-15)
-    assert gamma_real(1.0).expect_finite() == 1.0
-
-
-def test_gamma_poles_alternate_sign():
-    # right-limit sign: +1 at 0, -1 at -1, +1 at -2, ...
-    for m in range(0, 8):
-        res = gamma_real(-float(m))
-        assert res.is_infinite
-        assert res.sign == (1 if m % 2 == 0 else -1)
-
-
-def test_gamma_overflow_is_positive_infinite():
-    res = gamma_real(200.0)
-    assert res.is_infinite
-    assert res.sign == 1
+    assert recip_gamma(4.0) == 1.0 / 6.0
+    assert math.isclose(recip_gamma(0.5), 1.0 / 1.7724538509055160, rel_tol=1e-15)
+    assert math.isclose(recip_gamma(-0.5), 1.0 / -3.5449077018110320, rel_tol=1e-15)
+    assert recip_gamma(1.0) == 1.0
 
 
 def test_gamma_recurrence_sweep():
-    # gamma(x+1) == x * gamma(x) away from poles
+    # 1/gamma(x) == x / gamma(x+1) away from poles
     xs = rng.uniform(-20.0, 20.0, size=2000)
     for x in xs:
         if abs(x - round(x)) < 1e-3 and x < 0.5:
             continue
-        left = gamma_real(x + 1.0)
-        right = gamma_real(x)
-        if left.is_infinite or right.is_infinite:
-            continue
-        want = x * right.value
-        assert abs(left.value - want) <= RECURRENCE_TOL * abs(want)
+        left = recip_gamma(x)
+        want = x * recip_gamma(x + 1.0)
+        assert abs(left - want) <= RECURRENCE_TOL * abs(want)
 
 
 def test_gamma_reflection_sweep():
-    # gamma(x) * gamma(1-x) == pi / sin(pi x) for non-integer x
+    # 1/(gamma(x) gamma(1-x)) == sin(pi x) / pi for non-integer x
     xs = rng.uniform(-10.0, 10.0, size=2000)
     for x in xs:
         if abs(x - round(x)) < 1e-3:
             continue
-        prod = gamma_real(x).expect_finite() * gamma_real(1.0 - x).expect_finite()
-        want = math.pi / math.sin(math.pi * x)
+        prod = recip_gamma(x) * recip_gamma(1.0 - x)
+        want = math.sin(math.pi * x) / math.pi
         assert abs(prod - want) <= REFLECTION_TOL * abs(want)
 
 
