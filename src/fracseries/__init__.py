@@ -46,7 +46,6 @@ from .leibniz import (
 from .laplace import (
     FreqDiffReport,
     LaplaceExpr,
-    LaplaceTerm,
     classify_lower_terminal,
     frequency_derivative,
     frequency_differentiation_check,
@@ -83,7 +82,6 @@ __all__ = [
     "GrammarError",
     "IntegerLimitReport",
     "LaplaceExpr",
-    "LaplaceTerm",
     "LeibnizReport",
     "Order",
     "QuadratureError",

@@ -11,10 +11,8 @@ term, not by an exception: callers decide what to do with it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from .series import (
     DivergenceError,
@@ -33,7 +31,6 @@ from .special import GammaRangeError, pochhammer, recip_gamma, upsilon_scaled
 __all__ = [
     "FreqDiffReport",
     "LaplaceExpr",
-    "LaplaceTerm",
     "classify_lower_terminal",
     "frequency_derivative",
     "frequency_differentiation_check",
@@ -59,14 +56,6 @@ def _fmt_num(x: float) -> str:
     return repr(x)
 
 
-class LaplaceTerm(NamedTuple):
-    """One term coeff * s^(-power) of a :class:`LaplaceExpr`: a
-    ``(coeff, power)`` pair."""
-
-    coeff: float
-    power: float
-
-
 @dataclass(frozen=True)
 class LaplaceExpr:
     """A formal transform: a sum of terms, or a singular marker.
@@ -74,14 +63,13 @@ class LaplaceExpr:
     At ``shift == 0`` a term is coeff * s^(-power). A ``shift = a < 0``
     multiplies every term by e^(-a*s) Upsilon(power, -a*s); a positive
     shift is refused. Construction canonicalizes the ``(coeff, power)``
-    pairs once (:func:`series.canonical_terms`) and wraps each canonical
-    pair in a :class:`LaplaceTerm`, so structurally equal expressions
-    compare equal. A transform of truncated data has ``complete=False``:
-    its values face the tail test.
+    pairs once (:func:`series.canonical_terms`), so structurally equal
+    expressions compare equal. A transform of truncated data has
+    ``complete=False``: its values face the tail test.
     """
 
     shift: float = 0.0
-    terms: tuple[LaplaceTerm, ...] = ()
+    terms: tuple[tuple[float, float], ...] = ()
     singular: str | None = None
     complete: bool = field(default=True, compare=False)
 
@@ -94,31 +82,11 @@ class LaplaceExpr:
                 "use generalized_laplace"
             )
         terms = canonical_terms((float(c), float(p)) for c, p in self.terms)
-        object.__setattr__(self, "terms", tuple(map(LaplaceTerm._make, terms)))
+        object.__setattr__(self, "terms", terms)
 
     @property
     def is_singular(self) -> bool:
         return self.singular is not None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.is_singular and not self.terms
-
-    def __add__(self, other: LaplaceExpr) -> LaplaceExpr:
-        if self.is_singular or other.is_singular:
-            raise ValueError("cannot add singular transforms")
-        if self.shift != other.shift and self.terms and other.terms:
-            raise ValueError(
-                f"shift mismatch: {self.shift!r} vs {other.shift!r}"
-            )
-        shift = self.shift if self.terms else other.shift
-        complete = self.complete and other.complete
-        return LaplaceExpr(shift, self.terms + other.terms, complete=complete)
-
-    def scaled(self, factor: float) -> LaplaceExpr:
-        if self.is_singular:
-            raise ValueError("cannot scale a singular transform")
-        return replace(self, terms=tuple([(c * factor, p) for c, p in self.terms]))
 
     def evaluate(self, s: float) -> float:
         """Numeric value at real s > 0; refused for singular expressions.
@@ -169,6 +137,7 @@ class LaplaceExpr:
         return " + ".join(parts)
 
     def to_json_dict(self) -> dict:
+        """The document that ``fracseries laplace --format json`` writes."""
         if self.is_singular:
             return {"shift": self.shift, "terms": [], "singular": self.singular}
         terms = []
@@ -181,39 +150,6 @@ class LaplaceExpr:
         if not self.complete:
             out["complete"] = False
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> LaplaceExpr:
-        """Inverse of :meth:`to_json_dict`.
-
-        Raises:
-            ValueError: for a positive shift, or an ``upsilon_arg`` that is
-                not its term's power, present at shift 0 or absent at a
-                negative shift.
-        """
-        shift = float(data.get("shift", 0.0))
-        terms = []
-        for t in data.get("terms", []):
-            power = float(t["power"])
-            if t.get("upsilon_arg") != (power if shift else None):
-                raise ValueError(
-                    f"term {t!r} at shift {shift!r}: a term carries Upsilon exactly "
-                    "at a negative shift, with upsilon_arg equal to its power"
-                )
-            terms.append((float(t["coeff"]), power))
-        return cls(
-            shift=shift,
-            terms=tuple(terms),
-            singular=data.get("singular"),
-            complete=bool(data.get("complete", True)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> LaplaceExpr:
-        return cls.from_json_dict(json.loads(text))
 
 
 def _require_center_zero(f: TaylorSeries | FracPowerSeries, what: str) -> None:

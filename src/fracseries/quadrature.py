@@ -27,6 +27,12 @@ __all__ = [
 #: Relative node-doubling agreement required to accept a quadrature value.
 DOUBLING_TOL = 1.0e-9
 
+#: Nodes of the first Gauss-Jacobi pass of :func:`rl_integral_quad`.
+START_NODES = 16
+
+#: Node doublings :func:`rl_integral_quad` takes before it gives up.
+MAX_DOUBLINGS = 6
+
 #: Gauss-Jacobi rules kept, keyed by (alpha, nodes); least recently used go.
 JACOBI_CACHE_SIZE = 256
 
@@ -170,14 +176,14 @@ def rl_integral_quad(
     alpha: float,
     a: float,
     t: float,
-    nodes: int = 16,
+    *,
     rel_tol: float = DOUBLING_TOL,
-    max_doublings: int = 6,
 ) -> float:
     """Memory integral of order alpha > 0 of f over [a, t], to rel_tol.
 
-    Nodes are doubled until two successive rules agree to rel_tol
-    relative; analytic integrands settle after one or two doublings.
+    From START_NODES, nodes are doubled up to MAX_DOUBLINGS times until
+    two successive rules agree to rel_tol relative; analytic integrands
+    settle after one or two doublings.
 
     Raises:
         QuadratureError: if doubling never stabilizes (f not analytic on
@@ -186,14 +192,10 @@ def rl_integral_quad(
     """
     if not t > a:
         raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
-    if nodes < 8:
-        raise ValueError(f"nodes must be >= 8, got {nodes}")
-    if not rel_tol >= 0.0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol!r}")
-    if max_doublings < 1:
-        raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
+    _check_rel_tol(rel_tol)
+    nodes = START_NODES
     prev = rl_integral_fixed(f, alpha, a, t, nodes)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         nodes *= 2
         cur = rl_integral_fixed(f, alpha, a, t, nodes)
         change = abs(cur - prev)
@@ -204,6 +206,11 @@ def rl_integral_quad(
         f"node doubling did not stabilize by {nodes} nodes "
         f"(last change {change:.3e}, rel_tol {rel_tol:.3e})"
     )
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    if not rel_tol >= 0.0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol!r}")
 
 
 def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float], float]:
@@ -252,7 +259,7 @@ def caputo_quad(
     so this is a genuine memory integral; integer orders collapse to the
     exact classical derivative. Negative orders fall through to the
     plain memory integral (n = 0). Every order faces the same vetting of
-    the data (:func:`_checked_callable`).
+    the data (:func:`_checked_callable`) and of rel_tol.
 
     Raises:
         DivergenceError: when an integer order's derivative at t is beyond
@@ -264,6 +271,7 @@ def caputo_quad(
             f"t must exceed the terminal, got t={t!r}, a={f.center!r}"
         )
     g = _checked_callable(f, ord_, t)
+    _check_rel_tol(rel_tol)
     if ord_.is_integer and ord_.alpha >= 0:
         value = g(t)
         if not math.isfinite(value):

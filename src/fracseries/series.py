@@ -10,7 +10,6 @@ not an exception.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -223,30 +222,6 @@ class TaylorSeries:
     def __mul__(self, other: TaylorSeries) -> TaylorSeries:
         return taylor_arith(self, other, "mul")
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"center": self.center, "derivs": list(self.derivs)}
-        if self.radius_hint is not None:
-            out["radius_hint"] = self.radius_hint
-        if not self.complete:
-            out["complete"] = False
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> TaylorSeries:
-        return cls(
-            center=float(data["center"]),
-            derivs=tuple(float(d) for d in data["derivs"]),
-            radius_hint=data.get("radius_hint"),
-            complete=bool(data.get("complete", True)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> TaylorSeries:
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class FracPowerSeries:
@@ -267,10 +242,6 @@ class FracPowerSeries:
         object.__setattr__(self, "terms", canonical_terms(terms))
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, t: float) -> EvalResult:
         return eval_frac_series(self, t)

@@ -93,7 +93,7 @@ def crit_03_transform_example():
     f = FracPowerSeries(0.0, ((1.0, 0.5), (2.0, 0.0)))
     regular = laplace_rl_derivative_fps(f, 0.5)
     want = ((2.0, 0.5), (math.gamma(1.5), 1.0))
-    got = tuple((term.coeff, term.power) for term in regular.terms)
+    got = regular.terms
     singular = laplace_rl_derivative_fps(f, 1.5)
     ok = got == want and singular.is_singular and singular.singular == "k=0"
     return ok, f"terms {got}, marker {singular.singular!r}"

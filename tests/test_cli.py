@@ -273,14 +273,24 @@ def test_laplace_power_route_keeps_real_exponents(capsys):
 
 
 def test_laplace_json(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["laplace", "poly:1,1", "--op", "caputo", "--alpha", "0.5",
-         "--format", "json"],
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["terms"] == [{"coeff": 1.0, "power": 1.5}]
+    # a shifted term writes its Upsilon argument, truncated data writes
+    # "complete": false, and a singular transform writes its marker
+    cases = [
+        (["poly:1,1", "--op", "caputo", "--alpha", "0.5"],
+         {"shift": 0.0, "terms": [{"coeff": 1.0, "power": 1.5}]}),
+        (["exp:1", "--a=-1", "--trunc", "2", "--op", "series"],
+         {"complete": False, "shift": -1.0, "terms": [
+             {"coeff": 0.36787944117144233, "power": 1.0, "upsilon_arg": 1.0},
+             {"coeff": 0.36787944117144233, "power": 2.0, "upsilon_arg": 2.0},
+             {"coeff": 0.18393972058572117, "power": 3.0, "upsilon_arg": 3.0},
+         ]}),
+        (["exp:1", "--trunc", "2", "--op", "rl-der", "--alpha", "2.5"],
+         {"shift": 0.0, "singular": "k=0", "terms": []}),
+    ]
+    for args, doc in cases:
+        code, out, _ = run_cli(capsys, ["laplace", *args, "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_laplace_shifted_caputo_at_an_integer_order(capsys):
@@ -664,6 +674,9 @@ def test_sum_or_product_beyond_the_double_range_names_its_datum(capsys, argv, wh
         # two FAILs and exit 3
         (["examples", "--tol=nan"], "examples need --tol >= 0, got nan"),
         (["examples", "--tol=-1"], "examples need --tol >= 0, got -1.0"),
+        # an integer order took no integral and printed e with exit 0
+        (["oracle", "exp:1", "--alpha", "1", "--grid", "1:1:1", "--tol=nan"],
+         "rel_tol must be >= 0, got nan"),
     ],
 )
 def test_tolerance_below_zero_or_nan_is_a_usage_error(capsys, argv, what):

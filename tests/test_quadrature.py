@@ -51,7 +51,7 @@ def test_integral_of_exp_against_closed_form():
 
 def test_fixed_rule_converges_spectrally():
     f = lambda u: math.exp(5.0 * u)
-    want = rl_integral_quad(f, 0.5, 0.0, 2.0, nodes=64)
+    want = rl_integral_fixed(f, 0.5, 0.0, 2.0, 64)
     err8 = abs(rl_integral_fixed(f, 0.5, 0.0, 2.0, 8) - want) / abs(want)
     err16 = abs(rl_integral_fixed(f, 0.5, 0.0, 2.0, 16) - want) / abs(want)
     assert err16 < err8 * 1e-3
@@ -60,7 +60,7 @@ def test_fixed_rule_converges_spectrally():
 
 def test_integral_flags_nonsmooth_integrand():
     with pytest.raises(QuadratureError):
-        rl_integral_quad(lambda t: abs(t - 0.5) ** 0.3, 0.5, 0.0, 1.0, max_doublings=4)
+        rl_integral_quad(lambda t: abs(t - 0.5) ** 0.3, 0.5, 0.0, 1.0)
 
 
 def test_integral_past_the_gamma_range_is_refused():
@@ -74,17 +74,24 @@ def test_integral_validation():
         rl_integral_quad(lambda t: 1.0, -0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         rl_integral_quad(lambda t: 1.0, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rl_integral_quad(lambda t: 1.0, 0.5, 0.0, 1.0, nodes=4)
-    # nan and -1 doubled to 1024 nodes and then failed as non-convergence
+    # nan and -1 doubled to 1024 nodes and then failed as non-convergence;
+    # at integer orders the oracle answered without taking an integral
+    f = series_from_catalog("exp", [1.0], truncation=32)
     for rel_tol in (math.nan, -1.0):
-        with pytest.raises(ValueError, match=f"^rel_tol must be >= 0, got {rel_tol!r}$"):
-            rl_integral_quad(lambda t: 1.0, 0.5, 0.0, 1.0, rel_tol=rel_tol)
+        for call in (
+            lambda: rl_integral_quad(lambda t: 1.0, 0.5, 0.0, 1.0, rel_tol=rel_tol),
+            lambda: caputo_quad(f, 2, 1.0, rel_tol=rel_tol),
+            lambda: rl_derivative_quad(f, 1, 1.0, rel_tol=rel_tol),
+        ):
+            with pytest.raises(ValueError, match=f"^rel_tol must be >= 0, got {rel_tol!r}$"):
+                call()
 
 
 def test_oracle_tolerance_is_keyword_only():
-    # a positional fourth argument was the node count; it must not become
-    # a tolerance
+    # a positional fourth (fifth for the memory integral) argument was the
+    # node count; it must not become a tolerance
+    with pytest.raises(TypeError):
+        rl_integral_quad(math.exp, 0.5, 0.0, 1.0, 16)
     f = series_from_catalog("exp", [1.0], truncation=32)
     for quad in (caputo_quad, rl_derivative_quad):
         with pytest.raises(TypeError):
@@ -194,11 +201,6 @@ def test_doubling_failure_reports_the_last_change():
     assert 0.0 < change < 1e-9
     assert "1024 nodes" in message
     assert "rel_tol 0.000e+00" in message
-
-
-def test_doubling_needs_at_least_one_doubling():
-    with pytest.raises(ValueError):
-        rl_integral_quad(math.exp, 0.5, 0.0, 0.5, max_doublings=0)
 
 
 def test_jacobi_rule_cache_is_bounded():

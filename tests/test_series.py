@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -167,13 +166,6 @@ def test_taylor_arith_pads_a_shorter_complete_operand_with_its_zeros():
     assert taylor_arith(padded, g, "mul").truncation == 12
 
 
-def test_taylor_json_round_trip():
-    f = TaylorSeries(center=1.0, derivs=(2.0, 0.5), radius_hint=1.0, complete=False)
-    d = f.to_json_dict()
-    g = TaylorSeries.from_json_dict(json.loads(json.dumps(d)))
-    assert g == f
-
-
 # --- FracPowerSeries canonical form ----------------------------------------
 
 
@@ -188,7 +180,7 @@ def test_fps_sorts_merges_and_drops_zeros():
 
 def test_fps_drops_cancelling_pairs():
     s = FracPowerSeries(center=0.0, terms=((1.0, 0.5), (-1.0, 0.5)))
-    assert s.is_zero
+    assert s.terms == ()
     assert eval_frac_series(s, 2.0) == EvalResult.finite(0.0)
 
 
@@ -210,7 +202,7 @@ def test_fps_arithmetic():
     a = FracPowerSeries(center=0.0, terms=((1.0, 0.5),))
     b = FracPowerSeries(center=0.0, terms=((2.0, 1.5),))
     assert (a + b).terms == ((1.0, 0.5), (2.0, 1.5))
-    assert (a - a).is_zero
+    assert (a - a).terms == ()
     assert a.scaled(3.0).terms == ((3.0, 0.5),)
     with pytest.raises(ValueError):
         a + FracPowerSeries(center=1.0, terms=((1.0, 0.5),))
