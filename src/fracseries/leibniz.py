@@ -54,6 +54,17 @@ class LeibnizReport:
     terms_used: int
 
 
+def _binomial_weights(alpha: float):
+    """Yield gen_binom(alpha, j) for j = 0, 1, ... bit for bit: the same
+    falling-factorial product over j!, kept running across j. At j = 171,
+    whose j! is beyond the double range, gen_binom itself refuses."""
+    num = 1.0
+    for j in range(171):
+        yield num / math.factorial(j)
+        num *= alpha - j
+    yield gen_binom(alpha, 171)
+
+
 def _rule_sum(
     lead: TaylorSeries,
     other: TaylorSeries,
@@ -85,8 +96,7 @@ def _rule_sum(
     j_max = min(trunc, lead_t.truncation)
     memo = {} if memo is None else memo
     terms = []
-    for j in range(j_max + 1):
-        b = gen_binom(alpha, j)
+    for j, b in zip(range(j_max + 1), _binomial_weights(alpha)):
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue

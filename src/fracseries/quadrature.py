@@ -9,7 +9,8 @@ doubling certifies the result.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable
 
 from .operators import rl_caputo_bridge
@@ -80,7 +81,8 @@ def _jacobi_rule(alpha: float, nodes: int) -> tuple[tuple[float, ...], tuple[flo
         z = math.cos(t + ((0.25 - a * a) / half - 0.25 * half) / (4.0 * rho * rho))
         for _ in range(NEWTON_MAX_STEPS):
             p, dp, norm, dnorm = _orthonormal_at(z, steps)
-            dz = p / (dp - p * sum([1.0 / (z - x) for x in xs]))
+            # summed left to right, as the builtin sum() does not from 3.12 on
+            dz = p / (dp - p * reduce(add, [1.0 / (z - x) for x in xs], 0.0))
             if abs(dz) <= tol:
                 break
             z -= dz
@@ -227,16 +229,25 @@ def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float
     if not g.complete:
         x = t - g.center
         scale = abs(g.evaluate(t)) + 1.0
-        fact = math.factorial(g.truncation)
         try:
-            last = abs(g.derivs[-1]) * x**g.truncation / fact
-            second = abs(g.derivs[-2]) * x ** (g.truncation - 1) * g.truncation / fact
+            power = x**g.truncation
+            power_second = x ** (g.truncation - 1)
         except OverflowError:
             raise DivergenceError(
                 f"the tail terms of the order-{n} derivative overflow at t - center = "
                 f"{x!r}: (t - center)^{g.truncation} is beyond the double range "
                 f"(Taylor truncation {f.truncation})"
             ) from None
+        if g.truncation > 170:
+            # past 170! the coefficients read 0.0: no tail test could fail
+            raise GammaRangeError(
+                f"the tail terms of the order-{n} derivative divide f^({f.truncation}) "
+                f"by {g.truncation}!, which is beyond the double range "
+                f"(Taylor truncation {f.truncation})"
+            )
+        fact = math.factorial(g.truncation)
+        last = abs(g.derivs[-1]) * power / fact
+        second = abs(g.derivs[-2]) * power_second * g.truncation / fact
         if not (last <= TAIL_TOL * scale and second <= TAIL_TOL * scale):
             raise ValueError(
                 f"Taylor truncation {g.truncation} is too short for "

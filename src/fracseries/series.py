@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import itemgetter
 
 __all__ = [
@@ -147,10 +147,10 @@ class TaylorSeries:
     complete: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "derivs", tuple(float(d) for d in self.derivs))
+        object.__setattr__(self, "derivs", tuple(map(float, self.derivs)))
         if len(self.derivs) == 0:
             raise ValueError("derivs must contain at least f(center)")
-        if not all(math.isfinite(d) for d in self.derivs):
+        if not all(map(math.isfinite, self.derivs)):
             raise ValueError("derivative values must be finite")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
@@ -173,9 +173,14 @@ class TaylorSeries:
         """Horner evaluation of the (truncated) Taylor polynomial at *t*."""
         x = t - self.center
         acc = 0.0
-        for c in reversed(self.coeffs):
+        for c in self._descending:
             acc = acc * x + c
         return acc
+
+    @cached_property
+    def _descending(self) -> tuple[float, ...]:
+        """:attr:`coeffs` from the highest order down, the order Horner reads."""
+        return self.coeffs[::-1]
 
     @cached_property
     def coeffs(self) -> tuple[float, ...]:
@@ -189,11 +194,22 @@ class TaylorSeries:
         return tuple(out)
 
     def nth_derivative(self, n: int) -> TaylorSeries:
-        """Taylor data of the n-th derivative (a shift of the value list)."""
+        """Taylor data of the n-th derivative (a shift of the value list).
+
+        Each n is built once per series, so that its coefficients are too."""
         if n < 0:
             raise ValueError(f"derivative order must be >= 0, got {n}")
-        derivs = self.derivs[n:] if n <= self.truncation else (0.0,)
-        return TaylorSeries(self.center, derivs, self.radius_hint, self.complete)
+        derivative = self._derivatives.get(n)
+        if derivative is None:
+            derivs = self.derivs[n:] if n <= self.truncation else (0.0,)
+            derivative = TaylorSeries(self.center, derivs, self.radius_hint, self.complete)
+            self._derivatives[n] = derivative
+        return derivative
+
+    @cached_property
+    def _derivatives(self) -> dict[int, TaylorSeries]:
+        """The series :meth:`nth_derivative` has built, by n."""
+        return {}
 
     def recentered(self, new_center: float) -> TaylorSeries:
         """Re-expand about *new_center* (exact for complete data).
@@ -209,10 +225,10 @@ class TaylorSeries:
         derivs = []
         for j in range(n):
             acc = 0.0
-            for i in range(n - j):
+            for dv, power, fact in zip(islice(d, j, None), powers, facts):
                 # zero data adds nothing, even where the power has overflowed
-                if d[j + i]:
-                    acc += d[j + i] * powers[i] / facts[i]
+                if dv:
+                    acc += dv * power / fact
             derivs.append(acc)
         return TaylorSeries(new_center, tuple(derivs), self.radius_hint, self.complete)
 
@@ -580,6 +596,32 @@ def _check_no_underflow(value: float, name: str, param: float, center: float) ->
         )
 
 
+#: Row k holds the binomial coefficients binom(k, j), j <= k, as floats by
+#: the recurrence binom(k, j) = binom(k, j - 1) * (k - j + 1) / j. A longer
+#: product replaces the table with a longer one; it is never appended to, so
+#: the rows a caller holds stay in order whatever another thread does.
+_BINOMIAL_ROWS: list[tuple[float, ...]] = []
+
+
+def _binomial_rows(n: int) -> list[tuple[float, ...]]:
+    """The table of binomial rows, holding at least rows 0 to n."""
+    global _BINOMIAL_ROWS
+    rows = _BINOMIAL_ROWS
+    if len(rows) <= n:
+        rows = rows + [_binomial_row(k) for k in range(len(rows), n + 1)]
+        _BINOMIAL_ROWS = rows
+    return rows
+
+
+def _binomial_row(k: int) -> tuple[float, ...]:
+    row = [1.0]
+    binom = 1.0
+    for j in range(1, k + 1):
+        binom = binom * (k - j + 1) / j
+        row.append(binom)
+    return tuple(row)
+
+
 def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     """Pointwise sum or product of Taylor data with a common center.
 
@@ -601,14 +643,17 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     if op == "add":
         derivs = [fd[k] + gd[k] for k in range(n + 1)]
     elif op == "mul":
+        # datum k is sum_j binom(k, j) fd[j] gd[k - j], summed from j = 0 up;
+        # gd is reversed once and read from k down, since a slice per k
+        # would allocate a tuple per k
+        rows = _binomial_rows(n)
+        gd_desc = gd[::-1]
+        top = len(gd) - 1
         derivs = []
         for k in range(n + 1):
             acc = 0.0
-            binom = 1.0
-            for j in range(k + 1):
-                if j > 0:
-                    binom = binom * (k - j + 1) / j
-                acc += binom * fd[j] * gd[k - j]
+            for binom, x, y in zip(rows[k], fd, islice(gd_desc, top - k, None)):
+                acc += binom * x * y
             derivs.append(acc)
         if complete:
             df, dg = f.degree(), g.degree()

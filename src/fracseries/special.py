@@ -176,6 +176,10 @@ _SMALL_P_Q = 1.5
 #: Integer p beyond it takes the routes of non-integer p.
 _CLOSED_FORM_P_MAX = 171
 
+#: float(k!) for k < _CLOSED_FORM_P_MAX, each rounded once from the exact
+#: integer: the (p-1)! of the closed form's integer p.
+_FACTORIALS = tuple([float(math.factorial(k)) for k in range(_CLOSED_FORM_P_MAX)])
+
 #: Integer p at q < 0 sums Gamma(p) minus the lower integral where the
 #: closed form's alternating terms outgrow the value by more than this factor,
 #: and refuses where those two parts do: a loss of at most 3 bits either way.
@@ -235,7 +239,11 @@ def upsilon_scaled(p: float, q: float, memo: dict | None = None) -> float:
 
 def _upsilon(p: float, q: float, scaled: bool, memo: dict | None) -> float:
     p = _check_finite(p, "p")
-    q = _check_finite(q, "q")
+    if memo is None or "q" not in memo:
+        q = _check_finite(q, "q")
+        if memo is not None:
+            # a memo serves one q: the calls after this one skip the check
+            memo["q"] = q
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
     if q < 0 and not p.is_integer():
@@ -297,7 +305,7 @@ def _closed_form(m: int, q: float, memo: dict | None) -> float:
     powers = ({} if memo is None else memo).setdefault("powers", [1.0])
     if len(powers) < m:
         powers.extend([q**i for i in range(len(powers), m)])
-    acc = coeff = float(math.factorial(m - 1))  # i = 0: q**0 is 1.0
+    acc = coeff = _FACTORIALS[m - 1]  # i = 0: q**0 is 1.0
     for i in range(1, m):
         coeff /= i
         acc += coeff * powers[i]
@@ -323,7 +331,7 @@ def _negative_q_upsilon(p: float, q: float) -> float:
         term *= x / k
         step = term / (p + k)
         total += step
-    gamma_p = float(math.factorial(int(p) - 1))
+    gamma_p = _FACTORIALS[int(p) - 1]
     lower = q**p * total
     value = gamma_p - lower
     if max(gamma_p, abs(lower)) > _CANCEL_MAX * abs(value):

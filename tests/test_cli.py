@@ -608,6 +608,25 @@ def test_oracle_past_the_carried_data_names_n_and_truncation(capsys):
     assert "n = 181" in err and "truncation 64" in err
 
 
+def test_oracle_past_the_factorial_range_is_usage_error(capsys):
+    # it exited 3, blaming (t - center)^199 at t - center = 1.0; the tail test
+    # divides by 199!, beyond the double range, as eval's terms divide by
+    # Gamma(172.5)
+    code, out, err = run_cli(
+        capsys, ["oracle", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--trunc", "200"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the tail terms of the order-1 derivative divide f^(200) by 199!, which "
+        "is beyond the double range (Taylor truncation 200)\n"
+    )
+    # a power that overflows is still a numerical failure
+    code, _, err = run_cli(
+        capsys, ["oracle", "exp:1", "--alpha", "0.5", "--grid", "30:30:1", "--trunc", "300"])
+    assert code == 3
+    assert "(t - center)^299 is beyond the double range" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -300,3 +301,23 @@ def jacobi_panel_errors(nodes: int) -> list[float]:
 def test_jacobi_panel_against_mpmath(nodes):
     pytest.importorskip("mpmath")
     assert max(jacobi_panel_errors(nodes)) <= JACOBI_PANEL_TOL[nodes]
+
+
+#: SHA-256 of the float.hex of the nodes and weights of the 16-, 32- and
+#: 64-node rules at the panel's orders and at three orders that need the
+#: deflated Newton start. The Newton step sums left to right, not with the
+#: builtin sum(), which is compensated from Python 3.12 on, so the same bits
+#: are due on every interpreter the package supports.
+JACOBI_GOLDEN = "8b91cd15bd30731126e7c16c0c7da82160994b714bd5fce4f0771d359cf902c2"
+
+
+def test_jacobi_rule_bits_do_not_depend_on_the_interpreter():
+    from fracseries.quadrature import _jacobi_rule
+
+    orders = sorted({alpha for alpha, _ in jacobi_panel()}) + [12.5, 20.0, 50.0]
+    digest = hashlib.sha256()
+    for alpha in orders:
+        for nodes in (16, 32, 64):
+            x, w = _jacobi_rule.__wrapped__(alpha, nodes)
+            digest.update(" ".join(v.hex() for v in x + w).encode())
+    assert digest.hexdigest() == JACOBI_GOLDEN
