@@ -609,9 +609,8 @@ def test_oracle_past_the_carried_data_names_n_and_truncation(capsys):
 
 
 def test_oracle_past_the_factorial_range_is_usage_error(capsys):
-    # it exited 3, blaming (t - center)^199 at t - center = 1.0; the tail test
-    # divides by 199!, beyond the double range, as eval's terms divide by
-    # Gamma(172.5)
+    # the tail test divides by 199!, beyond the double range, as eval's terms
+    # divide by Gamma(172.5): the data is refused, not a power at t - center = 1
     code, out, err = run_cli(
         capsys, ["oracle", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--trunc", "200"])
     assert code == 2
