@@ -12,7 +12,6 @@ from .series import (
     DivergenceError,
     EvalResult,
     FracPowerSeries,
-    Order,
     TaylorSeries,
     eval_frac_series,
     series_from_catalog,
@@ -83,7 +82,6 @@ __all__ = [
     "IntegerLimitReport",
     "LaplaceExpr",
     "LeibnizReport",
-    "Order",
     "QuadratureError",
     "TaylorSeries",
     "caputo_derivative",

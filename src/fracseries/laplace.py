@@ -18,9 +18,10 @@ from .series import (
     DivergenceError,
     EvalResult,
     FracPowerSeries,
-    Order,
     TaylorSeries,
+    branch,
     canonical_terms,
+    check_order,
     check_slots,
     check_tail,
     positive_order,
@@ -237,24 +238,24 @@ def laplace_series(f: TaylorSeries) -> LaplaceExpr:
 
 def laplace_rl_integral(f: TaylorSeries, alpha: float) -> LaplaceExpr:
     """Transform of the RL integral: s^(-alpha) F(s), termwise."""
-    alpha = positive_order(alpha).alpha
+    alpha = positive_order(alpha)
     _require_center_zero(f, "laplace_rl_integral")
     return _taylor_transform(f, -alpha, 0)
 
 
-def laplace_caputo(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
+def laplace_caputo(f: TaylorSeries, order: float) -> LaplaceExpr:
     """Transform of the Caputo derivative with initial values materialized.
 
     s^alpha F(s) minus the n subtraction terms s^(alpha-k-1) f^(k)(0)
     removes exactly the slots k < n, which is what makes the Caputo
     transform regular where the RL one is singular.
     """
-    ord_ = positive_order(order)
+    alpha = positive_order(order)
     _require_center_zero(f, "laplace_caputo")
-    return _taylor_transform(f, ord_.alpha, ord_.n)
+    return _taylor_transform(f, alpha, branch(alpha))
 
 
-def laplace_rl_derivative(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
+def laplace_rl_derivative(f: TaylorSeries, order: float) -> LaplaceExpr:
     """Transform of the RL derivative, or a singular marker.
 
     The time-domain series has terms f^(k)(0) t^(k-alpha)/Gamma(k+1-alpha);
@@ -264,9 +265,9 @@ def laplace_rl_derivative(f: TaylorSeries, order: Order | float) -> LaplaceExpr:
     result is s^alpha F(s). Integer orders take the classical route,
     which drops the slots k < n.
     """
-    ord_ = positive_order(order)
+    alpha = positive_order(order)
     _require_center_zero(f, "laplace_rl_derivative")
-    return _taylor_transform(f, ord_.alpha, ord_.n if ord_.is_integer else 0)
+    return _taylor_transform(f, alpha, branch(alpha) if alpha.is_integer() else 0)
 
 
 def _power_sum_transform(series: FracPowerSeries, delta: float, name: str) -> LaplaceExpr:
@@ -316,10 +317,11 @@ def laplace_rl_derivative_fps(
     <= -1 make the transform singular.
 
     Raises:
-        ValueError: for a term exponent mu <= -1 at alpha != 0.
+        ValueError: for an order that is not finite, and for a term
+            exponent mu <= -1 at alpha != 0.
         GammaRangeError: when Gamma(mu+1) is beyond the double range.
     """
-    return _power_sum_transform(series, -float(alpha), "laplace_rl_derivative_fps")
+    return _power_sum_transform(series, -check_order(alpha), "laplace_rl_derivative_fps")
 
 
 def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExpr:
@@ -332,7 +334,7 @@ def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExp
             not exist.
         GammaRangeError: when Gamma(mu+1) is beyond the double range.
     """
-    alpha = positive_order(alpha).alpha
+    alpha = positive_order(alpha)
     return _power_sum_transform(series, alpha, "laplace_rl_integral_fps")
 
 
@@ -383,7 +385,7 @@ def frequency_differentiation_check(
     Both sides are built as fractional power series at 0 and compared
     coefficient by coefficient on the merged exponent grid.
     """
-    alpha = positive_order(alpha).alpha
+    alpha = positive_order(alpha)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     _require_center_zero(f, "frequency_differentiation_check")
@@ -413,7 +415,7 @@ def frequency_differentiation_check(
 
 
 def laplace_shifted_series(
-    f: TaylorSeries, kind: str = "plain", order: Order | float | None = None
+    f: TaylorSeries, kind: str = "plain", order: float | None = None
 ) -> LaplaceExpr:
     """Standard transform of Taylor data at a negative initial instant.
 
@@ -438,7 +440,7 @@ def laplace_shifted_series(
 
 
 def generalized_laplace(
-    f: TaylorSeries, kind: str = "plain", order: Order | float | None = None
+    f: TaylorSeries, kind: str = "plain", order: float | None = None
 ) -> LaplaceExpr:
     """Transform with kernel e^(-s(t-a)) integrated from the terminal a.
 
@@ -449,7 +451,7 @@ def generalized_laplace(
     return _taylor_transform(f, *_kind_slots(kind, order))
 
 
-def _kind_slots(kind: str, order: Order | float | None) -> tuple[float, int]:
+def _kind_slots(kind: str, order: float | None) -> tuple[float, int]:
     """(beta, k0) of the Taylor transform behind a named kind."""
     if kind == "plain":
         return 0.0, 0
@@ -457,10 +459,10 @@ def _kind_slots(kind: str, order: Order | float | None) -> tuple[float, int]:
         raise ValueError(f"unknown kind {kind!r} (expected plain, rl_integral, caputo)")
     if order is None:
         raise ValueError(f"kind={kind!r} needs an order")
-    ord_ = positive_order(order)
+    alpha = positive_order(order)
     if kind == "rl_integral":
-        return -ord_.alpha, 0
-    return ord_.alpha, ord_.n
+        return -alpha, 0
+    return alpha, branch(alpha)
 
 
 # ------------------------------------------------------------------
@@ -469,7 +471,7 @@ def _kind_slots(kind: str, order: Order | float | None) -> tuple[float, int]:
 
 
 def classify_lower_terminal(
-    f: TaylorSeries, order: Order | float
+    f: TaylorSeries, order: float
 ) -> EvalResult:
     """Limit of the RL differintegral as t approaches the terminal.
 
@@ -482,7 +484,7 @@ def classify_lower_terminal(
 
 
 def initial_value_equivalence(
-    f: TaylorSeries, order: Order | float
+    f: TaylorSeries, order: float
 ) -> tuple[bool, bool]:
     """Two readings of "the initial data vanish", evaluated independently.
 
@@ -492,14 +494,13 @@ def initial_value_equivalence(
     conditions match). Right: f^(k)(a) = 0 for k = 0..n-1. Returned as
     (left, right); they agree for every Taylor-representable f.
     """
-    ord_ = positive_order(order, non_integer=True)
+    alpha = positive_order(order, non_integer=True)
+    n = branch(alpha)
     left = True
-    for k in range(-1, ord_.n):
-        outcome = classify_lower_terminal(f, ord_.alpha - 1.0 - k)
+    for k in range(-1, n):
+        outcome = classify_lower_terminal(f, alpha - 1.0 - k)
         if not (outcome.is_finite and outcome.value == 0.0):
             left = False
             break
-    right = all(
-        f.derivs[k] == 0.0 for k in range(min(ord_.n, f.truncation + 1))
-    )
+    right = all(f.derivs[k] == 0.0 for k in range(min(n, f.truncation + 1)))
     return left, right

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from .series import (
     DivergenceError,
     EvalResult,
-    Order,
     TaylorSeries,
-    as_order,
+    branch,
+    check_order,
     check_tail,
     positive_order,
     series_from_catalog,
@@ -119,7 +119,7 @@ def _rule_sum(
 def leibniz_rl(
     f: TaylorSeries,
     g: TaylorSeries,
-    order: Order | float,
+    order: float,
     t: float,
     trunc: int = 32,
 ) -> EvalResult:
@@ -129,7 +129,7 @@ def leibniz_rl(
     at the terminal. Orders alpha - j <= 0 are RL integrals. For
     polynomial *f* the sum is exact once j exceeds the degree.
     """
-    alpha = as_order(order).alpha
+    alpha = check_order(order)
     value = _rule_sum(f, g, alpha, t, trunc, False)[0]
     return EvalResult.finite(value)
 
@@ -137,7 +137,7 @@ def leibniz_rl(
 def leibniz_monomial(
     f: TaylorSeries,
     m: int,
-    order: Order | float,
+    order: float,
     t: float,
     kind: str = "derivative",
 ) -> EvalResult:
@@ -153,7 +153,7 @@ def leibniz_monomial(
         ValueError: when the data of t^m at t is beyond the double range.
         DivergenceError: as :func:`leibniz_rl`.
     """
-    alpha = positive_order(order).alpha
+    alpha = positive_order(order)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if kind not in ("derivative", "integral"):
@@ -167,7 +167,7 @@ def leibniz_monomial(
 def leibniz_caputo_wrong(
     f: TaylorSeries,
     g: TaylorSeries,
-    order: Order | float,
+    order: float,
     t: float,
     trunc: int = 32,
 ) -> EvalResult:
@@ -179,7 +179,7 @@ def leibniz_caputo_wrong(
     general; :func:`leibniz_report` with rule="corrected" adds what is
     missing.
     """
-    alpha = as_order(order).alpha
+    alpha = check_order(order)
     value = _rule_sum(f, g, alpha, t, trunc, True)[0]
     return EvalResult.finite(value)
 
@@ -219,7 +219,7 @@ def _compensation(
 def leibniz_report(
     f: TaylorSeries,
     g: TaylorSeries,
-    order: Order | float,
+    order: float,
     t: float,
     rule: str = "corrected",
     trunc: int = 32,
@@ -238,9 +238,8 @@ def leibniz_report(
     """
     if rule not in ("rl", "wrong", "corrected"):
         raise ValueError(f"unknown rule {rule!r} (expected rl, wrong, corrected)")
-    ord_ = as_order(order)
+    alpha = check_order(order)
     product = taylor_arith(f, g, "mul")
-    alpha = ord_.alpha
     lead, other = (g, f) if swap else (f, g)
     caputo = rule != "rl"
     # the factors and the reference share one t - a: one memo serves them all
@@ -248,13 +247,13 @@ def leibniz_report(
     value, terms_used, lead_t = _rule_sum(lead, other, alpha, t, trunc, caputo, memo)
     correction = 0.0
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
-    if caputo and not ord_.is_integer:
-        correction = _compensation(lead, lead_t, other, alpha, ord_.n, t)
+    if caputo and not alpha.is_integer():
+        correction = _compensation(lead, lead_t, other, alpha, branch(alpha), t)
         # the reference, C D^alpha of the product, needs alpha > 0
-        positive_order(ord_, non_integer=True)
+        positive_order(alpha, non_integer=True)
     if rule == "corrected":
         value += correction
-    ref_value = operator_value(product, ord_, t, caputo, memo)
+    ref_value = operator_value(product, alpha, t, caputo, memo)
     return LeibnizReport(
         rule_value=EvalResult.finite(value),
         reference_value=EvalResult.finite(ref_value),

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .series import (
     FracPowerSeries,
-    Order,
     TaylorSeries,
-    as_order,
+    branch,
     check_finite,
+    check_order,
     check_slots,
     check_tail,
     positive_order,
@@ -43,15 +43,15 @@ __all__ = [
 
 
 def operator_terms(
-    f: TaylorSeries, ord_: Order, caputo: bool = False
+    f: TaylorSeries, alpha: float, caputo: bool = False
 ) -> list[tuple[float, float]]:
     """The nonzero terms of the RL (or, with *caputo*, the Caputo) series of
     f: the exact factorial shift at integer orders, else :func:`slot_terms`
     from k = n (Caputo) or k = 0 (RL), which agree at alpha < 0, where n = 0."""
-    if ord_.is_integer:
-        return _integer_shift(f, int(ord_.alpha))
-    k0 = ord_.n if caputo else 0
-    return slot_terms(f, ord_.alpha, k0, f.truncation + 1, f.complete)
+    if alpha.is_integer():
+        return _integer_shift(f, int(alpha))
+    k0 = branch(alpha) if caputo else 0
+    return slot_terms(f, alpha, k0, f.truncation + 1, f.complete)
 
 
 def check_right_of_terminal(t: float, a: float) -> None:
@@ -62,7 +62,7 @@ def check_right_of_terminal(t: float, a: float) -> None:
 
 def operator_value(
     f: TaylorSeries,
-    order: Order | float,
+    order: float,
     t: float,
     caputo: bool = False,
     memo: dict | None = None,
@@ -81,14 +81,14 @@ def operator_value(
         DivergenceError: as :func:`series.sum_terms`.
     """
     check_right_of_terminal(t, f.center)
-    ord_ = as_order(order)
+    alpha = check_order(order)
     x = t - f.center
-    if not ord_.is_integer and (f.complete or f.radius_hint is None or x < f.radius_hint):
-        k0 = ord_.n if caputo else 0
-        total = _slot_sum(f, ord_.alpha, k0, x, {} if memo is None else memo)
+    if not alpha.is_integer() and (f.complete or f.radius_hint is None or x < f.radius_hint):
+        k0 = branch(alpha) if caputo else 0
+        total = _slot_sum(f, alpha, k0, x, {} if memo is None else memo)
         if total is not None:
             return total
-    return sum_terms(operator_terms(f, ord_, caputo), x, f.radius_hint, f.complete)
+    return sum_terms(operator_terms(f, alpha, caputo), x, f.radius_hint, f.complete)
 
 
 def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> float | None:
@@ -169,7 +169,7 @@ def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
     return terms
 
 
-def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
+def rl_differintegral(f: TaylorSeries, order: float) -> FracPowerSeries:
     """Riemann-Liouville differintegral of any real order as a power series.
 
     Produces the terms f^(k)(a)/Gamma(k+1-alpha) * (t-a)^(k-alpha) for
@@ -181,7 +181,7 @@ def rl_differintegral(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
         GammaRangeError: when the gamma or factorial that divides a
             nonzero datum is beyond the double range.
     """
-    terms = operator_terms(f, as_order(order))
+    terms = operator_terms(f, check_order(order))
     return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
 
 
@@ -217,7 +217,7 @@ def slot_terms(
     return terms
 
 
-def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
+def caputo_derivative(f: TaylorSeries, order: float) -> FracPowerSeries:
     """Caputo derivative as a power series; the sum starts at k = n.
 
     Only non-integer positive orders are accepted: the integer case is
@@ -229,7 +229,7 @@ def caputo_derivative(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
 
 
 def rl_local_form(
-    f_at_t: TaylorSeries, order: Order | float, a: float
+    f_at_t: TaylorSeries, order: float, a: float
 ) -> FracPowerSeries:
     """RL differintegral from derivative data taken at the evaluation point.
 
@@ -237,22 +237,21 @@ def rl_local_form(
     and the series is in powers of (t - a); it is only meaningful when
     evaluated at the same t the data was taken at (f_at_t.center).
     """
-    return _local_form(f_at_t, as_order(order), 0, a)
+    return _local_form(f_at_t, check_order(order), 0, a)
 
 
 def caputo_local_form(
-    f_at_t: TaylorSeries, order: Order | float, a: float
+    f_at_t: TaylorSeries, order: float, a: float
 ) -> FracPowerSeries:
     """Caputo counterpart of :func:`rl_local_form`; the sum starts at k = n."""
-    ord_ = positive_order(order, non_integer=True)
-    return _local_form(f_at_t, ord_, ord_.n, a)
+    alpha = positive_order(order, non_integer=True)
+    return _local_form(f_at_t, alpha, branch(alpha), a)
 
 
 def _local_form(
-    f_at_t: TaylorSeries, ord_: Order, n: int, a: float
+    f_at_t: TaylorSeries, alpha: float, n: int, a: float
 ) -> FracPowerSeries:
     """:func:`slot_terms` k >= n about a of f^(k)(t) weighted by gen_binom(alpha-n, k-n)."""
-    alpha = ord_.alpha
     if f_at_t.center < a:
         raise ValueError(
             f"evaluation point {f_at_t.center!r} lies left of the terminal {a!r}"
@@ -264,16 +263,16 @@ def _local_form(
     return FracPowerSeries(float(a), tuple(terms), data.radius_hint, data.complete)
 
 
-def rl_caputo_bridge(f: TaylorSeries, order: Order | float) -> FracPowerSeries:
+def rl_caputo_bridge(f: TaylorSeries, order: float) -> FracPowerSeries:
     """Correction series with rl = caputo + bridge, termwise exactly.
 
     The bridge collects the k = 0..n-1 terms f^(k)(a)(t-a)^(k-alpha)
     / Gamma(k+1-alpha). At integer orders it is empty (each denominator
     sits on a pole).
     """
-    ord_ = as_order(order)
+    alpha = check_order(order)
     # a finite explicit sum: complete regardless of the source data
-    terms = slot_terms(f, ord_.alpha, 0, min(ord_.n, f.truncation + 1), True)
+    terms = slot_terms(f, alpha, 0, min(branch(alpha), f.truncation + 1), True)
     return FracPowerSeries(f.center, tuple(terms), f.radius_hint, True)
 
 
@@ -285,8 +284,12 @@ def frac_differintegral(
     c (t-a)^mu maps to c Gamma(mu+1)/Gamma(mu-alpha+1) (t-a)^(mu-alpha),
     valid for mu > -1 (the memory integral of t^mu with mu <= -1 does
     not exist). Pole denominators drop the term exactly.
+
+    Raises:
+        ValueError: for an order that is not finite, then for a term
+            exponent <= -1.
     """
-    alpha = float(alpha)
+    alpha = check_order(alpha)
     terms = []
     for c, e in series.terms:
         if e <= -1.0:
@@ -344,11 +347,12 @@ def integer_limit_check(
     """Check that the fractional operators collapse onto integer calculus.
 
     Raises:
-        ValueError: for n < 1 or eps outside (0, 0.1), or a grid point
-            at or left of the center.
+        ValueError: for n that is not an integer >= 1 (an int or an
+            integral float), eps outside (0, 0.1), or a grid point at or
+            left of the center.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n}")
     if not 0.0 < eps < 0.1:
         raise ValueError(f"eps must lie in (0, 0.1), got {eps}")
     grid = tuple(float(t) for t in grid)

@@ -14,7 +14,7 @@ from operator import add
 from typing import Callable
 
 from .operators import rl_caputo_bridge
-from .series import TAIL_TOL, DivergenceError, Order, TaylorSeries, as_order, check_slots
+from .series import TAIL_TOL, DivergenceError, TaylorSeries, branch, check_order, check_slots
 from .special import GammaRangeError, recip_gamma
 
 __all__ = [
@@ -215,7 +215,7 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol!r}")
 
 
-def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float], float]:
+def _checked_callable(f: TaylorSeries, alpha: float, t: float) -> Callable[[float], float]:
     """Evaluation closure for the n-th derivative of f, vetted on [center, t].
 
     Truncated data must carry two of the slots k >= n
@@ -223,8 +223,8 @@ def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float
     negligible at the far end of [center, t]: the last two carried terms
     stand in for the tail and must be below TAIL_TOL of the value there.
     """
-    n = ord_.n
-    check_slots(f, ord_.alpha, n, f.truncation + 1, f.complete)
+    n = branch(alpha)
+    check_slots(f, alpha, n, f.truncation + 1, f.complete)
     g = f.nth_derivative(n)
     if not g.complete:
         x = t - g.center
@@ -259,7 +259,7 @@ def _checked_callable(f: TaylorSeries, ord_: Order, t: float) -> Callable[[float
 
 def caputo_quad(
     f: TaylorSeries,
-    order: Order | float,
+    order: float,
     t: float,
     *,
     rel_tol: float = DOUBLING_TOL,
@@ -276,27 +276,27 @@ def caputo_quad(
         DivergenceError: when an integer order's derivative at t is beyond
             the double range, and as :func:`rl_integral_quad`.
     """
-    ord_ = as_order(order)
+    alpha = check_order(order)
     if not t > f.center:
         raise ValueError(
             f"t must exceed the terminal, got t={t!r}, a={f.center!r}"
         )
-    g = _checked_callable(f, ord_, t)
+    g = _checked_callable(f, alpha, t)
     _check_rel_tol(rel_tol)
-    if ord_.is_integer and ord_.alpha >= 0:
+    if alpha.is_integer() and alpha >= 0:
         value = g(t)
         if not math.isfinite(value):
             raise DivergenceError(
-                f"the derivative of order {ord_.alpha!r} at t = {t!r} is beyond the "
+                f"the derivative of order {alpha!r} at t = {t!r} is beyond the "
                 "double range"
             )
         return value
-    return rl_integral_quad(g, ord_.n - ord_.alpha, f.center, t, rel_tol=rel_tol)
+    return rl_integral_quad(g, branch(alpha) - alpha, f.center, t, rel_tol=rel_tol)
 
 
 def rl_derivative_quad(
     f: TaylorSeries,
-    order: Order | float,
+    order: float,
     t: float,
     *,
     rel_tol: float = DOUBLING_TOL,
@@ -311,13 +311,13 @@ def rl_derivative_quad(
         DivergenceError: when the sum is beyond the double range, and as
             :func:`caputo_quad`.
     """
-    ord_ = as_order(order)
-    base = caputo_quad(f, ord_, t, rel_tol=rel_tol)
-    bridge = rl_caputo_bridge(f, ord_).evaluate(t).expect_finite()
+    alpha = check_order(order)
+    base = caputo_quad(f, alpha, t, rel_tol=rel_tol)
+    bridge = rl_caputo_bridge(f, alpha).evaluate(t).expect_finite()
     value = base + bridge
     if not math.isfinite(value):
         raise DivergenceError(
-            f"the Caputo value {base!r} plus the bridge {bridge!r} of order {ord_.alpha!r} "
+            f"the Caputo value {base!r} plus the bridge {bridge!r} of order {alpha!r} "
             f"at t = {t!r} is beyond the double range"
         )
     return value

@@ -20,7 +20,6 @@ __all__ = [
     "DivergenceError",
     "EvalResult",
     "FracPowerSeries",
-    "Order",
     "TaylorSeries",
     "eval_frac_series",
     "series_from_catalog",
@@ -88,47 +87,32 @@ class EvalResult:
         return "Infinite(+1)" if self.sign > 0 else "Infinite(-1)"
 
 
-@dataclass(frozen=True)
-class Order:
-    """A differintegration order; its branch integer *n* is derived.
+def branch(alpha: float) -> int:
+    """The branch integer n of the order *alpha*.
 
-    For non-integer ``alpha > 0`` the branch satisfies
-    ``n - 1 < alpha < n``. Integer ``alpha >= 0`` has ``n = alpha``
-    (the classical branch). ``alpha <= 0`` marks the integral branch,
-    where *n* is 0.
+    For non-integer ``alpha > 0`` it satisfies ``n - 1 < alpha < n``.
+    Integer ``alpha >= 0`` has ``n = alpha`` (the classical branch).
+    ``alpha <= 0`` marks the integral branch, where n is 0.
     """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"order must be finite, got {self.alpha!r}")
-
-    @property
-    def n(self) -> int:
-        return max(math.ceil(self.alpha), 0)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.alpha.is_integer()
+    return max(math.ceil(alpha), 0)
 
 
-def as_order(order: Order | float) -> Order:
-    """Coerce a bare float into an :class:`Order`."""
-    if isinstance(order, Order):
-        return order
-    return Order(order)
+def check_order(order: float) -> float:
+    """*order* as a float; raise ValueError unless it is finite."""
+    alpha = float(order)
+    if not math.isfinite(alpha):
+        raise ValueError(f"order must be finite, got {alpha!r}")
+    return alpha
 
 
-def positive_order(order: Order | float, non_integer: bool = False) -> Order:
-    """Coerce *order*; raise ValueError unless alpha > 0 and, with
+def positive_order(order: float, non_integer: bool = False) -> float:
+    """:func:`check_order`; raise ValueError unless alpha > 0 and, with
     *non_integer*, alpha is not an integer."""
-    ord_ = as_order(order)
-    if not ord_.alpha > 0 or (non_integer and ord_.is_integer):
+    alpha = check_order(order)
+    if not alpha > 0 or (non_integer and alpha.is_integer()):
         domain = "> 0 and not an integer" if non_integer else "> 0"
-        raise ValueError(f"order must be {domain}, got {ord_.alpha}")
-    return ord_
+        raise ValueError(f"order must be {domain}, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -450,7 +434,7 @@ def check_slots(f: TaylorSeries, alpha: float, k0: int, k1: int, complete: bool)
     data carries (no tail test could see the dropped slots)."""
     if not complete and k1 - k0 < 2:
         raise ValueError(
-            f"order {alpha} (n = {as_order(alpha).n}) sums the slots k >= {k0}, and "
+            f"order {alpha} (n = {branch(alpha)}) sums the slots k >= {k0}, and "
             f"truncated Taylor data of truncation {f.truncation} carries "
             f"{max(k1 - k0, 0)} of them; the tail test needs two "
             f"(truncation >= {k0 + 1})"

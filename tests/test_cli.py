@@ -626,6 +626,19 @@ def test_oracle_past_the_factorial_range_is_usage_error(capsys):
     assert "(t - center)^299 is beyond the double range" in err
 
 
+@pytest.mark.parametrize("argv, order", [
+    (["eval", "exp:1", "--alpha=nan", "--grid", "0.5:1:2"], "nan"),
+    (["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha=inf", "--t", "1"], "inf"),
+    # an infinite order is refused, not read as a singular transform
+    (["laplace", "power:0.5", "--op", "rl-der", "--alpha=inf"], "inf"),
+])
+def test_non_finite_order_is_usage_error(capsys, argv, order):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: order must be finite, got {order}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

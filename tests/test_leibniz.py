@@ -14,7 +14,6 @@ from fracseries.grammar import parse_function_spec
 from fracseries.operators import caputo_derivative, rl_differintegral
 from fracseries.series import (
     DivergenceError,
-    Order,
     TaylorSeries,
     check_tail,
     series_from_catalog,
@@ -425,11 +424,11 @@ def _series_rule(f, g, alpha, t, rule, trunc, swap=False):
     total = math.fsum(terms)
     check_tail(terms, total, lead_t.complete)
 
-    ord_ = Order(alpha)
-    rl_reading = rule == "rl" or ord_.is_integer
+    rl_reading = rule == "rl" or float(alpha).is_integer()
     correction = 0.0
     if not rl_reading:
-        for k in range(ord_.n):
+        # k < n, the branch integer of the non-integer alpha (none below 0)
+        for k in range(math.ceil(alpha)):
             rg = recip_gamma(k + 1 - alpha)
             if rg == 0.0:
                 continue

@@ -21,7 +21,7 @@ from fracseries.series import (
     DivergenceError,
     FracPowerSeries,
     TaylorSeries,
-    as_order,
+    check_order,
     series_from_catalog,
     sum_terms,
 )
@@ -321,7 +321,7 @@ def test_operator_value_is_the_term_list_sum_bit_for_bit(spec, a):
             for order in orders:
                 for caputo in (False, True):
                     want = _outcome(lambda: sum_terms(
-                        operator_terms(f, as_order(order), caputo), t - a, f.radius_hint,
+                        operator_terms(f, check_order(order), caputo), t - a, f.radius_hint,
                         f.complete))
                     got = _outcome(lambda: operator_value(f, order, t, caputo, memo))
                     assert got == want, (spec, a, trunc, t, order, caputo)
@@ -342,7 +342,7 @@ def test_operator_value_matches_the_term_list_sum_on_extreme_data(seed):
         order = r.choice([1, -2, 0.5, -0.5, 2.25, 150.5, -178.5, 171.3])
         caputo = r.random() < 0.5
         want = _outcome(lambda: sum_terms(
-            operator_terms(f, as_order(order), caputo), t - a, f.radius_hint, f.complete))
+            operator_terms(f, check_order(order), caputo), t - a, f.radius_hint, f.complete))
         assert _outcome(lambda: operator_value(f, order, t, caputo)) == want, (derivs, a, t, order)
 
 
@@ -423,3 +423,13 @@ def test_integer_limit_validation():
         integer_limit_check(f, n=1, eps=0.5, grid=[1.0])
     with pytest.raises(ValueError):
         integer_limit_check(f, n=1, eps=1e-6, grid=[0.0, 1.0])
+
+
+def test_integer_limit_needs_an_integer_n():
+    # at n = 1.5 the "exact" reference would be the order-1.5 operator itself
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    for n in (1.5, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+            integer_limit_check(f, n, 1e-3, [0.5, 1.0])
+    assert integer_limit_check(f, 1, 1e-3, [0.5, 1.0]) == integer_limit_check(
+        f, 1.0, 1e-3, [0.5, 1.0])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +9,12 @@ from fracseries.series import (
     DivergenceError,
     EvalResult,
     FracPowerSeries,
-    Order,
     TaylorSeries,
-    as_order,
+    branch,
+    check_order,
+    check_slots,
     eval_frac_series,
+    positive_order,
     series_from_catalog,
     taylor_arith,
 )
@@ -39,35 +40,43 @@ def test_expect_finite_raises_on_infinite():
         EvalResult.infinite(1).expect_finite()
 
 
-# --- Order ----------------------------------------------------------------
+# --- orders ---------------------------------------------------------------
 
 
 def test_order_from_alpha():
-    assert Order(0.5).n == 1
-    assert Order(1.5).n == 2
-    assert Order(2.0).n == 2
-    assert Order(0.0).n == 0
-    assert Order(-0.5).n == 0
-    assert Order(-2.0).n == 0
+    assert branch(0.5) == 1
+    assert branch(1.5) == 2
+    assert branch(2.0) == 2
+    assert branch(2.5) == 3
+    assert branch(0.0) == 0
+    assert branch(-0.5) == 0
+    assert branch(-2.0) == 0
 
 
 def test_order_is_integer():
-    assert Order(3.0).is_integer
-    assert not Order(2.999999).is_integer
-    assert as_order(1.5) == Order(1.5)
-
-
-# --- TaylorSeries basics ---------------------------------------------------
+    # an int order is coerced to a float: int.is_integer needs Python 3.12
+    assert check_order(3) == 3.0 and type(check_order(3)) is float
+    assert check_order(3).is_integer()
+    assert not check_order(2.999999).is_integer()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as excinfo:
+            check_order(bad)
+        assert str(excinfo.value) == f"order must be finite, got {bad!r}"
+    assert positive_order(2) == 2.0 and type(positive_order(2)) is float
+    with pytest.raises(ValueError, match=r"^order must be > 0 and not an integer, got 2.0$"):
+        positive_order(2, non_integer=True)
+    with pytest.raises(ValueError, match=r"^order must be finite, got nan$"):
+        positive_order(math.nan)
 
 
 def test_order_derives_its_branch():
-    # a stored branch could disagree with alpha: Order(0.5, 5) summed the
-    # Caputo slots from k = 5 and read 0.0232 for C D^0.5 e^t at t = 1
-    assert [f.name for f in dataclasses.fields(Order)] == ["alpha"]
-    with pytest.raises(TypeError):
-        Order(0.5, 5)
-    assert Order(2).alpha == 2.0 and Order(2).alpha.is_integer()
-    assert [Order(a).n for a in (0.5, 2.0, 2.5, 0.0, -0.5, -2.0)] == [1, 2, 3, 0, 0, 0]
+    # the slot refusal names the branch derived from alpha, not the k0 passed
+    f = TaylorSeries(0.0, (1.0, 1.0), complete=False)
+    with pytest.raises(ValueError, match=r"^order 0\.5 \(n = 1\) sums the slots k >= 0, "):
+        check_slots(f, 0.5, 0, 1, f.complete)
+
+
+# --- TaylorSeries basics ---------------------------------------------------
 
 
 def test_taylor_validation():
