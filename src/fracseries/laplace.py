@@ -27,7 +27,7 @@ from .series import (
     positive_order,
 )
 from .operators import frac_differintegral, rl_differintegral
-from .special import GammaRangeError, pochhammer, recip_gamma, upsilon_scaled
+from .special import GammaRangeError, check_count, pochhammer, recip_gamma, upsilon_scaled
 
 __all__ = [
     "FreqDiffReport",
@@ -213,7 +213,7 @@ def _taylor_transform(
             the slots k >= k0 (:func:`series.check_slots`).
     """
     radius = f.radius_hint
-    if not f.complete and radius is not None and radius < math.inf:
+    if not f.complete and radius < math.inf:
         raise DivergenceError(
             f"truncated Taylor data with convergence radius {radius!r} has a "
             "divergent termwise transform; it needs data that converges on "
@@ -349,8 +349,7 @@ def frequency_derivative(expr: LaplaceExpr, m: int) -> LaplaceExpr:
     Only zero-shift expressions with positive powers qualify
     (differentiating through Upsilon factors is out of scope).
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = check_count(m, 0, "m")
     if expr.is_singular:
         raise ValueError("cannot differentiate a singular transform")
     if expr.shift != 0.0:
@@ -386,8 +385,7 @@ def frequency_differentiation_check(
     coefficient by coefficient on the merged exponent grid.
     """
     alpha = positive_order(alpha)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = check_count(m, 0, "m")
     _require_center_zero(f, "frequency_differentiation_check")
 
     weighted = frequency_derivative(laplace_series(f), m)

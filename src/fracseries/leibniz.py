@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .series import (
     DivergenceError,
@@ -32,7 +33,7 @@ from .series import (
     taylor_arith,
 )
 from .operators import check_right_of_terminal, operator_value
-from .special import gen_binom, recip_gamma
+from .special import check_count, gen_binom, recip_gamma
 
 __all__ = [
     "LeibnizReport",
@@ -56,13 +57,18 @@ class LeibnizReport:
 
 def _binomial_weights(alpha: float):
     """Yield gen_binom(alpha, j) for j = 0, 1, ... bit for bit: the same
-    falling-factorial product over j!, kept running across j. At j = 171,
-    whose j! is beyond the double range, gen_binom itself refuses."""
+    falling-factorial product over j!, kept running across j. Past j = 170,
+    whose j! is beyond the double range, an exact zero product (integer
+    alpha in [0, 171)) is yielded as it is, and gen_binom refuses any other."""
     num = 1.0
     for j in range(171):
         yield num / math.factorial(j)
         num *= alpha - j
-    yield gen_binom(alpha, 171)
+    if num:
+        yield gen_binom(alpha, 171)
+    for j in count(171):
+        yield num
+        num *= alpha - j
 
 
 def _rule_sum(
@@ -91,9 +97,7 @@ def _rule_sum(
     """
     lead_t = lead if lead.center == t else lead.recentered(t)
     check_right_of_terminal(t, other.center)
-    if trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {trunc}")
-    j_max = min(trunc, lead_t.truncation)
+    j_max = min(check_count(trunc, 1, "trunc"), lead_t.truncation)
     memo = {} if memo is None else memo
     terms = []
     for j, b in zip(range(j_max + 1), _binomial_weights(alpha)):
@@ -154,8 +158,7 @@ def leibniz_monomial(
         DivergenceError: as :func:`leibniz_rl`.
     """
     alpha = positive_order(order)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = check_count(m, 0, "m")
     if kind not in ("derivative", "integral"):
         raise ValueError(f"kind must be 'derivative' or 'integral', got {kind!r}")
     lead_t = series_from_catalog("poly", [0.0] * m + [1.0], t, max(m, 1))

@@ -28,7 +28,7 @@ from .series import (
     positive_order,
     sum_terms,
 )
-from .special import GammaRangeError, gamma_ratio, gen_binom, recip_gamma
+from .special import GammaRangeError, check_count, gamma_ratio, gen_binom, recip_gamma
 
 __all__ = [
     "IntegerLimitReport",
@@ -83,7 +83,7 @@ def operator_value(
     check_right_of_terminal(t, f.center)
     alpha = check_order(order)
     x = t - f.center
-    if not alpha.is_integer() and (f.complete or f.radius_hint is None or x < f.radius_hint):
+    if not alpha.is_integer() and (f.complete or x < f.radius_hint):
         k0 = branch(alpha) if caputo else 0
         total = _slot_sum(f, alpha, k0, x, {} if memo is None else memo)
         if total is not None:
@@ -150,7 +150,9 @@ def _gamma_range_error(alpha: float, k: int, arg: float) -> GammaRangeError:
 
 
 def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
-    """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data."""
+    """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data.
+    Past 170!, a derivative divides by 170! and then by each further factor
+    of (k - m)!, down to an exact 0.0; an integral refuses."""
     k0 = max(m, 0)
     check_slots(f, m, k0, f.truncation + 1, f.complete)
     terms = []
@@ -158,12 +160,19 @@ def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
         d = f.derivs[k]
         if d == 0.0:
             continue
-        if k - m > 170:
+        if k - m <= 170:
+            c = d / math.factorial(k - m)
+        elif m >= 0:
+            c = d / math.factorial(170)
+            for i in range(171, k - m + 1):
+                if c == 0.0:
+                    break
+                c /= i
+        else:
             raise GammaRangeError(
                 f"order {m} divides f^({k}) by ({k - m:.6g})!, which is beyond the "
                 "double range"
             )
-        c = d / math.factorial(k - m)
         if c != 0.0:
             terms.append((c, float(k - m)))
     return terms
@@ -178,8 +187,9 @@ def rl_differintegral(f: TaylorSeries, order: float) -> FracPowerSeries:
     take the exact factorial route.
 
     Raises:
-        GammaRangeError: when the gamma or factorial that divides a
-            nonzero datum is beyond the double range.
+        GammaRangeError: when the gamma that divides a nonzero datum, or
+            the factorial of an integer integral, is beyond the double
+            range.
     """
     terms = operator_terms(f, check_order(order))
     return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
@@ -351,8 +361,7 @@ def integer_limit_check(
             integral float), eps outside (0, 0.1), or a grid point at or
             left of the center.
     """
-    if not (float(n).is_integer() and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    n = check_count(n, 1, "n")
     if not 0.0 < eps < 0.1:
         raise ValueError(f"eps must lie in (0, 0.1), got {eps}")
     grid = tuple(float(t) for t in grid)

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .operators import rl_caputo_bridge
 from .series import TAIL_TOL, DivergenceError, TaylorSeries, branch, check_order, check_slots
-from .special import GammaRangeError, recip_gamma
+from .special import GammaRangeError, check_count, recip_gamma
 
 __all__ = [
     "QuadratureError",
@@ -62,8 +62,6 @@ def _jacobi_rule(alpha: float, nodes: int) -> tuple[tuple[float, ...], tuple[flo
     largest relative error at 16 to 64 nodes is 30-400x below that of
     scipy's roots_jacobi, whose weights come from the derivative formula.
     """
-    if nodes < 1:
-        raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
     a = alpha - 1.0
     steps = _jacobi_recurrence(alpha, nodes)
     mu0 = 2.0**alpha / alpha
@@ -139,6 +137,8 @@ def rl_integral_fixed(
     exactly the Jacobi weight (1-x)^(alpha-1).
 
     Raises:
+        ValueError: for alpha not positive and finite, then for nodes that
+            is not an integer >= 1.
         GammaRangeError: when Gamma(alpha) is beyond the double range.
         DivergenceError: when the weighted sum, ((t - a)/2)^alpha or the
             value is.
@@ -151,7 +151,8 @@ def rl_integral_fixed(
             f"order {alpha!r} divides the memory integral by Gamma({alpha!r}), which is "
             "beyond the double range"
         )
-    x, w = _jacobi_rule(float(alpha), int(nodes))
+    nodes = check_count(nodes, 1, "nodes")
+    x, w = _jacobi_rule(float(alpha), nodes)
     mid = 0.5 * (a + t)
     half = 0.5 * (t - a)
     try:

@@ -16,7 +16,10 @@ from functools import cached_property
 from itertools import accumulate, islice
 from operator import itemgetter
 
+from .special import check_count
+
 __all__ = [
+    "DEFAULT_TRUNCATION",
     "DivergenceError",
     "EvalResult",
     "FracPowerSeries",
@@ -122,12 +125,13 @@ class TaylorSeries:
     ``derivs[k]`` holds the raw ``f^(k)(center)``. With ``complete=True``
     the data fully determines the function (a polynomial of degree
     ``< len(derivs)``); otherwise it is a truncation of an infinite
-    expansion and evaluations are subject to the tail test.
+    expansion and evaluations are subject to the tail test and to the
+    convergence radius *radius_hint* (math.inf where it is not finite).
     """
 
     center: float
     derivs: tuple[float, ...]
-    radius_hint: float | None = None
+    radius_hint: float = math.inf
     complete: bool = True
 
     def __post_init__(self) -> None:
@@ -138,8 +142,7 @@ class TaylorSeries:
             raise ValueError("derivative values must be finite")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
-        if self.radius_hint is not None and not self.radius_hint > 0:
-            raise ValueError(f"radius_hint must be positive, got {self.radius_hint!r}")
+        check_radius(self.radius_hint)
 
     @property
     def truncation(self) -> int:
@@ -181,8 +184,7 @@ class TaylorSeries:
         """Taylor data of the n-th derivative (a shift of the value list).
 
         Each n is built once per series, so that its coefficients are too."""
-        if n < 0:
-            raise ValueError(f"derivative order must be >= 0, got {n}")
+        n = check_count(n, 0, "n")
         derivative = self._derivatives.get(n)
         if derivative is None:
             derivs = self.derivs[n:] if n <= self.truncation else (0.0,)
@@ -234,7 +236,7 @@ class FracPowerSeries:
 
     center: float
     terms: tuple[tuple[float, float], ...] = field(default=())
-    radius_hint: float | None = None
+    radius_hint: float = math.inf
     complete: bool = True
 
     def __post_init__(self) -> None:
@@ -242,6 +244,7 @@ class FracPowerSeries:
         object.__setattr__(self, "terms", canonical_terms(terms))
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
+        check_radius(self.radius_hint)
 
     def evaluate(self, t: float) -> EvalResult:
         return eval_frac_series(self, t)
@@ -286,11 +289,10 @@ class FracPowerSeries:
             raise ValueError(
                 f"center mismatch: {self.center!r} vs {other.center!r}"
             )
-        radius = _min_radius(self.radius_hint, other.radius_hint)
         return FracPowerSeries(
             self.center,
             self.terms + other.terms,
-            radius,
+            min(self.radius_hint, other.radius_hint),
             self.complete and other.complete,
         )
 
@@ -327,12 +329,11 @@ def check_finite(terms) -> None:
             raise ValueError(f"term {term!r} is not finite")
 
 
-def _min_radius(a: float | None, b: float | None) -> float | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def check_radius(radius: float) -> None:
+    """Raise ValueError unless the convergence radius is a number > 0;
+    data without a finite radius has math.inf."""
+    if not (isinstance(radius, (int, float)) and radius > 0):
+        raise ValueError(f"radius_hint must be positive, got {radius!r}")
 
 
 def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
@@ -362,7 +363,7 @@ def _terminal_value(lead: tuple[float, float]) -> float:
     return 0.0
 
 
-def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
+def sum_terms(terms, x: float, radius: float, complete: bool) -> float:
     """Sum of c * x**e over canonical terms at x = t - center > 0.
 
     This is the summation of :meth:`FracPowerSeries.evaluate_grid` and its
@@ -376,7 +377,7 @@ def sum_terms(terms, x: float, radius: float | None, complete: bool) -> float:
     """
     if not terms:
         return 0.0
-    if not complete and radius is not None and not x < radius:
+    if not complete and not x < radius:
         raise DivergenceError(
             f"t - center = {x!r} is outside the convergence radius {radius!r}"
         )
@@ -479,9 +480,11 @@ def series_from_catalog(
     ``exp`` (e^{rate t}), ``sin``/``cos`` (angular frequency omega).
 
     Raises:
-        ValueError: unknown family, bad parameters, or Taylor data
-            beyond the double range (e.g. ``exp`` with rate 1e300).
+        ValueError: a truncation that is not an integer >= 1, unknown
+            family, bad parameters, or Taylor data beyond the double
+            range (e.g. ``exp`` with rate 1e300).
     """
+    truncation = check_count(truncation, 1, "truncation")
     try:
         return _catalog_series(name, params, center, truncation)
     except OverflowError:
@@ -494,8 +497,6 @@ def series_from_catalog(
 def _catalog_series(
     name: str, params: list[float], center: float, truncation: int
 ) -> TaylorSeries:
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
     params = [float(p) for p in params]
     if not all(math.isfinite(p) for p in params):
         raise ValueError("catalog parameters must be finite")
@@ -505,16 +506,14 @@ def _catalog_series(
 
     if name == "const":
         name = "poly"
+    deg = len(params) - 1
+    if name in ("poly", "shifted-poly") and truncation < deg:
+        raise ValueError(f"truncation {truncation} is below the polynomial degree {deg}")
 
     if name == "poly":
-        deg = len(params) - 1
-        if truncation < deg:
-            raise ValueError(
-                f"truncation {truncation} is below the polynomial degree {deg}"
-            )
         derivs = [0.0] * size
         # k-th derivative of sum c_i t^i at a: sum_i c_i * i!/(i-k)! * a^(i-k)
-        for k in range(min(deg, truncation) + 1):
+        for k in range(deg + 1):
             acc = 0.0
             for i in range(k, deg + 1):
                 ff = 1.0
@@ -522,21 +521,16 @@ def _catalog_series(
                     ff *= i - j
                 acc += params[i] * ff * a ** (i - k)
             derivs[k] = acc
-        return TaylorSeries(a, tuple(derivs), radius_hint=None, complete=True)
+        return TaylorSeries(a, tuple(derivs))
 
     if name == "shifted-poly":
-        deg = len(params) - 1
-        if truncation < deg:
-            raise ValueError(
-                f"truncation {truncation} is below the polynomial degree {deg}"
-            )
         derivs = [0.0] * size
         fact = 1.0
         for k in range(deg + 1):
             if k > 0:
                 fact *= k
             derivs[k] = params[k] * fact
-        return TaylorSeries(a, tuple(derivs), radius_hint=None, complete=True)
+        return TaylorSeries(a, tuple(derivs))
 
     if name == "power":
         p = params[0]
@@ -561,13 +555,13 @@ def _catalog_series(
         base = math.exp(rate * a)
         _check_no_underflow(base, name, rate, a)
         derivs = [base * rate**k for k in range(size)]
-        return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
+        return TaylorSeries(a, tuple(derivs), complete=False)
 
     # sin or cos
     omega = params[0]
     phase = omega * a + (math.pi / 2 if name == "cos" else 0.0)
     derivs = [omega**k * math.sin(phase + k * math.pi / 2) for k in range(size)]
-    return TaylorSeries(a, tuple(derivs), radius_hint=math.inf, complete=False)
+    return TaylorSeries(a, tuple(derivs), complete=False)
 
 
 def _check_no_underflow(value: float, name: str, param: float, center: float) -> None:
@@ -621,7 +615,7 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     if f.complete != g.complete:
         n = (g if f.complete else f).truncation
         fd, gd = fd + (0.0,) * (n - f.truncation), gd + (0.0,) * (n - g.truncation)
-    radius = _min_radius(f.radius_hint, g.radius_hint)
+    radius = min(f.radius_hint, g.radius_hint)
     complete = f.complete and g.complete
 
     if op == "add":

@@ -37,6 +37,15 @@ def _check_finite(x: float, name: str = "x") -> float:
     return x
 
 
+def check_count(value, least: int, name: str) -> int:
+    """*value* as an int; raise ValueError unless it is an int or an
+    integral float, and at least *least*."""
+    count = int(value) if isinstance(value, float) and value.is_integer() else value
+    if not isinstance(count, int) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -79,22 +88,23 @@ def gen_binom(alpha: float, k: int) -> float:
 
     Computed as alpha(alpha-1)...(alpha-k+1)/k!, never as a ratio of
     gammas, so that a non-negative integer *alpha* with k > alpha yields
-    a bitwise 0.0 (one factor is exactly alpha - alpha).
+    a bitwise 0.0 (one factor is exactly alpha - alpha). Past k = 170,
+    whose k! is beyond the double range, that zero product is returned
+    as it is.
 
     Raises:
-        GammaRangeError: for k > 170, whose k! is beyond the double range.
+        GammaRangeError: for k > 170 and a product that is not zero.
     """
     alpha = _check_finite(alpha, "alpha")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > 170:
-        raise GammaRangeError(
-            f"gen_binom({alpha!r}, {k}) divides by {k}!, which is beyond the double range"
-        )
+    k = check_count(k, 0, "k")
     num = 1.0
     for j in range(k):
         num *= alpha - j
-    return num / math.factorial(k)
+    if k > 170 and num:
+        raise GammaRangeError(
+            f"gen_binom({alpha!r}, {k}) divides by {k}!, which is beyond the double range"
+        )
+    return num / math.factorial(k) if k <= 170 else num
 
 
 def pochhammer(x: float, k: int) -> float:
@@ -104,8 +114,7 @@ def pochhammer(x: float, k: int) -> float:
     pole-over-pole expression (integer x <= 0 with x + k > 0).
     """
     x = _check_finite(x)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = check_count(k, 0, "k")
     acc = 1.0
     for j in range(k):
         acc *= x + j

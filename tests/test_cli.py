@@ -519,6 +519,22 @@ def test_integer_integral_past_the_factorial_range_is_usage_error(capsys, argv, 
     assert factorial in err and "beyond the double range" in err
 
 
+def test_integer_derivative_past_the_factorial_range_returns_its_value(capsys):
+    # the weights past j = 1 and the derivative's slots past 170! are exact
+    # zeros: both exited 2, naming gen_binom(1.0, 171) and (171)!
+    code, out, err = run_cli(capsys, ["leibniz", "--f", "exp:1", "--g", "poly:1", "--alpha", "1",
+                                      "--t", "1", "--trunc", "200", "--rule", "rl"])
+    assert (code, err) == (0, "")
+    assert "rule value      2.7182818284590455\nreference value 2.7182818284590455\n" in out
+    code, out, err = run_cli(capsys, ["eval", "exp:1", "--alpha", "1", "--grid", "1:1:1",
+                                      "--trunc", "200"])
+    assert (code, out, err) == (0, "t,value\n1,2.7182818284590455\n", "")
+    # a non-integer order still refuses the weight past 170!
+    code, _, err = run_cli(capsys, ["leibniz", "--f", "exp:1", "--g", "poly:1", "--alpha", "0.5",
+                                    "--t", "1", "--trunc", "200", "--rule", "rl"])
+    assert code == 2 and "gen_binom(0.5, 171) divides by 171!" in err
+
+
 def test_fractional_integral_of_a_polynomial_skips_its_zero_slots(capsys):
     # 1/Gamma(k + 121.5) is 0.0 from k = 51 on, but only for data that is 0 there
     argv = ["eval", "poly:1", "--alpha", "-120.5", "--grid", "1:1:1"]

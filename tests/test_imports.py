@@ -70,3 +70,17 @@ def test_import_loads_neither_numpy_nor_scipy_and_values_match_mpmath():
     assert got["caputo_quad"] == 2.2906982523032386
     # e^t from a = -1 has the transform 1/(s - 1)
     assert got["shifted"] == 0.001251564455569462
+
+
+MODULES = ("series", "special", "operators", "leibniz", "laplace", "quadrature", "grammar")
+
+
+def test_package_names_are_the_module_lists():
+    import importlib
+
+    modules = [importlib.import_module(f"fracseries.{name}") for name in MODULES]
+    assert fracseries.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(fracseries.__all__)) == len(fracseries.__all__) == 52
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fracseries, name) is getattr(module, name)

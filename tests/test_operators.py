@@ -221,7 +221,7 @@ def test_sums_past_the_carried_data_are_refused():
         lambda: caputo_derivative(f, 8.5),
         lambda: rl_differintegral(f, 8.0),
         lambda: caputo_local_form(f, 8.5, -1.0),
-        lambda: rl_differintegral(TaylorSeries(0.0, (1.0,), None, False), 0.5),
+        lambda: rl_differintegral(TaylorSeries(0.0, (1.0,), math.inf, False), 0.5),
     ):
         with pytest.raises(ValueError, match="truncation"):
             build()
@@ -264,7 +264,7 @@ def test_a_term_beyond_the_double_range_is_named_after_the_gamma_checks():
         (330, GammaRangeError, r"f\^\(322\) by Gamma\(172\.5\)"),
         (100, ValueError, r"term \(inf, -150\.5\) is not finite"),
     ):
-        f = TaylorSeries(0.0, [1.0e100] * n, None, False)
+        f = TaylorSeries(0.0, [1.0e100] * n, math.inf, False)
         with pytest.raises(error, match=match):
             operator_value(f, 150.5, 0.5)
 
@@ -337,7 +337,7 @@ def test_operator_value_matches_the_term_list_sum_on_extreme_data(seed):
         derivs = [r.choice([0.0, 1.0, -3.0, 1.0e300, -1.0e300, 5.0e-324, r.uniform(-9.0, 9.0)])
                   for _ in range(r.randint(1, 40))]
         a = r.choice([-1.0, 0.0, 0.5, 1.0])
-        f = TaylorSeries(a, derivs, r.choice([None, 0.5, 2.0]), r.random() < 0.3)
+        f = TaylorSeries(a, derivs, r.choice([math.inf, 0.5, 2.0]), r.random() < 0.3)
         t = a + r.choice([1e-3, 0.4, 1.0, 3.0, 1e20])
         order = r.choice([1, -2, 0.5, -0.5, 2.25, 150.5, -178.5, 171.3])
         caputo = r.random() < 0.5

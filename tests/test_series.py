@@ -182,7 +182,7 @@ def test_fps_sorts_merges_and_drops_zeros():
     s = FracPowerSeries(
         center=0.0,
         terms=((2.0, 1.5), (0.0, 3.0), (1.0, 0.5), (3.0, 1.5 + 1e-14)),
-        radius_hint=None,
+        radius_hint=math.inf,
     )
     assert s.terms == ((1.0, 0.5), (5.0, 1.5))
 
@@ -259,6 +259,33 @@ def test_incomplete_series_radius_enforced():
     )
     with pytest.raises(DivergenceError):
         eval_frac_series(s, 2.5)  # on the circle of convergence
+
+
+def test_no_finite_radius_is_spelled_inf():
+    from fracseries.laplace import laplace_series
+    from fracseries.operators import operator_value, rl_differintegral
+
+    # None used to mean "no finite radius"; it is refused by name
+    for build in (lambda r: TaylorSeries(0.0, (1.0,) * 33, r, False),
+                  lambda r: FracPowerSeries(0.0, ((1.0, 0.5),), r, False)):
+        with pytest.raises(ValueError, match=r"^radius_hint must be positive, got None$"):
+            build(None)
+        assert build(math.inf).radius_hint == math.inf
+    # truncated e^t data at 0 with the default radius: at every finite t the
+    # tail test decides, the operator value takes the slot sum, and the
+    # termwise transform exists
+    f = TaylorSeries(0.0, (1.0,) * 33, complete=False)
+    assert f.radius_hint == math.inf
+    half = rl_differintegral(f, 0.5)
+    values = half.evaluate_grid([0.5, 1.0, 2.0])
+    assert values == [operator_value(f, 0.5, t) for t in (0.5, 1.0, 2.0)]
+    with pytest.raises(DivergenceError, match="^tail terms"):
+        half.evaluate_grid([30.0])
+    assert not laplace_series(f).is_singular
+    # inf is the neutral radius of sums and products
+    assert (half + half).radius_hint == math.inf
+    assert (f * TaylorSeries(0.0, (1.0,) * 33, 2.5, False)).radius_hint == 2.5
+    assert (f + series_from_catalog("poly", [1.0], truncation=32)).radius_hint == math.inf
 
 
 def test_incomplete_series_tail_test_flags_slow_convergence():

@@ -97,9 +97,11 @@ def test_gen_binom_past_170_is_a_gamma_range_error():
     # OverflowError from the int-to-float conversion
     want = math.gamma(1.5) / (math.gamma(171) * math.gamma(-168.5))
     assert gen_binom(0.5, 170) == pytest.approx(want, rel=1e-12)
-    for alpha, k in ((0.5, 171), (2.0, 171), (-1.5, 200)):
+    for alpha, k in ((0.5, 171), (200.0, 171), (-1.5, 200)):
         with pytest.raises(GammaRangeError, match=rf"gen_binom\({alpha!r}, {k}\) divides by {k}!"):
             gen_binom(alpha, k)
+    # an integer alpha in [0, k) has the exact zero product, past 170! too
+    assert gen_binom(2.0, 171) == 0.0
 
 
 def test_gen_binom_negative_k():
