@@ -78,7 +78,6 @@ def _rule_sum(
     t: float,
     trunc: int,
     caputo: bool,
-    memo: dict | None = None,
 ) -> tuple[float, int, TaylorSeries]:
     """sum_j gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t), its
     length, and the data of *lead* at t (*lead* itself when centred there).
@@ -86,25 +85,26 @@ def _rule_sum(
     The factors are RL values, or with *caputo* Caputo values (which are
     RL values at orders alpha - j <= 0). Their slots k divide by
     Gamma(k + 1 - (alpha - j)) and take t - a to the power k - (alpha - j),
-    both of which repeat along k + j: all factors read one *memo* of
-    :func:`operators.operator_value` (a fresh one when none is passed),
-    so each distinct argument and power is evaluated once.
+    both of which repeat along k + j: :func:`operators.operator_value`
+    keeps them, and each factor value, as *other*'s work at t, so each
+    distinct argument and power is evaluated once, and a second rule at
+    the same t reads its factors there. *lead* keeps its data at t.
 
     Raises:
+        ValueError: for t at or left of the terminal, before anything else.
         DivergenceError: when a term or the sum leaves the double range,
             naming t and the largest term, or when the sum of truncated
             data fails the tail test.
     """
-    lead_t = lead if lead.center == t else lead.recentered(t)
     check_right_of_terminal(t, other.center)
+    lead_t = lead if lead.center == t else lead.recentered(t)
     j_max = min(check_count(trunc, 1, "trunc"), lead_t.truncation)
-    memo = {} if memo is None else memo
     terms = []
     for j, b in zip(range(j_max + 1), _binomial_weights(alpha)):
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue
-        value = operator_value(other, alpha - j, t, caputo, memo)
+        value = operator_value(other, alpha - j, t, caputo)
         terms.append(b * lead_t.derivs[j] * value)
     try:
         total = math.fsum(terms)
@@ -245,9 +245,7 @@ def leibniz_report(
     product = taylor_arith(f, g, "mul")
     lead, other = (g, f) if swap else (f, g)
     caputo = rule != "rl"
-    # the factors and the reference share one t - a: one memo serves them all
-    memo: dict = {}
-    value, terms_used, lead_t = _rule_sum(lead, other, alpha, t, trunc, caputo, memo)
+    value, terms_used, lead_t = _rule_sum(lead, other, alpha, t, trunc, caputo)
     correction = 0.0
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
     if caputo and not alpha.is_integer():
@@ -256,7 +254,7 @@ def leibniz_report(
         positive_order(alpha, non_integer=True)
     if rule == "corrected":
         value += correction
-    ref_value = operator_value(product, alpha, t, caputo, memo)
+    ref_value = operator_value(product, alpha, t, caputo)
     return LeibnizReport(
         rule_value=EvalResult.finite(value),
         reference_value=EvalResult.finite(ref_value),

@@ -60,19 +60,14 @@ def check_right_of_terminal(t: float, a: float) -> None:
         raise ValueError(f"t={t!r} must lie right of the terminal {a!r}")
 
 
-def operator_value(
-    f: TaylorSeries,
-    order: float,
-    t: float,
-    caputo: bool = False,
-    memo: dict | None = None,
-) -> float:
+def operator_value(f: TaylorSeries, order: float, t: float, caputo: bool = False) -> float:
     """The value at t > a of :func:`operator_terms`, summed without a series.
 
     It is ``sum_terms(operator_terms(...))`` bit for bit, refusals
-    included. A non-integer order takes :func:`_slot_sum`, which reads
-    *memo*; a sum that it cannot finish, and data summed at or past its
-    radius, take the term-list route, which states the refusal.
+    included. A non-integer order takes :func:`_slot_sum`; a sum that it
+    cannot finish, and data summed at or past its radius, take the
+    term-list route, which states the refusal. f keeps the value at t
+    (:meth:`TaylorSeries._memo`) by order and first slot: Caputo is RL at orders <= 0.
 
     Raises:
         ValueError: for t at or left of the terminal f.center, and as
@@ -82,13 +77,17 @@ def operator_value(
     """
     check_right_of_terminal(t, f.center)
     alpha = check_order(order)
+    k0 = branch(alpha) if caputo else 0
+    memo, key = f._memo(t), ("operator", alpha, k0)
+    if (value := memo.get(key)) is not None:
+        return value
     x = t - f.center
     if not alpha.is_integer() and (f.complete or x < f.radius_hint):
-        k0 = branch(alpha) if caputo else 0
-        total = _slot_sum(f, alpha, k0, x, {} if memo is None else memo)
-        if total is not None:
-            return total
-    return sum_terms(operator_terms(f, alpha, caputo), x, f.radius_hint, f.complete)
+        value = _slot_sum(f, alpha, k0, x, memo)
+    if value is None:
+        value = sum_terms(operator_terms(f, alpha, caputo), x, f.radius_hint, f.complete)
+    memo[key] = value
+    return value
 
 
 def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> float | None:
@@ -97,11 +96,12 @@ def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> f
 
     Each slot with a nonzero coefficient adds its term with the float
     operations of ``sum_terms(slot_terms(...))``, in the same order, and
-    the tail test reads the last two of them. *memo* maps a Gamma argument
-    k+1-alpha to ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha
-    is slot k-1's argument, so only the first slot's power is computed
-    directly. Callers that sum many orders at one x pass one memo to all
-    of them, so that each argument is evaluated once; a memo serves one x.
+    the tail test reads the last two of them. *memo*, f's work at the
+    point x past its center, maps a Gamma argument k+1-alpha to
+    ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha is slot
+    k-1's argument, so only the first slot's power is computed directly.
+    Every order summed at one point reads it, so that each argument is
+    evaluated once per series and point.
 
     Raises:
         ValueError: for truncated data that keeps fewer than two slots.

@@ -271,7 +271,9 @@ def caputo_quad(
     so this is a genuine memory integral; integer orders collapse to the
     exact classical derivative. Negative orders fall through to the
     plain memory integral (n = 0). Every order faces the same vetting of
-    the data (:func:`_checked_callable`) and of rel_tol.
+    the data (:func:`_checked_callable`) and of rel_tol; then the value is
+    kept as f's work at t (:meth:`TaylorSeries._memo`), keyed by the order
+    and rel_tol.
 
     Raises:
         DivergenceError: when an integer order's derivative at t is beyond
@@ -284,6 +286,9 @@ def caputo_quad(
         )
     g = _checked_callable(f, alpha, t)
     _check_rel_tol(rel_tol)
+    memo, key = f._memo(t), ("caputo_quad", alpha, rel_tol)
+    if (value := memo.get(key)) is not None:
+        return value
     if alpha.is_integer() and alpha >= 0:
         value = g(t)
         if not math.isfinite(value):
@@ -291,8 +296,10 @@ def caputo_quad(
                 f"the derivative of order {alpha!r} at t = {t!r} is beyond the "
                 "double range"
             )
-        return value
-    return rl_integral_quad(g, branch(alpha) - alpha, f.center, t, rel_tol=rel_tol)
+    else:
+        value = rl_integral_quad(g, branch(alpha) - alpha, f.center, t, rel_tol=rel_tol)
+    memo[key] = value
+    return value
 
 
 def rl_derivative_quad(

@@ -197,13 +197,34 @@ class TaylorSeries:
         """The series :meth:`nth_derivative` has built, by n."""
         return {}
 
+    def _memo(self, t: float) -> dict:
+        """The work this series keeps for t, its latest evaluation point.
+
+        A call at another t replaces the dict, so the series holds one
+        point's work; a thread keeps the dict it was given, so a replacement
+        costs work, never a value. t is keyed by its type, value and sign
+        (-0.0 and 0.0 keep apart). Callers store only values they return.
+        """
+        key = (type(t), t, math.copysign(1.0, t))
+        latest = vars(self).get("_latest")
+        if latest is None or latest[0] != key:
+            latest = vars(self)["_latest"] = (key, {})
+        return latest[1]
+
     def recentered(self, new_center: float) -> TaylorSeries:
-        """Re-expand about *new_center* (exact for complete data).
+        """Re-expand about *new_center* (exact for complete data), kept by :meth:`_memo`.
 
         For truncated data the result is the truncated re-expansion; its
         high-order values are only as good as the original truncation.
+
+        Raises:
+            ValueError: naming the first datum of the re-expansion that is
+                beyond the double range.
         """
         h = new_center - self.center
+        memo = self._memo(new_center)
+        if (kept := memo.get("recentered")) is not None:
+            return kept
         d = self.derivs
         n = len(d)
         powers = list(accumulate(range(1, n), lambda p, _: p * h, initial=1.0))
@@ -216,7 +237,10 @@ class TaylorSeries:
                 if dv:
                     acc += dv * power / fact
             derivs.append(acc)
-        return TaylorSeries(new_center, tuple(derivs), self.radius_hint, self.complete)
+        check_data(derivs, f"the re-expansion of Taylor data about {new_center!r}")
+        kept = TaylorSeries(new_center, tuple(derivs), self.radius_hint, self.complete)
+        memo["recentered"] = kept
+        return kept
 
     def __add__(self, other: TaylorSeries) -> TaylorSeries:
         return taylor_arith(self, other, "add")
@@ -327,6 +351,13 @@ def check_finite(terms) -> None:
     for term in terms:
         if not (math.isfinite(term[0]) and math.isfinite(term[1])):
             raise ValueError(f"term {term!r} is not finite")
+
+
+def check_data(derivs: list[float], what: str) -> None:
+    """Raise ValueError naming *what* and its first datum k that is not finite."""
+    for k, d in enumerate(derivs):
+        if not math.isfinite(d):
+            raise ValueError(f"{what} is beyond the double range: its datum k = {k} is {d!r}")
 
 
 def check_radius(radius: float) -> None:
@@ -606,8 +637,12 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     Truncation of the result is the minimum of the inputs, unless just one
     is complete: its data is exactly 0 past its truncation, so the result
     has the other's. Callers that need an exact polynomial product must
-    supply adequately padded data.
+    supply adequately padded data. *f* keeps its latest result, keyed by
+    the identity of *g* and by *op*.
     """
+    latest = vars(f).get("_latest_arith")
+    if latest is not None and latest[0] is g and latest[1] == op:
+        return latest[2]
     if f.center != g.center:
         raise ValueError(f"center mismatch: {f.center!r} vs {g.center!r}")
     fd, gd = f.derivs, g.derivs
@@ -640,10 +675,8 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
                 complete = False
     else:
         raise ValueError(f"unknown op {op!r} (expected 'add' or 'mul')")
-    for k, d in enumerate(derivs):
-        if not math.isfinite(d):
-            raise ValueError(
-                f"the {'sum' if op == 'add' else 'product'} of Taylor data at center "
-                f"{f.center!r} is beyond the double range: its datum k = {k} is {d!r}"
-            )
-    return TaylorSeries(f.center, tuple(derivs), radius, complete)
+    check_data(derivs, f"the {'sum' if op == 'add' else 'product'} of Taylor data at center "
+               f"{f.center!r}")
+    result = TaylorSeries(f.center, tuple(derivs), radius, complete)
+    vars(f)["_latest_arith"] = (g, op, result)
+    return result

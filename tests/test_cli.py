@@ -711,6 +711,26 @@ def test_sum_or_product_beyond_the_double_range_names_its_datum(capsys, argv, wh
 
 
 @pytest.mark.parametrize(
+    "t, what",
+    [
+        ("nan", "t=nan must lie right of the terminal 0.0"),
+        ("inf", "the re-expansion of Taylor data about inf is beyond the double range: "
+         "its datum k = 0 is inf"),
+        ("1e300", "the re-expansion of Taylor data about 1e+300 is beyond the double "
+         "range: its datum k = 0 is inf"),
+    ],
+)
+def test_product_rule_at_a_non_finite_or_huge_t_names_it(capsys, t, what):
+    # t is vetted before the lead factor is re-centred at it, and a
+    # re-expansion beyond the double range names its centre and datum
+    argv = ["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha", "0.5", "--t", t]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert what in err
+
+
+@pytest.mark.parametrize(
     "argv, what",
     [
         # rules up to 1024 nodes, then exit 3: "node doubling did not stabilize"

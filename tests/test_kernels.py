@@ -135,6 +135,12 @@ def recentered_loop(self: TaylorSeries, new_center: float) -> TaylorSeries:
             if d[j + i]:
                 acc += d[j + i] * powers[i] / facts[i]
         derivs.append(acc)
+    for k, dk in enumerate(derivs):
+        if not math.isfinite(dk):
+            raise ValueError(
+                f"the re-expansion of Taylor data about {new_center!r} is beyond the "
+                f"double range: its datum k = {k} is {dk!r}"
+            )
     return TaylorSeries(new_center, tuple(derivs), self.radius_hint, self.complete)
 
 
@@ -149,7 +155,7 @@ def test_recentered_matches_the_loop():
 
 def test_recentered_past_an_overflowing_power_matches_the_loop():
     # h^k overflows from k = 31 on: zero data there adds nothing, and a
-    # nonzero datum makes the data non-finite, which TaylorSeries refuses
+    # nonzero datum makes the data non-finite, which is refused by name
     h = 1.0e10
     zero_tail = TaylorSeries(0.0, (1.0, -2.0, 0.5) + (0.0,) * 62, math.inf, True)
     live_tail = TaylorSeries(0.0, (1.0,) * 65, math.inf, False)
@@ -184,20 +190,19 @@ def test_running_weights_are_gen_binom(alpha):
     assert str(exc.value) == str(ref.value)
 
 
-def rule_sum_loop(lead, other, alpha, t, trunc, caputo, memo=None):
+def rule_sum_loop(lead, other, alpha, t, trunc, caputo):
     lead_t = lead if lead.center == t else lead.recentered(t)
     check_right_of_terminal(t, other.center)
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")
     j_max = min(trunc, lead_t.truncation)
-    memo = {} if memo is None else memo
     terms = []
     for j in range(j_max + 1):
         b = gen_binom(alpha, j)
         if b == 0.0 or lead_t.derivs[j] == 0.0:
             terms.append(0.0)
             continue
-        value = operator_value(other, alpha - j, t, caputo, memo)
+        value = operator_value(other, alpha - j, t, caputo)
         terms.append(b * lead_t.derivs[j] * value)
     try:
         total = math.fsum(terms)

@@ -10,8 +10,10 @@ from fracseries.leibniz import (
     leibniz_report,
     leibniz_rl,
 )
+from fracseries import quadrature
 from fracseries.grammar import parse_function_spec
 from fracseries.operators import caputo_derivative, rl_differintegral
+from fracseries.quadrature import rl_integral_fixed
 from fracseries.series import (
     DivergenceError,
     TaylorSeries,
@@ -55,6 +57,44 @@ def test_report_recenters_the_lead_factor_once(monkeypatch, rule):
     g = series_from_catalog("sin", [1.0], truncation=32)
     leibniz_report(f, g, 0.5, 0.75, rule=rule)
     assert calls == [0.75]
+
+
+def test_three_reports_build_one_product_and_one_recentering(monkeypatch):
+    # the product and the lead factor at t are kept on the data: the
+    # reports after the first build no series
+    built = []
+    original = TaylorSeries.__post_init__
+
+    def counting(self):
+        built.append(self.center)
+        original(self)
+
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    g = series_from_catalog("sin", [1.0], truncation=32)
+    monkeypatch.setattr(TaylorSeries, "__post_init__", counting)
+    for rule in ("rl", "wrong", "corrected"):
+        leibniz_report(f, g, 0.5, 0.75, rule=rule)
+    assert built == [0.0, 0.75]
+    assert f * g is taylor_arith(f, g, "mul")
+
+
+def test_rl_quadrature_after_caputo_quadrature_takes_no_new_pass(monkeypatch):
+    passes = []
+
+    def counting(*args):
+        passes.append(args[4])
+        return rl_integral_fixed(*args)
+
+    monkeypatch.setattr(quadrature, "rl_integral_fixed", counting)
+    f = series_from_catalog("cos", [2.0], truncation=32)
+    caputo = quadrature.caputo_quad(f, 1.5, 0.8)
+    assert passes
+    taken = len(passes)
+    rl = quadrature.rl_derivative_quad(f, 1.5, 0.8)
+    assert len(passes) == taken
+    fresh = series_from_catalog("cos", [2.0], truncation=32)
+    assert rl.hex() == quadrature.rl_derivative_quad(fresh, 1.5, 0.8).hex()
+    assert caputo.hex() == quadrature.caputo_quad(fresh, 1.5, 0.8).hex()
 
 
 @pytest.mark.parametrize("rule", ["rl", "corrected"])

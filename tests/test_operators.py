@@ -308,8 +308,8 @@ _DIFF_DATA = [
 @pytest.mark.parametrize("spec, a", _DIFF_DATA)
 def test_operator_value_is_the_term_list_sum_bit_for_bit(spec, a):
     # the term-list route is the reference for the one-pass sum: the same
-    # value bit for bit, or the same refusal, with one memo shared by every
-    # order at one t as a product-rule report shares it
+    # value bit for bit, or the same refusal, with the data's memo at t
+    # shared by every order, as a product-rule report shares it
     orders = (0, 3, -2, 0.5, -0.5, 1.5, 2.25, -2.75, 150.5, -178.5, 171.3)
     for trunc in (1, 2, 7, 33, 64):
         try:
@@ -317,13 +317,13 @@ def test_operator_value_is_the_term_list_sum_bit_for_bit(spec, a):
         except GrammarError:  # a polynomial of higher degree than the truncation
             continue
         for dt in (1e-3, 0.5, 1.0, 2.5, 40.0, 1e20):
-            t, memo = a + dt, {}
+            t = a + dt
             for order in orders:
                 for caputo in (False, True):
                     want = _outcome(lambda: sum_terms(
                         operator_terms(f, check_order(order), caputo), t - a, f.radius_hint,
                         f.complete))
-                    got = _outcome(lambda: operator_value(f, order, t, caputo, memo))
+                    got = _outcome(lambda: operator_value(f, order, t, caputo))
                     assert got == want, (spec, a, trunc, t, order, caputo)
 
 
