@@ -27,7 +27,9 @@ from .series import (
     positive_order,
 )
 from .operators import frac_differintegral, rl_differintegral
-from .special import GammaRangeError, check_count, pochhammer, recip_gamma, upsilon_scaled
+from .special import (
+    GammaRangeError, check_count, gamma, is_gamma_pole, pochhammer, recip_gamma, upsilon_scaled
+)
 
 __all__ = [
     "FreqDiffReport",
@@ -158,15 +160,6 @@ def _require_center_zero(f: TaylorSeries | FracPowerSeries, what: str) -> None:
         raise ValueError(f"{what} requires center 0, got {f.center!r}")
 
 
-def _gamma(x: float) -> float:
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise GammaRangeError(
-            f"Gamma({x!r}) has magnitude exp({math.lgamma(x):.6g}), beyond the double range"
-        ) from None
-
-
 # ------------------------------------------------------------------
 # Elementary transforms
 # ------------------------------------------------------------------
@@ -189,7 +182,7 @@ def laplace_power(mu: float, a: float = 0.0) -> LaplaceExpr:
     if mu <= -1.0:
         return LaplaceExpr(singular=f"mu={_fmt_num(mu)}")
     if a == 0.0:
-        return LaplaceExpr(0.0, ((_gamma(mu + 1.0), mu + 1.0),))
+        return LaplaceExpr(0.0, ((gamma(mu + 1.0), mu + 1.0),))
     return LaplaceExpr(a, ((1.0, mu + 1.0),))
 
 
@@ -288,11 +281,11 @@ def _power_sum_transform(series: FracPowerSeries, delta: float, name: str) -> La
                 raise ValueError(f"term exponent {e} <= -1 has no differintegral")
             return LaplaceExpr(singular=_offender(e))
         p = e + delta + 1.0
-        if p <= 0.0 and p.is_integer():
+        if is_gamma_pole(p):
             continue
         if e + delta <= -1.0:
             return LaplaceExpr(singular=_offender(e))
-        terms.append((c * _gamma(e + 1.0), p))
+        terms.append((c * gamma(e + 1.0), p))
     return LaplaceExpr(0.0, tuple(terms), complete=series.complete)
 
 

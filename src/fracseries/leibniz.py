@@ -33,7 +33,7 @@ from .series import (
     taylor_arith,
 )
 from .operators import check_right_of_terminal, operator_value
-from .special import check_count, gen_binom, recip_gamma
+from .special import FACTORIALS, check_count, gen_binom, recip_gamma
 
 __all__ = [
     "LeibnizReport",
@@ -57,16 +57,16 @@ class LeibnizReport:
 
 def _binomial_weights(alpha: float):
     """Yield gen_binom(alpha, j) for j = 0, 1, ... bit for bit: the same
-    falling-factorial product over j!, kept running across j. Past j = 170,
-    whose j! is beyond the double range, an exact zero product (integer
-    alpha in [0, 171)) is yielded as it is, and gen_binom refuses any other."""
+    falling-factorial product over j!, kept running across j. Past the j! of
+    special.FACTORIALS, an exact zero product (integer alpha >= 0 below the
+    table's length) is yielded as it is, and gen_binom refuses any other."""
     num = 1.0
-    for j in range(171):
-        yield num / math.factorial(j)
+    for j, fact in enumerate(FACTORIALS):
+        yield num / fact
         num *= alpha - j
     if num:
-        yield gen_binom(alpha, 171)
-    for j in count(171):
+        yield gen_binom(alpha, len(FACTORIALS))
+    for j in count(len(FACTORIALS)):
         yield num
         num *= alpha - j
 
@@ -205,8 +205,6 @@ def _compensation(
     total = 0.0
     for k in range(n):
         rg = recip_gamma(k + 1 - alpha)
-        if rg == 0.0:
-            continue
         inner = 0.0
         for j in range(k + 1):
             gv = g.derivs[k - j] if k - j <= g.truncation else 0.0

@@ -28,7 +28,7 @@ from .series import (
     positive_order,
     sum_terms,
 )
-from .special import GammaRangeError, check_count, gamma_ratio, gen_binom, recip_gamma
+from .special import FACTORIALS, GammaRangeError, check_count, gamma_ratio, gen_binom, recip_gamma
 
 __all__ = [
     "IntegerLimitReport",
@@ -151,8 +151,8 @@ def _gamma_range_error(alpha: float, k: int, arg: float) -> GammaRangeError:
 
 def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
     """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data.
-    Past 170!, a derivative divides by 170! and then by each further factor
-    of (k - m)!, down to an exact 0.0; an integral refuses."""
+    Past special.FACTORIALS, a derivative divides by its last k! and then by
+    each further factor of (k - m)!, down to an exact 0.0; an integral refuses."""
     k0 = max(m, 0)
     check_slots(f, m, k0, f.truncation + 1, f.complete)
     terms = []
@@ -160,11 +160,11 @@ def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
         d = f.derivs[k]
         if d == 0.0:
             continue
-        if k - m <= 170:
-            c = d / math.factorial(k - m)
+        if k - m < len(FACTORIALS):
+            c = d / FACTORIALS[k - m]
         elif m >= 0:
-            c = d / math.factorial(170)
-            for i in range(171, k - m + 1):
+            c = d / FACTORIALS[-1]
+            for i in range(len(FACTORIALS), k - m + 1):
                 if c == 0.0:
                     break
                 c /= i
@@ -358,15 +358,15 @@ def integer_limit_check(
 
     Raises:
         ValueError: for n that is not an integer >= 1 (an int or an
-            integral float), eps outside (0, 0.1), or a grid point at or
-            left of the center.
+            integral float), eps outside (0, 0.1), or a grid point that is
+            not right of the center (NaN included).
     """
     n = check_count(n, 1, "n")
     if not 0.0 < eps < 0.1:
         raise ValueError(f"eps must lie in (0, 0.1), got {eps}")
     grid = tuple(float(t) for t in grid)
-    if any(t <= f.center for t in grid):
-        raise ValueError("grid points must lie strictly right of the center")
+    for t in grid:
+        check_right_of_terminal(t, f.center)
 
     exact_d = rl_differintegral(f, n)
     exact_i = rl_differintegral(f, -n)

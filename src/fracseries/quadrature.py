@@ -13,9 +13,9 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable
 
-from .operators import rl_caputo_bridge
+from .operators import check_right_of_terminal, rl_caputo_bridge
 from .series import TAIL_TOL, DivergenceError, TaylorSeries, branch, check_order, check_slots
-from .special import GammaRangeError, check_count, recip_gamma
+from .special import FACTORIALS, GammaRangeError, check_count, recip_gamma
 
 __all__ = [
     "QuadratureError",
@@ -193,8 +193,7 @@ def rl_integral_quad(
             the interval, or rel_tol beyond double precision).
         GammaRangeError, DivergenceError: as :func:`rl_integral_fixed`.
     """
-    if not t > a:
-        raise ValueError(f"t must exceed the terminal, got t={t!r}, a={a!r}")
+    check_right_of_terminal(t, a)
     _check_rel_tol(rel_tol)
     nodes = START_NODES
     prev = rl_integral_fixed(f, alpha, a, t, nodes)
@@ -239,14 +238,14 @@ def _checked_callable(f: TaylorSeries, alpha: float, t: float) -> Callable[[floa
                 f"{x!r}: (t - center)^{g.truncation} is beyond the double range "
                 f"(Taylor truncation {f.truncation})"
             ) from None
-        if g.truncation > 170:
-            # past 170! the coefficients read 0.0: no tail test could fail
+        if g.truncation >= len(FACTORIALS):
+            # past the table the coefficients read 0.0: no tail test could fail
             raise GammaRangeError(
                 f"the tail terms of the order-{n} derivative divide f^({f.truncation}) "
                 f"by {g.truncation}!, which is beyond the double range "
                 f"(Taylor truncation {f.truncation})"
             )
-        fact = math.factorial(g.truncation)
+        fact = FACTORIALS[g.truncation]
         last = abs(g.derivs[-1]) * power / fact
         second = abs(g.derivs[-2]) * power_second * g.truncation / fact
         if not (last <= TAIL_TOL * scale and second <= TAIL_TOL * scale):
@@ -273,22 +272,20 @@ def caputo_quad(
     plain memory integral (n = 0). Every order faces the same vetting of
     the data (:func:`_checked_callable`) and of rel_tol; then the value is
     kept as f's work at t (:meth:`TaylorSeries._memo`), keyed by the order
-    and rel_tol.
+    and rel_tol, and read back before the vetting, which it has passed.
 
     Raises:
+        ValueError: for t that is not right of the terminal f.center.
         DivergenceError: when an integer order's derivative at t is beyond
             the double range, and as :func:`rl_integral_quad`.
     """
     alpha = check_order(order)
-    if not t > f.center:
-        raise ValueError(
-            f"t must exceed the terminal, got t={t!r}, a={f.center!r}"
-        )
-    g = _checked_callable(f, alpha, t)
-    _check_rel_tol(rel_tol)
+    check_right_of_terminal(t, f.center)
     memo, key = f._memo(t), ("caputo_quad", alpha, rel_tol)
     if (value := memo.get(key)) is not None:
         return value
+    g = _checked_callable(f, alpha, t)
+    _check_rel_tol(rel_tol)
     if alpha.is_integer() and alpha >= 0:
         value = g(t)
         if not math.isfinite(value):

@@ -25,6 +25,10 @@ __all__ = [
 #: subnormals or 0.0, so quotients of it lose digits or divide by zero.
 GAMMA_UNDERFLOW_X = -170.0
 
+#: float(k!), rounded once from the exact integer, for every k! that is a
+#: double: its length is where every division by k! stops.
+FACTORIALS = tuple([float(math.factorial(k)) for k in range(171)])
+
 
 class GammaRangeError(ValueError):
     """Raised when a gamma quotient lies beyond the double range."""
@@ -46,8 +50,19 @@ def check_count(value, least: int, name: str) -> int:
     return count
 
 
-def _is_nonpositive_integer(x: float) -> bool:
+def is_gamma_pole(x: float) -> bool:
+    """Whether Gamma has a pole at x: x is an integer <= 0."""
     return x <= 0.0 and x == math.floor(x)
+
+
+def gamma(x: float) -> float:
+    """Gamma(x); GammaRangeError, naming exp(lgamma(x)), past the double range."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise GammaRangeError(
+            f"Gamma({x!r}) has magnitude exp({math.lgamma(x):.6g}), beyond the double range"
+        ) from None
 
 
 def recip_gamma(x: float) -> float:
@@ -88,23 +103,23 @@ def gen_binom(alpha: float, k: int) -> float:
 
     Computed as alpha(alpha-1)...(alpha-k+1)/k!, never as a ratio of
     gammas, so that a non-negative integer *alpha* with k > alpha yields
-    a bitwise 0.0 (one factor is exactly alpha - alpha). Past k = 170,
-    whose k! is beyond the double range, that zero product is returned
-    as it is.
+    a bitwise 0.0 (one factor is exactly alpha - alpha). Past the
+    :data:`FACTORIALS` table, whose k! are beyond the double range, that
+    zero product is returned as it is.
 
     Raises:
-        GammaRangeError: for k > 170 and a product that is not zero.
+        GammaRangeError: for k past the table and a product that is not zero.
     """
     alpha = _check_finite(alpha, "alpha")
     k = check_count(k, 0, "k")
     num = 1.0
     for j in range(k):
         num *= alpha - j
-    if k > 170 and num:
+    if k >= len(FACTORIALS) and num:
         raise GammaRangeError(
             f"gen_binom({alpha!r}, {k}) divides by {k}!, which is beyond the double range"
         )
-    return num / math.factorial(k) if k <= 170 else num
+    return num / FACTORIALS[k] if k < len(FACTORIALS) else num
 
 
 def pochhammer(x: float, k: int) -> float:
@@ -161,9 +176,9 @@ def gamma_ratio(num: float, den: float) -> float:
     Raises:
         GammaRangeError: if the ratio itself exceeds the double range.
     """
-    if _is_nonpositive_integer(den):
+    if is_gamma_pole(den):
         return 0.0
-    if _is_nonpositive_integer(num):
+    if is_gamma_pole(num):
         raise ValueError(f"gamma pole in the numerator at {num}")
     if num < GAMMA_UNDERFLOW_X or den < GAMMA_UNDERFLOW_X:
         return _deep_gamma_ratio(num, den)
@@ -183,11 +198,7 @@ _SMALL_P_Q = 1.5
 
 #: Largest integer p that takes the closed form: (p-1)! must be a double.
 #: Integer p beyond it takes the routes of non-integer p.
-_CLOSED_FORM_P_MAX = 171
-
-#: float(k!) for k < _CLOSED_FORM_P_MAX, each rounded once from the exact
-#: integer: the (p-1)! of the closed form's integer p.
-_FACTORIALS = tuple([float(math.factorial(k)) for k in range(_CLOSED_FORM_P_MAX)])
+_CLOSED_FORM_P_MAX = len(FACTORIALS)
 
 #: Integer p at q < 0 sums Gamma(p) minus the lower integral where the
 #: closed form's alternating terms outgrow the value by more than this factor,
@@ -314,7 +325,7 @@ def _closed_form(m: int, q: float, memo: dict | None) -> float:
     powers = ({} if memo is None else memo).setdefault("powers", [1.0])
     if len(powers) < m:
         powers.extend([q**i for i in range(len(powers), m)])
-    acc = coeff = _FACTORIALS[m - 1]  # i = 0: q**0 is 1.0
+    acc = coeff = FACTORIALS[m - 1]  # i = 0: q**0 is 1.0
     for i in range(1, m):
         coeff /= i
         acc += coeff * powers[i]
@@ -340,7 +351,7 @@ def _negative_q_upsilon(p: float, q: float) -> float:
         term *= x / k
         step = term / (p + k)
         total += step
-    gamma_p = _FACTORIALS[int(p) - 1]
+    gamma_p = FACTORIALS[int(p) - 1]
     lower = q**p * total
     value = gamma_p - lower
     if max(gamma_p, abs(lower)) > _CANCEL_MAX * abs(value):

@@ -18,7 +18,7 @@ from fracseries.grammar import parse_function_spec
 from fracseries.leibniz import leibniz_report
 from fracseries.operators import operator_value
 from fracseries.quadrature import caputo_quad, rl_derivative_quad
-from fracseries.series import DivergenceError, series_from_catalog, taylor_arith
+from fracseries.series import DivergenceError, TaylorSeries, series_from_catalog, taylor_arith
 
 RULES = ("rl", "wrong", "corrected")
 
@@ -92,6 +92,24 @@ def test_quadrature_on_shared_data_matches_fresh_data(seed):
                 f0, g0 = parse_pair(f_spec, g_spec, a, trunc)
                 fresh = [outcome(lambda: quad(data, alpha, t)) for data in (f0, f0 * g0)]
                 assert shared == fresh, (f_spec, g_spec, a, alpha, t, quad.__name__, trunc)
+
+
+def test_rl_quadrature_after_caputo_quadrature_vets_the_data_once(monkeypatch):
+    # the kept Caputo value has passed the tail test, which takes f^(n)
+    calls = []
+    original = TaylorSeries.nth_derivative
+
+    def counting(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(TaylorSeries, "nth_derivative", counting)
+    f = series_from_catalog("exp", [1.0], 0.0, 32)
+    caputo_quad(f, 1.5, 0.8)
+    rl = rl_derivative_quad(f, 1.5, 0.8)
+    assert calls == [2]
+    fresh = series_from_catalog("exp", [1.0], 0.0, 32)
+    assert rl.hex() == rl_derivative_quad(fresh, 1.5, 0.8).hex()
 
 
 def test_the_latest_product_is_keyed_by_the_factor_and_the_op():
