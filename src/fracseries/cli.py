@@ -72,17 +72,20 @@ def _result_json(value: float):
 
 
 def _print_rows(args, grid: list[float], values: list[float]) -> None:
+    """Write the rows as one string: CSV, or the text of json.dumps(payload,
+    sort_keys=True) for the payload {"a", "alpha", "rows": [{"t", "value"}]},
+    with inf and -inf values as the strings the CSV prints. float.__repr__
+    is the text json writes for a finite float; json.dumps writes the rest."""
     if args.format == "json":
-        payload = {
-            "alpha": args.alpha,
-            "a": args.a,
-            "rows": [{"t": t, "value": _result_json(v)} for t, v in zip(grid, values)],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        text, isfinite = float.__repr__, math.isfinite
+        rows = ", ".join([
+            f'{{"t": {text(t) if isfinite(t) else json.dumps(t)}, '
+            f'"value": {text(v) if isfinite(v) else json.dumps(_result_text(v))}}}'
+            for t, v in zip(grid, values)
+        ])
+        print(f'{{"a": {json.dumps(args.a)}, "alpha": {json.dumps(args.alpha)}, "rows": [{rows}]}}')
     else:
-        print("t,value")
-        for t, v in zip(grid, values):
-            print(f"{t:.17g},{_result_text(v)}")
+        print("\n".join(["t,value", *[f"{t:.17g},{_result_text(v)}" for t, v in zip(grid, values)]]))
 
 
 def cmd_eval(args) -> int:

@@ -274,31 +274,8 @@ class FracPowerSeries:
         return eval_frac_series(self, t)
 
     def evaluate_grid(self, ts) -> list[float]:
-        """The values at the points *ts*, vetted and summed in order.
-
-        At the center the value is classified by the least exponent: all
-        positive -> 0.0; zero -> the leading coefficient; negative -> inf
-        with the sign of the leading coefficient. Elsewhere it is
-        :func:`sum_terms`.
-
-        Raises:
-            ValueError: at the first t not >= center, NaN or left of it
-                (the operators never look left of the lower terminal).
-            DivergenceError: as :func:`sum_terms`, at the first point that
-                fails.
-        """
-        a, terms, radius, complete = self.center, self.terms, self.radius_hint, self.complete
-        values = []
-        for t in ts:
-            if not t >= a:
-                where = "left of" if t < a else "not comparable with"
-                raise ValueError(f"t={t!r} is {where} the center {a!r}")
-            x = t - a
-            if x == 0.0 and terms:
-                values.append(_terminal_value(terms[0]))
-            else:
-                values.append(sum_terms(terms, x, radius, complete))
-        return values
+        """The values at the points *ts*, vetted and summed in order (:func:`sum_grid`)."""
+        return sum_grid(self.terms, self.center, ts, self.radius_hint, self.complete)
 
     def scaled(self, factor: float) -> FracPowerSeries:
         return FracPowerSeries(
@@ -384,53 +361,79 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
     return EvalResult.finite(value)
 
 
-def _terminal_value(lead: tuple[float, float]) -> float:
-    """The value at the center of canonical terms led by *lead*."""
-    c0, e0 = lead
-    if abs(e0) <= EXPONENT_MERGE_TOL:
-        return c0
-    if e0 < 0.0:
-        return math.copysign(math.inf, c0)
-    return 0.0
-
-
 def sum_terms(terms, x: float, radius: float, complete: bool) -> float:
-    """Sum of c * x**e over canonical terms at x = t - center > 0.
-
-    This is the summation of :meth:`FracPowerSeries.evaluate_grid` and its
-    verdicts; callers that hold the terms without a series use it directly.
-    The tail test reads the last two terms as the pass computed them.
+    """Sum of c * x**e over canonical terms at x = t - center > 0: the
+    one-point case of :func:`sum_grid`, for callers that hold the terms
+    without a series.
 
     Raises:
-        DivergenceError: when truncated terms are summed outside the
-            convergence radius, a term or the sum leaves the double range,
-            or the sum fails the tail test.
+        DivergenceError: as :func:`sum_grid`.
     """
-    if not terms:
-        return 0.0
-    if not complete and not x < radius:
-        raise DivergenceError(
-            f"t - center = {x!r} is outside the convergence radius {radius!r}"
-        )
+    (value,) = sum_grid(terms, 0.0, (x,), radius, complete)
+    return value
 
-    total = 0.0
-    try:
-        for c, e in terms[:-2]:
-            total += c * x**e
-        tail = [c * x**e for c, e in terms[-2:]]
-    except OverflowError:
-        total = math.inf
-    else:
-        for term in tail:
-            total += term
-    if not math.isfinite(total):
-        c, e = _diverging_term(terms, x)
-        raise DivergenceError(
-            f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
-            f"range at t - center = {x!r}"
-        )
-    check_tail(tail, total, complete)
-    return total
+
+def sum_grid(terms, a: float, ts, radius: float, complete: bool) -> list[float]:
+    """The sums of c * (t - a)**e over canonical terms at the points *ts*,
+    each vetted and summed in turn, left to right.
+
+    At t = a the value is classified by the least exponent: all positive
+    -> 0.0; zero -> the leading coefficient; negative -> inf with the sign
+    of the leading coefficient. Elsewhere the terms are summed in order,
+    and the tail test (:func:`check_tail`) reads the last two terms as the
+    sum computed them. The head and the last two terms are unpacked once
+    for the grid; a series of fewer than two terms is led by (0.0, 0.0)
+    terms, which add an exact 0.0 and are not tested.
+
+    Raises:
+        ValueError: at the first t not >= a, NaN or left of it (the
+            operators never look left of the lower terminal).
+        DivergenceError: at the first point where truncated terms are
+            summed outside the convergence radius, a term or the sum leaves
+            the double range, or the sum fails the tail test.
+    """
+    head = terms[:-2]
+    (c1, e1), (c2, e2) = ((0.0, 0.0), (0.0, 0.0), *terms[-2:])[-2:]
+    c0, e0 = terms[0] if terms else (0.0, 0.0)
+    lead = c0 if abs(e0) <= EXPONENT_MERGE_TOL else 0.0 if e0 > 0.0 else math.copysign(math.inf, c0)
+    bounded = not complete and bool(terms)
+    tested = not complete and len(terms) > 1
+    values = []
+    for t in ts:
+        if not t >= a:
+            where = "left of" if t < a else "not comparable with"
+            raise ValueError(f"t={t!r} is {where} the center {a!r}")
+        x = t - a
+        if x == 0.0:
+            values.append(lead)
+            continue
+        if bounded and not x < radius:
+            raise DivergenceError(
+                f"t - center = {x!r} is outside the convergence radius {radius!r}"
+            )
+        total = 0.0
+        try:
+            for c, e in head:
+                total += c * x**e
+            prev = c1 * x**e1
+            last = c2 * x**e2
+        except OverflowError:
+            total = math.inf
+        else:
+            total += prev
+            total += last
+        if not math.isfinite(total):
+            c, e = _diverging_term(terms, x)
+            raise DivergenceError(
+                f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
+                f"range at t - center = {x!r}"
+            )
+        if tested:  # check_tail's test, so that a point that passes makes no call
+            bound = TAIL_TOL * (abs(total) + 1.0e-300)
+            if not (abs(last) < bound and abs(prev) < bound):
+                check_tail([prev, last], total, complete)
+        values.append(total)
+    return values
 
 
 def _diverging_term(terms, x: float) -> tuple[float, float]:

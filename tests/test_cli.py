@@ -125,6 +125,68 @@ def test_eval_singular_row_is_marked(capsys):
     assert first_row.split(",")[1] == "inf"
 
 
+#: eval argument lists for the row writers: terminal inf and -inf rows, a
+#: -0.0 terminal and grid point (a sum never ends at -0.0, so a value cannot
+#: be one), a one-point grid, a < 0, an integer order printed as 1.0, and the
+#: Caputo definition
+_ROW_ARGV = [
+    ["const:1", "--alpha", "0.5", "--grid", "0:1:5"],
+    ["const:-1", "--alpha", "0.5", "--grid", "0:1:5"],
+    ["poly:0,1", "--alpha", "0.5", "--a=-0", "--grid=-0:-0:1"],
+    ["exp:1", "--alpha", "0.5", "--grid", "0.75:0.75:1"],
+    ["exp:1+sin:2", "--alpha", "0.5", "--a=-1", "--grid=-1:1:9"],
+    ["sin:2", "--alpha", "1", "--grid", "0:2:7"],
+    ["cos:-1.5+poly:1,-2", "--alpha", "1.25", "--a", "0.5", "--def", "caputo",
+     "--grid", "0.5:3:11"],
+]
+
+
+def _eval_rows(argv):
+    """The grid and the values eval prints for *argv*, computed without the CLI."""
+    from fracseries.cli import _parse_grid, build_parser
+    from fracseries.operators import caputo_derivative, rl_differintegral
+
+    args = build_parser().parse_args(["eval", *argv])
+    f = parse_function_spec(args.fspec, center=args.a, truncation=args.trunc)
+    op = caputo_derivative if args.definition == "caputo" else rl_differintegral
+    grid = _parse_grid(args.grid)
+    return args, grid, op(f, args.alpha).evaluate_grid(grid)
+
+
+@pytest.mark.parametrize("argv", _ROW_ARGV)
+def test_eval_json_rows_are_the_json_encoders_bytes(capsys, argv):
+    args, grid, values = _eval_rows(argv)
+    payload = {
+        "alpha": args.alpha,
+        "a": args.a,
+        "rows": [{"t": t, "value": v if math.isfinite(v) else f"{v:.17g}"}
+                 for t, v in zip(grid, values)],
+    }
+    code, out, _ = run_cli(capsys, ["eval", *argv, "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", _ROW_ARGV)
+def test_eval_csv_rows_are_one_line_per_point(capsys, argv):
+    _, grid, values = _eval_rows(argv)
+    want = "t,value\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(grid, values))
+    code, out, _ = run_cli(capsys, ["eval", *argv])
+    assert code == 0
+    assert out == want
+
+
+def test_eval_row_writers_cover_their_edge_cases(capsys):
+    # the cases above reach what they are listed for
+    outs = [run_cli(capsys, ["eval", *argv, "--format", "json"])[1] for argv in _ROW_ARGV]
+    assert '{"t": 0.0, "value": "inf"}' in outs[0]
+    assert '{"t": 0.0, "value": "-inf"}' in outs[1]
+    assert outs[2] == '{"a": -0.0, "alpha": 0.5, "rows": [{"t": -0.0, "value": 0.0}]}\n'
+    assert len(json.loads(outs[3])["rows"]) == 1
+    assert outs[4].startswith('{"a": -1.0, ')
+    assert outs[5].startswith('{"a": 0.0, "alpha": 1.0, ')
+
+
 def test_eval_grid_left_of_terminal_rejected(capsys):
     code, _, err = run_cli(
         capsys, ["eval", "poly:0,1", "--alpha", "0.5", "--a", "1",

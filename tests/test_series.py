@@ -449,12 +449,46 @@ def test_non_finite_terms_are_named():
 
 
 def _pointwise(series, ts):
-    """eval_frac_series at each t in turn, Infinite(+1) and Infinite(-1)
-    read as inf and -inf; the first refusal propagates."""
+    """A literal reference for evaluate_grid: at each t in turn, the vetting
+    of t, the value at the center, the radius, then total += c * x**e left to
+    right, naming the first term that takes it beyond the double range, and
+    the relative tail test on the last two terms; the first refusal propagates."""
+    a, terms = series.center, series.terms
     out = []
     for t in ts:
-        r = eval_frac_series(series, t)
-        out.append(r.value if r.is_finite else math.copysign(math.inf, r.sign))
+        if not t >= a:
+            where = "left of" if t < a else "not comparable with"
+            raise ValueError(f"t={t!r} is {where} the center {a!r}")
+        x = t - a
+        if x == 0.0:
+            c0, e0 = terms[0] if terms else (0.0, 1.0)
+            if abs(e0) <= 1e-12:
+                out.append(c0)
+            else:
+                out.append(math.copysign(math.inf, c0) if e0 < 0.0 else 0.0)
+            continue
+        if terms and not series.complete and not x < series.radius_hint:
+            raise DivergenceError(
+                f"t - center = {x!r} is outside the convergence radius {series.radius_hint!r}")
+        total, added = 0.0, []
+        for c, e in terms:
+            try:
+                term = c * x**e
+            except OverflowError:
+                term = math.inf
+            total += term
+            added.append(term)
+            if not math.isfinite(total):
+                raise DivergenceError(
+                    f"the term {c!r} * (t - center)^{e!r} takes the sum beyond the double "
+                    f"range at t - center = {x!r}")
+        if not series.complete and len(added) >= 2:
+            bound = 1e-12 * (abs(total) + 1e-300)
+            if not (abs(added[-2]) < bound and abs(added[-1]) < bound):
+                raise DivergenceError(
+                    f"tail terms {added[-2]:.3e}, {added[-1]:.3e} fail the convergence test "
+                    f"against the sum {total:.6e} (relative tolerance 1e-12)")
+        out.append(total)
     return out
 
 
@@ -487,6 +521,23 @@ _GRID_CASES = [
     # a refusal at the first point comes before a later one
     (FracPowerSeries(0.0, tuple((0.9**k, float(k)) for k in range(12)),
                      radius_hint=1.2, complete=False), [1.0, -1.0]),
+    # truncated series of 1, 2 and 3 terms, at the edge of the tail unpacking:
+    # one term takes no tail test, two always fail it, three pass, then fail
+    (FracPowerSeries(0.0, ((-2.5, 0.5),), radius_hint=4.0, complete=False), [0.0, 1.0, 3.0]),
+    (FracPowerSeries(0.0, ((1.0, 0.0), (1e-13, 1.0)), radius_hint=4.0, complete=False),
+     [0.0, 1.0]),
+    (FracPowerSeries(0.0, ((1.0, 0.0), (1e-14, 1.0), (-1e-15, 2.0)), radius_hint=1e9,
+                     complete=False), [0.0, 1.0, 3.0, 100.0]),
+    (FracPowerSeries(0.5, ((1.0, -0.5), (3.0, 1.0), (-1e-15, 2.0))), [0.5, 1.5, 4.0]),
+    # the empty truncated series past its radius
+    (FracPowerSeries(0.0, (), radius_hint=0.5, complete=False), [0.0, 1.0]),
+    # an overflow at a middle point names its term: a power, then a product
+    (FracPowerSeries(0.0, ((1.0, 0.0), (2.0, 1.5), (1.0, 200.0), (1.0, 201.0))),
+     [0.5, 1.0e3, 2.0]),
+    (FracPowerSeries(0.0, ((1.0, 0.0), (1.0e300, 3.0), (1.0, 4.0))), [0.5, 1.0e3, 2.0]),
+    # complete data summed past its radius_hint
+    (FracPowerSeries(0.0, tuple((0.5**k, float(k)) for k in range(5)), radius_hint=0.5),
+     [0.25, 1.0, 3.0]),
 ]
 
 
