@@ -231,20 +231,11 @@ def cmd_examples(args) -> int:
         )
         worst_gap = max(worst_gap, abs(rep.residual - expected_gap))
     if rule == "wrong":
-        _check(
-            "Example 1 (naive rule)",
-            worst <= tol,
-            f"max relative gap {worst:.3e} (matches predicted gap to "
-            f"{worst_gap:.3e})",
-            failures,
-        )
+        name = "Example 1 (naive rule)"
+        detail = f"max relative gap {worst:.3e} (matches predicted gap to {worst_gap:.3e})"
     else:
-        _check(
-            "Example 1",
-            worst <= tol,
-            f"max relative residual {worst:.3e}",
-            failures,
-        )
+        name, detail = "Example 1", f"max relative residual {worst:.3e}"
+    _check(name, worst <= tol, detail, failures)
 
     # product t * t: naive rule plus its compensation must equal the truth
     f2 = series_from_catalog("poly", [0.0, 1.0], center=a)

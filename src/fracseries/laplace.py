@@ -28,7 +28,7 @@ from .series import (
 )
 from .operators import frac_differintegral, rl_differintegral
 from .special import (
-    GammaRangeError, check_count, gamma, is_gamma_pole, pochhammer, recip_gamma, upsilon_scaled
+    GammaRangeError, check_count, gamma, is_gamma_pole, pochhammer, recip_gamma, upsilon_row
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
 
 def _fmt_num(x: float) -> str:
     """Shortest round-trip rendering; integers lose the trailing .0."""
-    x = float(x)
     if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
@@ -102,18 +101,18 @@ class LaplaceExpr:
             raise ValueError(f"singular transform has no value: {self.singular}")
         if not s > 0:
             raise ValueError(f"s must be > 0, got {s!r}")
-        # a shifted term carries e^q inside e^q Upsilon(p, q), q = -shift*s,
-        # which stays in range where e^q and Upsilon(p, q) alone do not; the
-        # terms share q, and so one memo of its powers
-        q = -self.shift * s
-        memo: dict = {}
+        # a shifted term carries e^q Upsilon(p, q), q = -shift*s, which stays in
+        # range where e^q and Upsilon(p, q) alone do not; the terms share one row
+        # of these factors, which raises a refusal when the loop reaches its term
+        if self.shift:
+            factors = upsilon_row([p for _, p in self.terms], -self.shift * s, True)
         total = 0.0
         values = []
         try:
             for c, p in self.terms:
                 v = c * s ** (-p)
                 if self.shift:
-                    v *= upsilon_scaled(p, q, memo)
+                    v *= next(factors)
                 total += v
                 values.append(v)
         except (OverflowError, GammaRangeError):
@@ -129,15 +128,12 @@ class LaplaceExpr:
             return f"SINGULAR({self.singular})"
         if not self.terms:
             return "0"
-        a = _fmt_num(self.shift)
-        parts = []
-        for c, p in self.terms:
-            power = _fmt_num(p)
-            piece = f"{_fmt_num(c)} * s^(-{power})"
-            if self.shift:
-                piece += f" * e^(-({a})*s) * Upsilon({power}, -({a})*s)"
-            parts.append(piece)
-        return " + ".join(parts)
+        pieces = [(_fmt_num(c), _fmt_num(p)) for c, p in self.terms]
+        if not self.shift:
+            return " + ".join([f"{c} * s^(-{p})" for c, p in pieces])
+        a = _fmt_num(float(self.shift))  # the terms are floats; the shift is as given
+        factor, arg = f" * e^(-({a})*s) * Upsilon(", f", -({a})*s)"
+        return " + ".join([f"{c} * s^(-{p}){factor}{p}{arg}" for c, p in pieces])
 
     def to_json_dict(self) -> dict:
         """The document that ``fracseries laplace --format json`` writes."""

@@ -28,7 +28,9 @@ from .series import (
     positive_order,
     sum_terms,
 )
-from .special import FACTORIALS, GammaRangeError, check_count, gamma_ratio, gen_binom, recip_gamma
+from .special import (
+    FACTORIALS, GammaRangeError, check_count, gamma_ratio, gen_binom, over_factorial, recip_gamma
+)
 
 __all__ = [
     "IntegerLimitReport",
@@ -151,8 +153,8 @@ def _gamma_range_error(alpha: float, k: int, arg: float) -> GammaRangeError:
 
 def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
     """Exact integer derivative (m > 0) or integral (m < 0) of Taylor data.
-    Past special.FACTORIALS, a derivative divides by its last k! and then by
-    each further factor of (k - m)!, down to an exact 0.0; an integral refuses."""
+    A slot divides by (k - m)! (special.over_factorial), past the table down
+    to an exact 0.0 for a derivative; an integral refuses there."""
     k0 = max(m, 0)
     check_slots(f, m, k0, f.truncation + 1, f.complete)
     terms = []
@@ -160,19 +162,12 @@ def _integer_shift(f: TaylorSeries, m: int) -> list[tuple[float, float]]:
         d = f.derivs[k]
         if d == 0.0:
             continue
-        if k - m < len(FACTORIALS):
-            c = d / FACTORIALS[k - m]
-        elif m >= 0:
-            c = d / FACTORIALS[-1]
-            for i in range(len(FACTORIALS), k - m + 1):
-                if c == 0.0:
-                    break
-                c /= i
-        else:
+        if m < 0 and k - m >= len(FACTORIALS):
             raise GammaRangeError(
                 f"order {m} divides f^({k}) by ({k - m:.6g})!, which is beyond the "
                 "double range"
             )
+        c = over_factorial(d, k - m)
         if c != 0.0:
             terms.append((c, float(k - m)))
     return terms

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .operators import check_right_of_terminal, rl_caputo_bridge
 from .series import TAIL_TOL, DivergenceError, TaylorSeries, branch, check_order, check_slots
-from .special import FACTORIALS, GammaRangeError, check_count, recip_gamma
+from .special import FACTORIALS, GammaRangeError, check_count, over_factorial, recip_gamma
 
 __all__ = [
     "QuadratureError",
@@ -238,16 +238,16 @@ def _checked_callable(f: TaylorSeries, alpha: float, t: float) -> Callable[[floa
                 f"{x!r}: (t - center)^{g.truncation} is beyond the double range "
                 f"(Taylor truncation {f.truncation})"
             ) from None
-        if g.truncation >= len(FACTORIALS):
-            # past the table the coefficients read 0.0: no tail test could fail
+        if g.truncation >= len(FACTORIALS) and not (alpha.is_integer() and alpha >= 0):
+            # past the table only an integer order's terms divide down to an
+            # exact 0.0, as its integer shift does: eval refuses the others too
             raise GammaRangeError(
                 f"the tail terms of the order-{n} derivative divide f^({f.truncation}) "
                 f"by {g.truncation}!, which is beyond the double range "
                 f"(Taylor truncation {f.truncation})"
             )
-        fact = FACTORIALS[g.truncation]
-        last = abs(g.derivs[-1]) * power / fact
-        second = abs(g.derivs[-2]) * power_second * g.truncation / fact
+        last = over_factorial(abs(g.derivs[-1]) * power, g.truncation)
+        second = over_factorial(abs(g.derivs[-2]) * power_second * g.truncation, g.truncation)
         if not (last <= TAIL_TOL * scale and second <= TAIL_TOL * scale):
             raise ValueError(
                 f"Taylor truncation {g.truncation} is too short for "

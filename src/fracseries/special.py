@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
+from itertools import accumulate
+from operator import truediv
 
 __all__ = [
     "GammaRangeError",
@@ -28,6 +31,19 @@ GAMMA_UNDERFLOW_X = -170.0
 #: float(k!), rounded once from the exact integer, for every k! that is a
 #: double: its length is where every division by k! stops.
 FACTORIALS = tuple([float(math.factorial(k)) for k in range(171)])
+
+
+def over_factorial(x: float, k: int) -> float:
+    """x / k!. Past :data:`FACTORIALS` it is x / 170! divided by each further
+    factor up to k, which reaches an exact 0.0 within a few factors."""
+    if k < len(FACTORIALS):
+        return x / FACTORIALS[k]
+    x /= FACTORIALS[-1]
+    for i in range(len(FACTORIALS), k + 1):
+        if x == 0.0:
+            break
+        x /= i
+    return x
 
 
 class GammaRangeError(ValueError):
@@ -119,7 +135,7 @@ def gen_binom(alpha: float, k: int) -> float:
         raise GammaRangeError(
             f"gen_binom({alpha!r}, {k}) divides by {k}!, which is beyond the double range"
         )
-    return num / FACTORIALS[k] if k < len(FACTORIALS) else num
+    return over_factorial(num, k)
 
 
 def pochhammer(x: float, k: int) -> float:
@@ -230,7 +246,7 @@ def upsilon(p: float, q: float) -> float:
 
     Normalized so that upsilon(p, 0) = Gamma(p). Integer p admits any
     real q; non-integer p requires q >= 0 (negative bases have no real
-    power).
+    power). The one-element case of :func:`upsilon_row`.
 
     Raises:
         GammaRangeError: if the value is beyond the double range.
@@ -238,61 +254,72 @@ def upsilon(p: float, q: float) -> float:
             cancel in the value to under 1/8 of the larger (near a zero of
             the value, which even p has).
     """
-    return _upsilon(p, q, False, None)
+    return next(upsilon_row((p,), q, False))
 
 
-def upsilon_scaled(p: float, q: float, memo: dict | None = None) -> float:
+def upsilon_scaled(p: float, q: float) -> float:
     """e^q * upsilon(p, q), computed without forming e^q where q is large.
 
     This is the factor a shifted Laplace transform needs: its e^(-a*s)
     prefactor with q = -a*s, which alone overflows at s = 800 when
-    a = -1 while upsilon underflows. Callers that take many p at one q
-    pass one *memo* to all of them, so that the powers q**i of the integer
-    closed form are computed once; a memo serves one q.
+    a = -1 while upsilon underflows. The one-element case of
+    :func:`upsilon_row`, which a transform calls once for all its terms.
 
     Raises:
         GammaRangeError: if the value is beyond the double range.
         ValueError: as :func:`upsilon`.
     """
-    return _upsilon(p, q, True, memo)
+    return next(upsilon_row((p,), q, True))
 
 
-def _upsilon(p: float, q: float, scaled: bool, memo: dict | None) -> float:
-    p = _check_finite(p, "p")
-    if memo is None or "q" not in memo:
-        q = _check_finite(q, "q")
-        if memo is not None:
-            # a memo serves one q: the calls after this one skip the check
-            memo["q"] = q
-    if p <= 0:
-        raise ValueError(f"p must be > 0, got {p}")
-    if q < 0 and not p.is_integer():
-        raise ValueError(
-            f"q must be >= 0 for non-integer p (got p={p}, q={q})"
-        )
+def upsilon_row(ps, q: float, scaled: bool) -> Iterator[float]:
+    """Yield e^q Upsilon(p, q) (*scaled*) or Upsilon(p, q) for each p of *ps*
+    in order, raising a refusal (as :func:`upsilon`) when its p is reached.
+    q is vetted after the first p, as in a single call, and e^q, e^-q and
+    the powers q**i of the integer closed form are taken once per row."""
+    powers = [1.0]  # q**i, i < the largest integer p so far
+    for i, p in enumerate(ps):
+        p = _check_finite(p, "p")
+        if i == 0:
+            q = _check_finite(q, "q")
+            exp_q, exp_neg_q = _exp(q), _exp(-q)
+        if p <= 0:
+            raise ValueError(f"p must be > 0, got {p}")
+        if q < 0 and not p.is_integer():
+            raise ValueError(f"q must be >= 0 for non-integer p (got p={p}, q={q})")
+        try:
+            value = _upsilon_kernel(p, q, scaled, exp_q, exp_neg_q, powers)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            what = "e^q * Upsilon" if scaled else "Upsilon"
+            raise GammaRangeError(f"{what}({p!r}, {q!r}) is beyond the double range")
+        yield value
+
+
+def _exp(x: float) -> float:
     try:
-        value = _upsilon_kernel(p, q, scaled, memo)
+        return math.exp(x)
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        what = "e^q * Upsilon" if scaled else "Upsilon"
-        raise GammaRangeError(f"{what}({p!r}, {q!r}) is beyond the double range")
-    return value
+        return math.inf
 
 
-def _upsilon_kernel(p: float, q: float, scaled: bool, memo: dict | None) -> float:
+def _upsilon_kernel(
+    p: float, q: float, scaled: bool, exp_q: float, exp_neg_q: float, powers: list[float]
+) -> float:
+    # exp_q and exp_neg_q are e^q and e^-q, inf past the double range
     if p.is_integer() and p <= _CLOSED_FORM_P_MAX:
         m = int(p)
         try:
-            acc = _closed_form(m, q, memo)
+            acc = _closed_form(m, q, powers)
         except OverflowError:
             acc = math.inf
         # at q < 0 the terms alternate; their magnitudes are the terms at -q
-        if q < 0.0 and not _closed_form(m, -q, None) <= _CANCEL_MAX * abs(acc):
+        if q < 0.0 and not _closed_form(m, -q, [1.0]) <= _CANCEL_MAX * abs(acc):
             value = _negative_q_upsilon(p, q)
-            return value * math.exp(q) if scaled else value
+            return value * exp_q if scaled else value
         if scaled or acc < math.inf:
-            return acc if scaled else math.exp(-q) * acc
+            return acc if scaled else exp_neg_q * acc
         # e^q Upsilon(p, q) is beyond the double range where Upsilon(p, q)
         # need not be: take the routes of non-integer p
     if q < 0.0:
@@ -305,30 +332,36 @@ def _upsilon_kernel(p: float, q: float, scaled: bool, memo: dict | None) -> floa
         value = _small_p_upsilon(p, q)
     elif p < 1.0 or q >= p + 1.0:
         h = _legendre_fraction(p, q)
-        return (q**p if scaled else _power_exp(p, q)) * h
+        return (q**p if scaled else _power_exp(p, q, exp_neg_q)) * h
     else:
         # Gamma(p) - gamma(p, q): for p >= 1 and q < p + 1 the upper part
         # is at least e^-2 of Gamma(p), so the difference loses under 3 bits,
         # and the series stops once its terms are below 1/8 ulp of Gamma(p)
         gamma_p = math.gamma(p)
-        lead = _power_exp(p, q)
+        lead = _power_exp(p, q, exp_neg_q)
         value = gamma_p
         if lead:
             value -= lead * _lower_series(p, q, _UPSILON_EPS * gamma_p / (8.0 * lead))
-    return value * math.exp(q) if scaled else value
+    return value * exp_q if scaled else value
 
 
-def _closed_form(m: int, q: float, memo: dict | None) -> float:
-    """sum_{i<m} (m-1)!/i! q^i, which is e^q Upsilon(m, q): its derivative
-    -d/dq [e^-q sum_{i<m} (m-1)!/i! q^i] is q^(m-1) e^-q. The powers q**i
-    come from the list memo["powers"], which grows to the largest m asked."""
-    powers = ({} if memo is None else memo).setdefault("powers", [1.0])
+#: The closed form's coefficients (m-1)!/i!, i < m, by m, each the one before
+#: it divided by i. A row is built when its m is first asked for.
+_CLOSED_FORM_ROWS: dict[int, tuple[float, ...]] = {}
+
+
+def _closed_form(m: int, q: float, powers: list[float]) -> float:
+    """sum_{i<m} (m-1)!/i! q^i from i = 0 up, which is e^q Upsilon(m, q): its
+    derivative -d/dq [e^-q sum_{i<m} (m-1)!/i! q^i] is q^(m-1) e^-q. The
+    powers q**i come from the list *powers*, which grows to the largest m."""
     if len(powers) < m:
         powers.extend([q**i for i in range(len(powers), m)])
-    acc = coeff = FACTORIALS[m - 1]  # i = 0: q**0 is 1.0
-    for i in range(1, m):
-        coeff /= i
-        acc += coeff * powers[i]
+    if (row := _CLOSED_FORM_ROWS.get(m)) is None:
+        row = tuple(accumulate(range(1, m), truediv, initial=FACTORIALS[m - 1]))
+        _CLOSED_FORM_ROWS[m] = row
+    acc = 0.0
+    for coeff, power in zip(row, powers):
+        acc += coeff * power
     return acc
 
 
@@ -362,17 +395,17 @@ def _negative_q_upsilon(p: float, q: float) -> float:
     return value
 
 
-def _power_exp(p: float, q: float) -> float:
-    """q^p e^-q to a few ulps: the product of the two factors or, where one
-    of them alone leaves the normal range, the k-th power of q^(p/k)
-    e^(-q/k) for k = 2 or 4. Only where even those do is it exp(p ln q - q),
-    which loses about |p ln q| ulps."""
+def _power_exp(p: float, q: float, exp_neg_q: float) -> float:
+    """q^p e^-q to a few ulps, given e^-q: the product of the two factors
+    or, where one of them alone leaves the normal range, the k-th power of
+    q^(p/k) e^(-q/k) for k = 2 or 4. Only where even those do is it
+    exp(p ln q - q), which loses about |p ln q| ulps."""
     for k in (1, 2, 4):
         try:
             power = q ** (p / k)
         except OverflowError:
             continue
-        damp = math.exp(-q / k)
+        damp = exp_neg_q if k == 1 else math.exp(-q / k)
         if damp >= sys.float_info.min:
             return (power * damp) ** k
     return math.exp(p * math.log(q) - q)

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from fracseries.cli import main
 from fracseries.operators import integer_limit_check, rl_differintegral
 from fracseries.quadrature import caputo_quad, rl_derivative_quad, rl_integral_quad
 from fracseries.series import series_from_catalog
@@ -51,6 +52,22 @@ def test_each_division_by_k_factorial_turns_past_170(k):
     message = refusal(lambda: caputo_quad(exp_data(k + 1), 0.5, 1.0))
     assert (message is not None) == past
     assert not past or f"divide f^({k + 1}) by {k}!" in message
+
+
+@pytest.mark.parametrize("alpha, code", [("1", 0), ("2", 0), ("0.5", 2), ("-1", 2)])
+def test_eval_and_oracle_agree_past_170_factorial(alpha, code, capsys):
+    # an integer derivative's slots, and so the oracle's tail terms, divide
+    # down to exact zeros; the other orders are refused by both commands
+    for command in ("eval", "oracle"):
+        argv = [command, "exp:1", "--alpha", alpha, "--grid", "1:1:1", "--trunc", "200"]
+        assert main(argv) == code, command
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "beyond the double range" in err, command
+        else:
+            assert out.startswith("t,value\n1,") and err == "", command
+            value = float(out.splitlines()[1].split(",")[1])
+            assert abs(value - math.e) <= 2 * math.ulp(math.e), command
 
 
 def _caputo(t):

@@ -13,6 +13,7 @@ from fracseries.special import (
     pochhammer,
     recip_gamma,
     upsilon,
+    upsilon_row,
     upsilon_scaled,
 )
 
@@ -282,19 +283,70 @@ def _closed_form_term_by_term(p, q):
     return acc
 
 
+def _row_prefix(ps, q, scaled):
+    """The values a row yields before it stops, and its refusal (or None)."""
+    values = []
+    try:
+        for value in upsilon_row(ps, q, scaled):
+            values.append(value.hex())
+    except ValueError as exc:
+        return values, (type(exc).__name__, str(exc))
+    return values, None
+
+
+def _row_outcomes(ps, q, scaled):
+    """The outcome of each p, from rows that start again after each refusal."""
+    got = []
+    while ps:
+        values, refusal = _row_prefix(ps, q, scaled)
+        got += values + ([refusal] if refusal else [])
+        ps = ps[len(values) + 1:]
+    return got
+
+
 def test_upsilon_scaled_memo_matches_fresh_calls_in_any_order():
-    # one memo per q; the powers of q grow on demand, whatever order p comes in
+    # the memo is now a row, which shares q, e^q, e^-q and the powers of q
+    # among its p, and the closed form's coefficient rows grow on demand,
+    # whatever order p comes in
     r = random.Random(7)
     ps = [float(p) for p in range(1, 176)] + [p + 0.5 for p in range(0, 175, 7)]
-    for q in (0.0, 1e-9, 0.75, 3.0, 25.0, 120.0, 800.0, 2400.0):
-        shuffled = r.sample(ps, len(ps))
-        for order in (ps, ps[::-1], shuffled):
-            memo = {}
-            for p in order:
-                fresh, memoized = (_hex_or_error(upsilon_scaled, p, q, *m) for m in ((), (memo,)))
-                assert memoized == fresh, (p, q)
-                if p.is_integer() and p <= 171 and isinstance(fresh, str):
-                    assert fresh == _closed_form_term_by_term(p, q).hex(), (p, q)
+    for q in (0.0, 1e-9, 0.75, 3.0, 25.0, 120.0, 800.0, 2400.0, -1e-9, -0.75, -3.0, -40.0):
+        for order in (ps, ps[::-1], r.sample(ps, len(ps))):
+            for scaled, fn in ((True, upsilon_scaled), (False, upsilon)):
+                got = _row_outcomes(order, q, scaled)
+                assert got == [_hex_or_error(fn, p, q) for p in order], (q, scaled)
+                if scaled and q >= 0.0:
+                    assert all(
+                        value == _closed_form_term_by_term(p, q).hex()
+                        for p, value in zip(order, got)
+                        if p.is_integer() and p <= 171 and isinstance(value, str)
+                    ), q
+
+
+@pytest.mark.parametrize("bad, q, scaled", [
+    (0.0, 2.0, True),
+    (-1.5, 2.0, False),
+    (math.nan, 2.0, True),
+    (2.5, -0.5, True),
+    (2.5, -0.5, False),
+    (171.0, 10.0, True),
+])
+def test_upsilon_row_stops_at_the_first_refusal(bad, q, scaled):
+    fn = upsilon_scaled if scaled else upsilon
+    values, refusal = _row_prefix([1.0, 3.0, bad, 4.0, -1.0], q, scaled)
+    assert values == [fn(p, q).hex() for p in (1.0, 3.0)]
+    assert refusal == _hex_or_error(fn, bad, q)
+
+
+def test_upsilon_row_vets_q_after_its_first_p():
+    # as a single call does: a row without p vets nothing
+    assert _row_prefix([], math.nan, True) == ([], None)
+    for ps, q, match in (([1.0, 2.0], math.inf, "q must be finite"),
+                         ([math.nan], math.nan, "p must be finite")):
+        values, refusal = _row_prefix(ps, q, True)
+        assert values == [] and refusal[0] == "ValueError" and refusal[1].startswith(match)
+        with pytest.raises(ValueError, match=match):
+            upsilon_scaled(ps[0], q)
 
 
 def test_upsilon_beyond_the_double_range_raises_and_names_p_and_q():
