@@ -41,7 +41,6 @@ __all__ = [
     "initial_value_equivalence",
     "laplace_caputo",
     "laplace_fps",
-    "laplace_power",
     "laplace_rl_derivative",
     "laplace_rl_derivative_fps",
     "laplace_rl_integral",
@@ -159,27 +158,6 @@ def _require_center_zero(f: TaylorSeries | FracPowerSeries, what: str) -> None:
 # ------------------------------------------------------------------
 # Elementary transforms
 # ------------------------------------------------------------------
-
-
-def laplace_power(mu: float, a: float = 0.0) -> LaplaceExpr:
-    """Transform of (t - a)^mu for a <= 0.
-
-    mu <= -1 has no classical transform (singular marker); a > 0 puts
-    the branch point inside the integration range and is rejected — the
-    generalized transform handles that regime.
-    """
-    mu = float(mu)
-    a = float(a)
-    if a > 0:
-        raise ValueError(
-            f"a={a} > 0 is outside the standard transform's domain; "
-            "use generalized_laplace"
-        )
-    if mu <= -1.0:
-        return LaplaceExpr(singular=f"mu={_fmt_num(mu)}")
-    if a == 0.0:
-        return LaplaceExpr(0.0, ((gamma(mu + 1.0), mu + 1.0),))
-    return LaplaceExpr(a, ((1.0, mu + 1.0),))
 
 
 def _taylor_transform(

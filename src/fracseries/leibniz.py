@@ -11,8 +11,10 @@ data, never from another rule, so comparisons stay non-circular.
 :func:`leibniz_rl` and :func:`leibniz_caputo_wrong` return the first two
 rule values alone, so they answer where the reference refuses: where the
 product's data fails its tail test, or at a non-integer alpha < 0, where
-no Caputo derivative exists. :func:`leibniz_monomial` is the finite RL
-rule for a factor t^m.
+no Caputo derivative exists. The finite RL rule for a factor t^m is
+:func:`leibniz_rl` with ``series_from_catalog("poly", [0.0] * m + [1.0],
+t, max(m, 1))`` as the lead, data taken at t that ends at j = m, and
+``trunc=max(m, 1)``; order -alpha gives the integral.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .series import (
     check_order,
     check_tail,
     positive_order,
-    series_from_catalog,
     taylor_arith,
 )
 from .operators import check_right_of_terminal, operator_value
@@ -38,7 +39,6 @@ from .special import FACTORIALS, check_count, gen_binom, recip_gamma
 __all__ = [
     "LeibnizReport",
     "leibniz_caputo_wrong",
-    "leibniz_monomial",
     "leibniz_report",
     "leibniz_rl",
 ]
@@ -138,35 +138,6 @@ def leibniz_rl(
     return EvalResult.finite(value)
 
 
-def leibniz_monomial(
-    f: TaylorSeries,
-    m: int,
-    order: float,
-    t: float,
-    kind: str = "derivative",
-) -> EvalResult:
-    """Finite product rule for a monomial factor t^m.
-
-    The RL rule of :func:`leibniz_rl` with t^m as the lead factor, whose
-    data at t ends at j = m: kind="derivative" gives RL D^alpha {t^m f}
-    as sum_j gen_binom(alpha, j) (t^m)^(j) D^(alpha-j) f(t), and
-    kind="integral" gives RL I^alpha {t^m f} at order -alpha. Both need
-    alpha > 0.
-
-    Raises:
-        ValueError: when the data of t^m at t is beyond the double range.
-        DivergenceError: as :func:`leibniz_rl`.
-    """
-    alpha = positive_order(order)
-    m = check_count(m, 0, "m")
-    if kind not in ("derivative", "integral"):
-        raise ValueError(f"kind must be 'derivative' or 'integral', got {kind!r}")
-    lead_t = series_from_catalog("poly", [0.0] * m + [1.0], t, max(m, 1))
-    beta = alpha if kind == "derivative" else -alpha
-    value = _rule_sum(lead_t, f, beta, t, lead_t.truncation, False)[0]
-    return EvalResult.finite(value)
-
-
 def leibniz_caputo_wrong(
     f: TaylorSeries,
     g: TaylorSeries,
@@ -199,7 +170,8 @@ def _compensation(
 
     Every summand carries a g^(k-j)(a) factor and a 1/Gamma(k+1-alpha)
     denominator, so it vanishes exactly when g's low derivatives vanish
-    or alpha is the integer n.
+    or alpha is the integer n. A power (t - a)^(k - alpha) beyond the double
+    range raises DivergenceError, whatever the summand it scales.
     """
     a = g.center
     total = 0.0
@@ -213,7 +185,14 @@ def _compensation(
             ft = f_t.derivs[j] if j <= f_t.truncation else 0.0
             fa = f.derivs[j] if j <= f.truncation else 0.0
             inner += (gen_binom(alpha, j) * ft - math.comb(k, j) * fa) * gv
-        total += inner * (t - a) ** (k - alpha) * rg
+        try:
+            power = (t - a) ** (k - alpha)
+        except OverflowError:
+            raise DivergenceError(
+                f"the compensation R1 leaves the double range at t = {t!r}: "
+                f"(t - a)^(k - alpha) overflows at k = {k}, k - alpha = {k - alpha!r}"
+            ) from None
+        total += inner * power * rg
     return total
 
 

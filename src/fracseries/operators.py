@@ -1,10 +1,9 @@
 """Differintegral operators on Taylor data.
 
-All four series forms live here: the two expansions about the lower
-terminal (coefficients from f^(k)(a)) and the two local forms
-(coefficients from f^(k)(t) with binomial weights), together with the
-bridge series that converts between the Riemann-Liouville and Caputo
-conventions and the integer-limit diagnostics.
+The Riemann-Liouville and Caputo series live here, both expansions
+about the lower terminal (coefficients from f^(k)(a)), together with the
+bridge series that converts between the two conventions and the
+integer-limit diagnostics.
 
 Integer orders never go through gamma-pole arithmetic: they are routed
 to exact factorial shifts of the Taylor data, so classical calculus
@@ -29,18 +28,16 @@ from .series import (
     sum_terms,
 )
 from .special import (
-    FACTORIALS, GammaRangeError, check_count, gamma_ratio, gen_binom, over_factorial, recip_gamma
+    FACTORIALS, GammaRangeError, check_count, gamma_ratio, over_factorial, recip_gamma
 )
 
 __all__ = [
     "IntegerLimitReport",
     "caputo_derivative",
-    "caputo_local_form",
     "frac_differintegral",
     "integer_limit_check",
     "rl_caputo_bridge",
     "rl_differintegral",
-    "rl_local_form",
 ]
 
 
@@ -231,41 +228,6 @@ def caputo_derivative(f: TaylorSeries, order: float) -> FracPowerSeries:
     """
     terms = operator_terms(f, positive_order(order, non_integer=True), caputo=True)
     return FracPowerSeries(f.center, tuple(terms), f.radius_hint, f.complete)
-
-
-def rl_local_form(
-    f_at_t: TaylorSeries, order: float, a: float
-) -> FracPowerSeries:
-    """RL differintegral from derivative data taken at the evaluation point.
-
-    The coefficients are gen_binom(alpha, k) f^(k)(t)/Gamma(k-alpha+1)
-    and the series is in powers of (t - a); it is only meaningful when
-    evaluated at the same t the data was taken at (f_at_t.center).
-    """
-    return _local_form(f_at_t, check_order(order), 0, a)
-
-
-def caputo_local_form(
-    f_at_t: TaylorSeries, order: float, a: float
-) -> FracPowerSeries:
-    """Caputo counterpart of :func:`rl_local_form`; the sum starts at k = n."""
-    alpha = positive_order(order, non_integer=True)
-    return _local_form(f_at_t, alpha, branch(alpha), a)
-
-
-def _local_form(
-    f_at_t: TaylorSeries, alpha: float, n: int, a: float
-) -> FracPowerSeries:
-    """:func:`slot_terms` k >= n about a of f^(k)(t) weighted by gen_binom(alpha-n, k-n)."""
-    if f_at_t.center < a:
-        raise ValueError(
-            f"evaluation point {f_at_t.center!r} lies left of the terminal {a!r}"
-        )
-    d = f_at_t.derivs
-    weighted = d[:n] + tuple(gen_binom(alpha - n, k - n) * d[k] for k in range(n, len(d)))
-    data = TaylorSeries(f_at_t.center, weighted, f_at_t.radius_hint, f_at_t.complete)
-    terms = slot_terms(data, alpha, n, len(d), data.complete)
-    return FracPowerSeries(float(a), tuple(terms), data.radius_hint, data.complete)
 
 
 def rl_caputo_bridge(f: TaylorSeries, order: float) -> FracPowerSeries:

@@ -492,6 +492,28 @@ def test_product_rule_sum_beyond_the_double_range_is_numeric_failure(capsys):
     assert "double range at t = 1000000000000.0" in err and "term, j = 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv, t, k_alpha",
+    [
+        (["--f", "exp:1", "--g", "const:1", "--alpha", "2.5", "--t", "1e-200",
+          "--rule", "corrected"], "1e-200", "-2.5"),
+        (["--f", "exp:1", "--g", "poly:0,0,0,1", "--alpha", "2.5", "--t", "1e-200",
+          "--rule", "corrected"], "1e-200", "-2.5"),
+        (["--f", "cos:1", "--g", "const:1", "--alpha", "170.5", "--t", "1e-17",
+          "--trunc", "8", "--rule", "wrong"], "1e-17", "-170.5"),
+    ],
+)
+def test_compensation_power_beyond_the_double_range_is_numeric_failure(
+    capsys, argv, t, k_alpha
+):
+    # (t - a)^(k - alpha) of R1 ended in an OverflowError traceback; with
+    # g = poly:0,0,0,1 the k = 0 summand it scales is 0, and it still refuses
+    code, out, err = run_cli(capsys, ["leibniz"] + argv)
+    assert code == 3
+    assert out == ""
+    assert f"at t = {t}:" in err and f"k = 0, k - alpha = {k_alpha}" in err
+
+
 def test_product_rules_of_constants_far_from_the_terminal(capsys):
     # re-centring the constant at t = 1e12 gave NaN data and exit 2
     argv = ["leibniz", "--f", "poly:1", "--g", "poly:1", "--alpha", "0.5", "--t", "1e12"]

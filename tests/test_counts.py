@@ -15,7 +15,6 @@ from fracseries import (
     integer_limit_check,
     laplace_series,
     leibniz_caputo_wrong,
-    leibniz_monomial,
     leibniz_report,
     leibniz_rl,
     parse_function_spec,
@@ -40,7 +39,6 @@ ENTRIES = {
     "leibniz_rl": ("trunc", 1, lambda n: leibniz_rl(P, G, 0.5, 1.0, trunc=n)),
     "leibniz_caputo_wrong": ("trunc", 1, lambda n: leibniz_caputo_wrong(P, G, 0.5, 1.0, trunc=n)),
     "leibniz_report": ("trunc", 1, lambda n: leibniz_report(P, G, 0.5, 1.0, trunc=n)),
-    "leibniz_monomial": ("m", 0, lambda n: leibniz_monomial(F, n, 0.5, 1.0)),
     "frequency_derivative": ("m", 0, lambda n: frequency_derivative(laplace_series(F), n)),
     "frequency_differentiation_check": (
         "m", 0, lambda n: frequency_differentiation_check(F, 0.5, n)),

@@ -13,7 +13,6 @@ from fracseries.laplace import (
     initial_value_equivalence,
     laplace_caputo,
     laplace_fps,
-    laplace_power,
     laplace_rl_derivative,
     laplace_rl_derivative_fps,
     laplace_rl_integral,
@@ -93,35 +92,16 @@ def test_positive_shifts_are_refused():
 
 def test_expr_render_golden():
     assert LaplaceExpr(0.0, ((2.0, 1.5),)).render() == "2 * s^(-1.5)"
-    assert laplace_power(1.0).render() == "1 * s^(-2)"
+    assert LaplaceExpr(0.0, ((1.0, 2.0),)).render() == "1 * s^(-2)"
 
 
 # --- transforms of the catalog pieces -------------------------------------------
 
 
-def test_power_transform_plain():
-    e = laplace_power(0.0)
-    assert e.terms == ((1.0, 1.0),)
-    e = laplace_power(1.5)
-    assert e.terms == ((math.gamma(2.5), 2.5),)
-
-
-def test_power_transform_singular_marker():
-    e = laplace_power(-1.0)
-    assert e.is_singular and e.singular == "mu=-1"
-    e = laplace_power(-1.5)
-    assert e.is_singular and e.singular == "mu=-1.5"
-
-
-def test_power_transform_rejects_positive_shift():
-    with pytest.raises(ValueError):
-        laplace_power(0.5, a=1.0)
-
-
 def test_power_transform_negative_shift_numeric():
     # (t - a)^mu with a < 0 picks up an exponential and a tail factor
     for mu, a in ((0.5, -1.0), (1.2, -0.5), (-0.5, -2.0)):
-        e = laplace_power(mu, a=a)
+        e = LaplaceExpr(a, ((1.0, mu + 1.0),))
         assert e.shift == a
         for s in (1.0, 2.5):
             want = transform_numerically(lambda t: (t - a) ** mu, s)
@@ -129,7 +109,7 @@ def test_power_transform_negative_shift_numeric():
 
 
 def test_power_transform_render_shows_tail_factor():
-    text = laplace_power(0.5, a=-1.0).render()
+    text = LaplaceExpr(-1.0, ((1.0, 1.5),)).render()
     assert "Upsilon(1.5" in text
     assert "e^(-(-1)*s)" in text
 
@@ -493,8 +473,6 @@ def test_taylor_transforms_refuse_sums_past_the_carried_data():
 
 
 def test_power_transforms_beyond_the_gamma_range_name_the_argument():
-    with pytest.raises(GammaRangeError, match=r"Gamma\(201\.0\)"):
-        laplace_power(200.0)
     with pytest.raises(GammaRangeError, match=r"Gamma\(172\.5\)"):
         laplace_fps(FracPowerSeries(0.0, ((1.0, 171.5),)))
     with pytest.raises(GammaRangeError, match=r"Gamma\(201\.5\)"):
@@ -502,7 +480,6 @@ def test_power_transforms_beyond_the_gamma_range_name_the_argument():
     # 1/Gamma(200.5) underflows to 0.0; this read as a pole and returned 0
     with pytest.raises(GammaRangeError, match=r"Gamma\(201\.0\)"):
         laplace_rl_derivative_fps(FracPowerSeries(0.0, ((1.0, 200.0),)), 0.5)
-    assert laplace_power(170.0).terms == ((math.gamma(171.0), 171.0),)
 
 
 def test_rl_integral_of_a_power_at_or_below_minus_one_is_refused():

@@ -6,7 +6,6 @@ import pytest
 
 from fracseries.leibniz import (
     leibniz_caputo_wrong,
-    leibniz_monomial,
     leibniz_report,
     leibniz_rl,
 )
@@ -175,10 +174,15 @@ def test_rl_rule_validation():
 # --- monomial-cofactor rule ---------------------------------------------------
 
 
+def monomial(m, t):
+    """t^m as Taylor data taken at t: the RL rule's lead ends at j = m."""
+    return series_from_catalog("poly", [0.0] * m + [1.0], t, max(m, 1))
+
+
 def test_monomial_rule_identity_factor():
     g = poly([1.0, 0.5, 0.25])
     t = 1.4
-    got = leibniz_monomial(g, 0, 0.6, t).expect_finite()
+    got = leibniz_rl(monomial(0, t), g, 0.6, t, trunc=1).expect_finite()
     want = rl_differintegral(g, 0.6).evaluate(t).expect_finite()
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -187,7 +191,7 @@ def test_monomial_rule_linear_times_one():
     # D^alpha t = t^(1-alpha)/Gamma(2-alpha)
     t = 1.8
     for alpha in (0.25, 0.5, 0.75):
-        got = leibniz_monomial(unit(), 1, alpha, t).expect_finite()
+        got = leibniz_rl(monomial(1, t), unit(), alpha, t, trunc=1).expect_finite()
         want = t ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -196,7 +200,7 @@ def test_monomial_rule_square_integral():
     # I^alpha t^2 = 2 t^(2+alpha)/Gamma(3+alpha)
     t = 1.8
     for alpha in (0.5, 1.3):
-        got = leibniz_monomial(unit(), 2, alpha, t, kind="integral").expect_finite()
+        got = leibniz_rl(monomial(2, t), unit(), -alpha, t, trunc=2).expect_finite()
         want = 2.0 * t ** (2.0 + alpha) / math.gamma(3.0 + alpha)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -206,25 +210,27 @@ def test_monomial_rule_general_cofactor():
     product = taylor_arith(poly([0.0, 0.0, 1.0], truncation=40), f, "mul")
     t = 0.8
     for alpha in (0.5, 1.5):
-        got = leibniz_monomial(f, 2, alpha, t).expect_finite()
+        got = leibniz_rl(monomial(2, t), f, alpha, t, trunc=2).expect_finite()
         want = rl_differintegral(product, alpha).evaluate(t).expect_finite()
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
-def test_monomial_rule_validation():
-    f = unit()
-    with pytest.raises(ValueError):
-        leibniz_monomial(f, -1, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        leibniz_monomial(f, 1, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        leibniz_monomial(f, 1, 0.5, 1.0, kind="sideways")
+@pytest.mark.parametrize("trunc", [32, 64])
+def test_monomial_rule_through_the_report(trunc):
+    # I^5.2 of t^4 e^(-t/2) at t = 3, pinned bit for bit: the rule value is
+    # 2.9e-12 (relative) off the 50-digit quadrature 0.50699224131668312,
+    # and the reference, the RL integral of the product, is not
+    f = parse_function_spec("poly:0,0,0,0,1", 0.0, trunc)
+    g = parse_function_spec("exp:-0.5", 0.0, trunc)
+    report = leibniz_report(f, g, -5.2, 3.0, rule="rl", trunc=trunc)
+    assert report.rule_value.expect_finite().hex() == "0x1.03947caf93080p-1"
+    assert report.reference_value.expect_finite() == 0.5069922413166837
 
 
 def test_monomial_rule_beyond_the_double_range_is_refused():
     # (1e120)^3 raised a bare OverflowError
     with pytest.raises(ValueError, match="beyond the double range at center 1e\\+120"):
-        leibniz_monomial(unit(), 3, 0.5, 1e120)
+        series_from_catalog("poly", [0.0, 0.0, 0.0, 1.0], 1e120, 3)
 
 
 # --- the naive Caputo transplant ----------------------------------------------

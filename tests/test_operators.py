@@ -7,14 +7,12 @@ import pytest
 
 from fracseries.operators import (
     caputo_derivative,
-    caputo_local_form,
     frac_differintegral,
     integer_limit_check,
     operator_terms,
     operator_value,
     rl_caputo_bridge,
     rl_differintegral,
-    rl_local_form,
 )
 from fracseries.grammar import GrammarError, parse_function_spec
 from fracseries.series import (
@@ -191,28 +189,6 @@ def test_rl_splits_into_caputo_plus_bridge():
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-# --- local (evaluation-point) forms -----------------------------------------
-
-
-def test_local_forms_match_terminal_forms():
-    a = 0.0
-    f = series_from_catalog("poly", [1.0, -1.0, 2.0, 0.5], center=a, truncation=10)
-    for alpha in (0.4, 1.6, 2.3):
-        rl = rl_differintegral(f, alpha)
-        cap = caputo_derivative(f, alpha)
-        for t in (0.5, 1.0, 1.8):
-            f_at_t = series_from_catalog(
-                "poly", [1.0, -1.0, 2.0, 0.5], center=t, truncation=10
-            )
-            loc_rl = rl_local_form(f_at_t, alpha, a).evaluate(t).expect_finite()
-            want_rl = rl.evaluate(t).expect_finite()
-            assert abs(loc_rl - want_rl) <= 1e-10 * (1.0 + abs(want_rl))
-
-            loc_cap = caputo_local_form(f_at_t, alpha, a).evaluate(t).expect_finite()
-            want_cap = cap.evaluate(t).expect_finite()
-            assert abs(loc_cap - want_cap) <= 1e-10 * (1.0 + abs(want_cap))
-
-
 def test_sums_past_the_carried_data_are_refused():
     # truncated data must leave two slots for the tail test
     f = series_from_catalog("exp", [1.0], truncation=8)
@@ -220,7 +196,6 @@ def test_sums_past_the_carried_data_are_refused():
         lambda: caputo_derivative(f, 7.5),
         lambda: caputo_derivative(f, 8.5),
         lambda: rl_differintegral(f, 8.0),
-        lambda: caputo_local_form(f, 8.5, -1.0),
         lambda: rl_differintegral(TaylorSeries(0.0, (1.0,), math.inf, False), 0.5),
     ):
         with pytest.raises(ValueError, match="truncation"):
@@ -233,21 +208,7 @@ def test_sums_past_the_carried_data_are_refused():
     assert caputo_derivative(g, 1.5).terms == ()
 
 
-def test_local_form_rejects_point_left_of_terminal():
-    f = series_from_catalog("poly", [1.0], center=0.0, truncation=2)
-    with pytest.raises(ValueError):
-        rl_local_form(f, 0.5, a=1.0)
-
-
 # --- power-series operator ---------------------------------------------------
-
-
-def test_local_form_refuses_a_gamma_beyond_the_double_range():
-    # Gamma(k + 169.5) overflows from k = 3 on; dropping that term read
-    # 7.07e-13 at t = 50, where the local form is 9.33e-18
-    f_t = series_from_catalog("poly", [1.0, 1.0, 1.0, 1.0], center=50.0)
-    with pytest.raises(GammaRangeError, match=r"f\^\(3\) by Gamma\(172.5\)"):
-        rl_local_form(f_t, -168.5, 0.0)
 
 
 def test_zero_datum_still_refuses_a_reciprocal_gamma_beyond_the_double_range():

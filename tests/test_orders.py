@@ -8,7 +8,6 @@ import pytest
 from fracseries import (
     FracPowerSeries,
     caputo_derivative,
-    caputo_local_form,
     caputo_quad,
     classify_lower_terminal,
     frac_differintegral,
@@ -22,13 +21,11 @@ from fracseries import (
     laplace_rl_integral_fps,
     laplace_shifted_series,
     leibniz_caputo_wrong,
-    leibniz_monomial,
     leibniz_report,
     leibniz_rl,
     rl_caputo_bridge,
     rl_derivative_quad,
     rl_differintegral,
-    rl_local_form,
     series_from_catalog,
 )
 
@@ -41,14 +38,11 @@ POWERS = FracPowerSeries(0.0, ((1.0, 0.5), (2.0, 1.0)))
 ENTRIES = {
     "rl_differintegral": lambda o: rl_differintegral(F, o),
     "caputo_derivative": lambda o: caputo_derivative(F, o),
-    "rl_local_form": lambda o: rl_local_form(F_AT_1, o, 0.0),
-    "caputo_local_form": lambda o: caputo_local_form(F_AT_1, o, 0.0),
     "rl_caputo_bridge": lambda o: rl_caputo_bridge(F, o),
     "frac_differintegral": lambda o: frac_differintegral(POWERS, o),
     "leibniz_rl": lambda o: leibniz_rl(F, G, o, 1.0),
     "leibniz_caputo_wrong": lambda o: leibniz_caputo_wrong(F, G, o, 1.0),
     "leibniz_report": lambda o: leibniz_report(F, G, o, 1.0),
-    "leibniz_monomial": lambda o: leibniz_monomial(F, 2, o, 1.0),
     "laplace_rl_integral": lambda o: laplace_rl_integral(F, o),
     "laplace_caputo": lambda o: laplace_caputo(F, o),
     "laplace_rl_derivative": lambda o: laplace_rl_derivative(F, o),
