@@ -33,7 +33,7 @@ from .series import (
     positive_order,
     taylor_arith,
 )
-from .operators import check_right_of_terminal, operator_value
+from .operators import _kept_value, check_right_of_terminal, operator_value
 from .special import FACTORIALS, check_count, gen_binom, recip_gamma
 
 __all__ = [
@@ -71,41 +71,59 @@ def _binomial_weights(alpha: float):
         num *= alpha - j
 
 
+def _lead_at(
+    lead: TaylorSeries, other: TaylorSeries, t: float, trunc: int
+) -> tuple[TaylorSeries, int]:
+    """The data of *lead* at t (*lead* itself when centred there) and the
+    last j a rule sums, vetted in this order: t right of *other*'s
+    terminal, the re-expansion, trunc.
+
+    Raises:
+        ValueError: for t at or left of the terminal, for a re-expansion
+            beyond the double range, then for trunc that is not an
+            integer >= 1.
+    """
+    check_right_of_terminal(t, other.center)
+    lead_t = lead if lead.center == t else lead.recentered(t)
+    return lead_t, min(check_count(trunc, 1, "trunc"), lead_t.truncation)
+
+
 def _rule_sum(
-    lead: TaylorSeries,
+    lead_t: TaylorSeries,
     other: TaylorSeries,
     alpha: float,
     t: float,
-    trunc: int,
+    j_max: int,
     caputo: bool,
-) -> tuple[float, int, TaylorSeries]:
-    """sum_j gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t), its
-    length, and the data of *lead* at t (*lead* itself when centred there).
+) -> float:
+    """sum_{j <= j_max} gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t),
+    with t and j_max vetted by :func:`_lead_at`.
 
     The factors are RL values, or with *caputo* Caputo values (which are
-    RL values at orders alpha - j <= 0). Their slots k divide by
-    Gamma(k + 1 - (alpha - j)) and take t - a to the power k - (alpha - j),
-    both of which repeat along k + j: :func:`operators.operator_value`
-    keeps them, and each factor value, as *other*'s work at t, so each
-    distinct argument and power is evaluated once, and a second rule at
-    the same t reads its factors there. *lead* keeps its data at t.
+    RL values at orders alpha - j <= 0): :func:`operators.operator_value`
+    bit for bit, refusals included. *other*'s work at t and the radius
+    test are taken once per rule, and each factor is read from that work
+    or summed by :func:`operators._kept_value`, which keeps it there. Its
+    slots k divide by Gamma(k + 1 - (alpha - j)) and take t - a to the
+    power k - (alpha - j), both of which repeat along k + j: the slot sum
+    keeps them in the same work, so each distinct argument and power is
+    evaluated once, and a second rule at the same t reads its factors there.
 
     Raises:
-        ValueError: for t at or left of the terminal, before anything else.
         DivergenceError: when a term or the sum leaves the double range,
             naming t and the largest term, or when the sum of truncated
             data fails the tail test.
     """
-    check_right_of_terminal(t, other.center)
-    lead_t = lead if lead.center == t else lead.recentered(t)
-    j_max = min(check_count(trunc, 1, "trunc"), lead_t.truncation)
+    memo, x = other._memo(t), t - other.center
+    inside = other.complete or x < other.radius_hint
+    derivs = lead_t.derivs
     terms = []
     for j, b in zip(range(j_max + 1), _binomial_weights(alpha)):
-        if b == 0.0 or lead_t.derivs[j] == 0.0:
+        d = derivs[j]
+        if b == 0.0 or d == 0.0:
             terms.append(0.0)
-            continue
-        value = operator_value(other, alpha - j, t, caputo)
-        terms.append(b * lead_t.derivs[j] * value)
+        else:
+            terms.append(b * d * _kept_value(other, alpha - j, caputo, x, memo, inside))
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
@@ -117,7 +135,7 @@ def _rule_sum(
             f"largest term, j = {j}, is {terms[j]!r}"
         )
     check_tail(terms, total, lead_t.complete)
-    return total, j_max + 1, lead_t
+    return total
 
 
 def leibniz_rl(
@@ -134,8 +152,8 @@ def leibniz_rl(
     polynomial *f* the sum is exact once j exceeds the degree.
     """
     alpha = check_order(order)
-    value = _rule_sum(f, g, alpha, t, trunc, False)[0]
-    return EvalResult.finite(value)
+    f_t, j_max = _lead_at(f, g, t, trunc)
+    return EvalResult.finite(_rule_sum(f_t, g, alpha, t, j_max, False))
 
 
 def leibniz_caputo_wrong(
@@ -154,8 +172,8 @@ def leibniz_caputo_wrong(
     missing.
     """
     alpha = check_order(order)
-    value = _rule_sum(f, g, alpha, t, trunc, True)[0]
-    return EvalResult.finite(value)
+    f_t, j_max = _lead_at(f, g, t, trunc)
+    return EvalResult.finite(_rule_sum(f_t, g, alpha, t, j_max, True))
 
 
 def _compensation(
@@ -209,26 +227,41 @@ def leibniz_report(
 
     rule="rl" compares the RL series rule with the RL differintegral of
     the product; "wrong" and "corrected" compare the naive and corrected
-    Caputo rules with the Caputo derivative of the product. The corrected
+    Caputo rules with the Caputo derivative of the product, which exists
+    only at alpha > 0: a Caputo rule at a non-integer alpha < 0 is refused
+    right after the order is read, before any sum. The corrected
     rule is the naive sum plus the compensation R1; the "wrong" report
     carries that compensation too, so callers can see that residual and
     compensation cancel. With ``swap=True`` the roles are exchanged for
     every rule (g differentiated in the series, compensation R2); both
     variants must agree with the same reference.
+
+    The product f * g keeps the rule sum and R1 in its work at t
+    (:meth:`TaylorSeries._memo`), keyed by swap, alpha, the last j summed
+    and the convention, so "corrected" after "wrong" (or the reverse) at
+    the same t computes neither again. Only values are kept: a refusal is
+    computed and raised again at each call.
     """
     if rule not in ("rl", "wrong", "corrected"):
         raise ValueError(f"unknown rule {rule!r} (expected rl, wrong, corrected)")
     alpha = check_order(order)
-    product = taylor_arith(f, g, "mul")
-    lead, other = (g, f) if swap else (f, g)
     caputo = rule != "rl"
-    value, terms_used, lead_t = _rule_sum(lead, other, alpha, t, trunc, caputo)
-    correction = 0.0
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
-    if caputo and not alpha.is_integer():
-        correction = _compensation(lead, lead_t, other, alpha, branch(alpha), t)
+    compensated = caputo and not alpha.is_integer()
+    if compensated:
         # the reference, C D^alpha of the product, needs alpha > 0
         positive_order(alpha, non_integer=True)
+    product = taylor_arith(f, g, "mul")
+    lead, other = (g, f) if swap else (f, g)
+    lead_t, j_max = _lead_at(lead, other, t, trunc)
+    memo, key = product._memo(t), ("rule", swap, alpha, j_max, caputo)
+    if (kept := memo.get(key)) is None:
+        value = _rule_sum(lead_t, other, alpha, t, j_max, caputo)
+        correction = 0.0
+        if compensated:
+            correction = _compensation(lead, lead_t, other, alpha, branch(alpha), t)
+        kept = memo[key] = (value, correction)
+    value, correction = kept
     if rule == "corrected":
         value += correction
     ref_value = operator_value(product, alpha, t, caputo)
@@ -237,5 +270,5 @@ def leibniz_report(
         reference_value=EvalResult.finite(ref_value),
         residual=abs(value - ref_value),
         correction_value=correction,
-        terms_used=terms_used,
+        terms_used=j_max + 1,
     )

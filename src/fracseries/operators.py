@@ -63,10 +63,8 @@ def operator_value(f: TaylorSeries, order: float, t: float, caputo: bool = False
     """The value at t > a of :func:`operator_terms`, summed without a series.
 
     It is ``sum_terms(operator_terms(...))`` bit for bit, refusals
-    included. A non-integer order takes :func:`_slot_sum`; a sum that it
-    cannot finish, and data summed at or past its radius, take the
-    term-list route, which states the refusal. f keeps the value at t
-    (:meth:`TaylorSeries._memo`) by order and first slot: Caputo is RL at orders <= 0.
+    included: the order and t are vetted here, and :func:`_kept_value`
+    reads or sums the value.
 
     Raises:
         ValueError: for t at or left of the terminal f.center, and as
@@ -76,12 +74,27 @@ def operator_value(f: TaylorSeries, order: float, t: float, caputo: bool = False
     """
     check_right_of_terminal(t, f.center)
     alpha = check_order(order)
+    x = t - f.center
+    return _kept_value(f, alpha, caputo, x, f._memo(t), f.complete or x < f.radius_hint)
+
+
+def _kept_value(
+    f: TaylorSeries, alpha: float, caputo: bool, x: float, memo: dict, inside: bool
+) -> float:
+    """:func:`operator_value` past its vetting, at x = t - a: *memo* is f's
+    work at t (:meth:`TaylorSeries._memo`), and *inside* says that the data
+    are complete or x lies inside their radius.
+
+    The value is kept in *memo* by order and first slot (Caputo is RL at
+    orders <= 0). A non-integer order inside the radius takes
+    :func:`_slot_sum`; a sum that it cannot finish, and data summed at or
+    past its radius, take the term-list route, which states the refusal.
+    """
     k0 = branch(alpha) if caputo else 0
-    memo, key = f._memo(t), ("operator", alpha, k0)
+    key = ("operator", alpha, k0)
     if (value := memo.get(key)) is not None:
         return value
-    x = t - f.center
-    if not alpha.is_integer() and (f.complete or x < f.radius_hint):
+    if inside and not alpha.is_integer():
         value = _slot_sum(f, alpha, k0, x, memo)
     if value is None:
         value = sum_terms(operator_terms(f, alpha, caputo), x, f.radius_hint, f.complete)
@@ -99,7 +112,8 @@ def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> f
     point x past its center, maps a Gamma argument k+1-alpha to
     ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha is slot
     k-1's argument, so only the first slot's power is computed directly.
-    Every order summed at one point reads it, so that each argument is
+    Every order summed at one point reads it, the operator values and the
+    factors of every product-rule row alike, so that each argument is
     evaluated once per series and point.
 
     Raises:
@@ -110,12 +124,13 @@ def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> f
     k1 = f.truncation + 1
     check_slots(f, alpha, k0, k1, f.complete)
     derivs = f.derivs
+    get = memo.get
     power = _power(x, k0 - alpha)
     total = 0.0
     prev = last = None
     for k in range(k0, k1):
         arg = k + 1 - alpha
-        if (entry := memo.get(arg)) is None:
+        if (entry := get(arg)) is None:
             entry = memo[arg] = (recip_gamma(arg), _power(x, arg))
         rg, next_power = entry
         d = derivs[k]

@@ -105,7 +105,9 @@ def _orthonormal_at(
         norm += p * p
         dnorm += p * dp
         u = (z - diag) * inv
-        p, p_prev, dp, dp_prev = u * p - ratio * p_prev, p, u * dp + inv * p - ratio * dp_prev, dp
+        # dp first, as it reads p before this step
+        dp_prev, dp = dp, u * dp + inv * p - ratio * dp_prev
+        p_prev, p = p, u * p - ratio * p_prev
     return p, dp, norm, dnorm
 
 

@@ -514,6 +514,23 @@ def test_compensation_power_beyond_the_double_range_is_numeric_failure(
     assert f"at t = {t}:" in err and f"k = 0, k - alpha = {k_alpha}" in err
 
 
+@pytest.mark.parametrize("rule", ["wrong", "corrected"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # summed past the radius of power:0.5 at a = 1, which refused first (exit 3)
+        ["--f", "exp:1", "--g", "power:0.5", "--a", "1", "--t", "3"],
+        # a binomial weight past 170!, whose message came first
+        ["--f", "exp:1", "--g", "poly:1", "--t", "1", "--trunc", "200"],
+    ],
+)
+def test_caputo_rule_at_a_negative_order_is_refused_before_any_sum(capsys, argv, rule):
+    code, out, err = run_cli(capsys, ["leibniz", *argv, "--alpha", "-0.5", "--rule", rule])
+    assert code == 2
+    assert out == ""
+    assert "order must be > 0 and not an integer, got -0.5" in err
+
+
 def test_product_rules_of_constants_far_from_the_terminal(capsys):
     # re-centring the constant at t = 1e12 gave NaN data and exit 2
     argv = ["leibniz", "--f", "poly:1", "--g", "poly:1", "--alpha", "0.5", "--t", "1e12"]

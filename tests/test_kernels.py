@@ -11,12 +11,17 @@ from itertools import accumulate
 
 import pytest
 
-from fracseries.leibniz import _binomial_weights, _rule_sum
+from fracseries.grammar import parse_function_spec
+from fracseries.leibniz import (
+    _binomial_weights, _compensation, _lead_at, _rule_sum, leibniz_report, leibniz_rl
+)
 from fracseries.operators import check_right_of_terminal, operator_value
 from fracseries.series import (
     DivergenceError,
     TaylorSeries,
+    branch,
     check_tail,
+    positive_order,
     series_from_catalog,
     taylor_arith,
 )
@@ -32,7 +37,7 @@ def outcome(fn, *args):
     if isinstance(value, TaylorSeries):
         return (value.center.hex(), tuple(d.hex() for d in value.derivs),
                 value.radius_hint, value.complete)
-    if isinstance(value, tuple):  # _rule_sum: (total, length, data at t)
+    if isinstance(value, tuple):  # rule_sum: (total, length, data at t)
         return (value[0].hex(), value[1], outcome(lambda: value[2]))
     return value.hex()
 
@@ -190,6 +195,12 @@ def test_running_weights_are_gen_binom(alpha):
     assert str(exc.value) == str(ref.value)
 
 
+def rule_sum(lead, other, alpha, t, trunc, caputo):
+    """The vetting and the kernel together, in the shape of the loop below."""
+    lead_t, j_max = _lead_at(lead, other, t, trunc)
+    return _rule_sum(lead_t, other, alpha, t, j_max, caputo), j_max + 1, lead_t
+
+
 def rule_sum_loop(lead, other, alpha, t, trunc, caputo):
     lead_t = lead if lead.center == t else lead.recentered(t)
     check_right_of_terminal(t, other.center)
@@ -229,7 +240,7 @@ def test_rule_sum_matches_the_loop(alpha, caputo):
                 lead = series_from_catalog(name_f, pf, 0.0, lead_trunc)
                 other = series_from_catalog(name_g, pg, 0.0, other_trunc)
                 args = (lead, other, alpha, 0.75, trunc, caputo)
-                assert outcome(_rule_sum, *args) == outcome(rule_sum_loop, *args)
+                assert outcome(rule_sum, *args) == outcome(rule_sum_loop, *args)
 
 
 def test_weight_refusal_keeps_its_precedence():
@@ -237,15 +248,72 @@ def test_weight_refusal_keeps_its_precedence():
     # j = 171 refuses
     lead = series_from_catalog("exp", [1.0], 0.0, 200)
     const = series_from_catalog("poly", [1.0], 0.0, 1)
-    got = outcome(_rule_sum, lead, const, 0.5, 1.0, 200, False)
+    got = outcome(rule_sum, lead, const, 0.5, 1.0, 200, False)
     assert got == outcome(rule_sum_loop, lead, const, 0.5, 1.0, 200, False)
     assert got[1] == "GammaRangeError" and "gen_binom(0.5, 171)" in got[2]
     # truncated data at truncation 64 divides by Gamma(k + 1 - alpha + j),
     # which leaves the double range before j = 171: that refusal comes first
     other = series_from_catalog("exp", [1.0], 0.0, 64)
-    got = outcome(_rule_sum, lead, other, 0.5, 1.0, 200, False)
+    got = outcome(rule_sum, lead, other, 0.5, 1.0, 200, False)
     assert got == outcome(rule_sum_loop, lead, other, 0.5, 1.0, 200, False)
     assert got[1] == "GammaRangeError" and "gen_binom" not in got[2]
+
+
+def report_loop(f, g, alpha, t, rule, trunc):
+    """leibniz_report from the loop: the order vetted first, then the rule
+    sum, R1 and the reference on fresh data."""
+    caputo = rule != "rl"
+    compensated = caputo and not alpha.is_integer()
+    if compensated:
+        positive_order(alpha, non_integer=True)
+    product = taylor_arith_loop(f, g, "mul")
+    value, terms_used, f_t = rule_sum_loop(f, g, alpha, t, trunc, caputo)
+    correction = _compensation(f, f_t, g, alpha, branch(alpha), t) if compensated else 0.0
+    if rule == "corrected":
+        value += correction
+    reference = operator_value(product, alpha, t, caputo)
+    return value, reference, correction, abs(value - reference), terms_used
+
+
+def report_outcome(thunk):
+    try:
+        got = thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    if not isinstance(got, tuple):  # a LeibnizReport
+        got = (got.rule_value.value, got.reference_value.value, got.correction_value,
+               got.residual, got.terms_used)
+    return tuple(v.hex() for v in got[:4]) + got[4:]
+
+
+@pytest.mark.parametrize(
+    "f_spec, g_spec, a, alpha, t, trunc",
+    [
+        # j = 1 takes the order 1e-17 - 1, which rounds onto -1.0: an integer shift
+        ("exp:1", "cos:1", 0.0, 1e-17, 0.75, 32),
+        ("exp:1", "cos:2", 0.0, 2.0, 0.75, 32),
+        ("exp:1", "cos:2", 0.0, -1.0, 0.75, 32),
+        # power:0.5 at a = 1 has radius 1: summed past it, and inside it
+        ("exp:1", "power:0.5", 1.0, 0.5, 3.0, 32),
+        ("exp:1", "power:0.5", 1.0, 1.5, 2.5, 32),
+        ("exp:1", "power:0.5", 1.0, 0.5, 1.5, 32),
+        # too few slots for the Caputo factor at j = 0
+        ("exp:1", "sin:1", 0.0, 0.5, 0.75, 1),
+        # a slot's power overflows: the slot sum is not finite
+        ("poly:1,1", "poly:1,1,1,1", 0.0, 1.5, 1e130, 32),
+        ("poly:1,1", "poly:1,1,1,1", 0.0, 1.5, 1e100, 32),
+    ],
+)
+def test_rule_factors_fall_back_as_the_operator_value_loop(f_spec, g_spec, a, alpha, t, trunc):
+    def data():
+        return parse_function_spec(f_spec, a, trunc), parse_function_spec(g_spec, a, trunc)
+
+    got = outcome(lambda: leibniz_rl(*data(), alpha, t, trunc).value)
+    want = outcome(lambda: rule_sum_loop(*data(), alpha, t, trunc, False)[0])
+    assert got == want
+    for rule in ("rl", "wrong", "corrected"):
+        got = report_outcome(lambda: leibniz_report(*data(), alpha, t, rule, trunc))
+        assert got == report_outcome(lambda: report_loop(*data(), alpha, t, rule, trunc)), rule
 
 
 # --- TaylorSeries.evaluate --------------------------------------------------------

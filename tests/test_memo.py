@@ -1,13 +1,15 @@
 """The work a Taylor series keeps at its latest evaluation point.
 
 A series keeps its operator values, its re-expansion and its Caputo
-quadrature value for the latest t, and its latest product. Every value
+quadrature value for the latest t, and its latest product; a product
+keeps the rule sums and compensations of its factors' reports. Every value
 must be the one that fresh data gives, compared by float.hex, and every
 refusal must be raised again with the same type and message.
 """
 
 import math
 import random
+from itertools import permutations
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ import time
 import pytest
 
 from fracseries.grammar import parse_function_spec
+from fracseries import leibniz
 from fracseries.leibniz import leibniz_report
 from fracseries.operators import operator_value
 from fracseries.quadrature import caputo_quad, rl_derivative_quad
@@ -76,6 +79,65 @@ def test_rules_on_shared_data_match_fresh_data(seed):
                 f0, g0 = parse_pair(f_spec, g_spec, a, trunc)
                 fresh = outcome(lambda: leibniz_report(f0, g0, alpha, t, rule=rule, trunc=trunc))
                 assert shared == fresh, (f_spec, g_spec, a, alpha, t, rule, trunc)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.6, 0.0, -0.0])
+def test_kept_rule_sums_match_fresh_data(alpha):
+    # every order of the three rules, swap alternating from call to call and
+    # two truncations, on one pair at one t: the reports share the product's
+    # kept rule sums and compensations, and each outcome is that of fresh data
+    specs, t = ("exp:1+sin:2", "cos:1.5+poly:0.5,1"), 0.8
+    f, g = parse_pair(*specs, 0.0, 32)
+    for order in permutations(RULES):
+        for trunc in (16, 32):
+            for rule in order:
+                for swap in (False, True):
+                    shared = outcome(lambda: leibniz_report(
+                        f, g, alpha, t, rule=rule, trunc=trunc, swap=swap))
+                    f0, g0 = parse_pair(*specs, 0.0, 32)
+                    fresh = outcome(lambda: leibniz_report(
+                        f0, g0, alpha, t, rule=rule, trunc=trunc, swap=swap))
+                    assert shared == fresh, (order, rule, swap, trunc)
+
+
+def test_kept_rule_sum_refusals_match_fresh_data():
+    # truncated exp data at t = 40 fail the tail test; the refusal is not kept
+    f, g = parse_pair("exp:1", "sin:1", 0.0, 16)
+    for rule in ("wrong", "corrected", "wrong", "rl"):
+        shared = outcome(lambda: leibniz_report(f, g, 0.5, 40.0, rule=rule, trunc=16))
+        f0, g0 = parse_pair("exp:1", "sin:1", 0.0, 16)
+        fresh = outcome(lambda: leibniz_report(f0, g0, 0.5, 40.0, rule=rule, trunc=16))
+        assert shared == fresh and shared[0] == "DivergenceError"
+
+
+def test_corrected_after_wrong_reads_the_kept_rule_sum(monkeypatch):
+    calls = []
+    for name in ("_rule_sum", "_compensation"):
+        original = getattr(leibniz, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(leibniz, name, counting)
+    f, g = parse_pair("exp:1+sin:2", "cos:1.5", 0.0, 32)
+    steps = [
+        (dict(rule="wrong"), ["_rule_sum", "_compensation"]),
+        (dict(rule="corrected"), []),
+        (dict(rule="wrong"), []),
+        (dict(rule="corrected", trunc=16), ["_rule_sum", "_compensation"]),
+        (dict(rule="corrected", swap=True), ["_rule_sum", "_compensation"]),
+        (dict(rule="wrong", swap=True), []),
+        (dict(rule="corrected", t=0.9), ["_rule_sum", "_compensation"]),
+        (dict(rule="rl", t=0.9), ["_rule_sum"]),
+        (dict(rule="rl", t=0.9), []),
+    ]
+    for kwargs, expected in steps:
+        calls.clear()
+        kwargs = dict(kwargs)
+        t = kwargs.pop("t", 0.8)
+        leibniz_report(f, g, 1.3, t, **kwargs)
+        assert calls == expected, kwargs
 
 
 @pytest.mark.parametrize("seed", range(4))
