@@ -200,14 +200,14 @@ def _taylor_transform(
 def laplace_series(f: TaylorSeries) -> LaplaceExpr:
     """Termwise transform of Taylor data at 0: sum f^(k)(0) s^-(k+1)."""
     _require_center_zero(f, "laplace_series")
-    return _taylor_transform(f, 0.0, 0)
+    return _taylor_transform(f, *_kind_slots("plain", None))
 
 
 def laplace_rl_integral(f: TaylorSeries, alpha: float) -> LaplaceExpr:
     """Transform of the RL integral: s^(-alpha) F(s), termwise."""
-    alpha = positive_order(alpha)
+    slots = _kind_slots("rl_integral", alpha)
     _require_center_zero(f, "laplace_rl_integral")
-    return _taylor_transform(f, -alpha, 0)
+    return _taylor_transform(f, *slots)
 
 
 def laplace_caputo(f: TaylorSeries, order: float) -> LaplaceExpr:
@@ -217,9 +217,9 @@ def laplace_caputo(f: TaylorSeries, order: float) -> LaplaceExpr:
     removes exactly the slots k < n, which is what makes the Caputo
     transform regular where the RL one is singular.
     """
-    alpha = positive_order(order)
+    slots = _kind_slots("caputo", order)
     _require_center_zero(f, "laplace_caputo")
-    return _taylor_transform(f, alpha, branch(alpha))
+    return _taylor_transform(f, *slots)
 
 
 def laplace_rl_derivative(f: TaylorSeries, order: float) -> LaplaceExpr:
@@ -242,8 +242,9 @@ def _power_sum_transform(series: FracPowerSeries, delta: float, name: str) -> La
 
     This is the transform of the order -delta RL differintegral: the
     image c Gamma(e+1)/Gamma(e+delta+1) t^(e+delta) is never formed, so
-    the Gamma(e+delta+1) pair cancels algebraically, and an image whose
-    denominator sits on a pole is 0. An exponent e <= -1 makes the plain
+    the Gamma(e+delta+1) pair cancels algebraically, and an image is 0 exactly
+    where its denominator sits on a pole (:func:`special.is_gamma_pole`), never
+    because 1/Gamma underflowed. An exponent e <= -1 makes the plain
     transform (delta = 0) singular and leaves the operator images
     without a meaning.
     """
@@ -370,7 +371,8 @@ def frequency_differentiation_check(
     right = frac_differintegral(
         FracPowerSeries(0.0, moments, complete=f.complete), -alpha
     )
-    disc = max((abs(c) for c, _ in (left - right).terms), default=0.0)
+    diff = canonical_terms(left.terms + tuple((-c, e) for c, e in right.terms))
+    disc = max((abs(c) for c, _ in diff), default=0.0)
     return FreqDiffReport(left=left, right=right, max_discrepancy=disc)
 
 
@@ -417,7 +419,7 @@ def generalized_laplace(
 
 
 def _kind_slots(kind: str, order: float | None) -> tuple[float, int]:
-    """(beta, k0) of the Taylor transform behind a named kind."""
+    """(beta, k0) of every Taylor transform but the RL derivative's, by kind."""
     if kind == "plain":
         return 0.0, 0
     if kind not in ("rl_integral", "caputo"):

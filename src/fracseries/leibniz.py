@@ -10,8 +10,8 @@ data, never from another rule, so comparisons stay non-circular.
 
 :func:`leibniz_rl` and :func:`leibniz_caputo_wrong` return the first two
 rule values alone, so they answer where the reference refuses: where the
-product's data fails its tail test, or at a non-integer alpha < 0, where
-no Caputo derivative exists. The finite RL rule for a factor t^m is
+product's data fails its tail test, or at alpha < 0, where no Caputo
+derivative exists. The finite RL rule for a factor t^m is
 :func:`leibniz_rl` with ``series_from_catalog("poly", [0.0] * m + [1.0],
 t, max(m, 1))`` as the lead, data taken at t that ends at j = m, and
 ``trunc=max(m, 1)``; order -alpha gives the integral.
@@ -228,8 +228,8 @@ def leibniz_report(
     rule="rl" compares the RL series rule with the RL differintegral of
     the product; "wrong" and "corrected" compare the naive and corrected
     Caputo rules with the Caputo derivative of the product, which exists
-    only at alpha > 0: a Caputo rule at a non-integer alpha < 0 is refused
-    right after the order is read, before any sum. The corrected
+    only at alpha > 0: a Caputo rule at alpha < 0, integer or not, is
+    refused right after the order is read, before any sum. The corrected
     rule is the naive sum plus the compensation R1; the "wrong" report
     carries that compensation too, so callers can see that residual and
     compensation cancel. With ``swap=True`` the roles are exchanged for
@@ -248,7 +248,7 @@ def leibniz_report(
     caputo = rule != "rl"
     # at integer orders Caputo is RL: every R1 denominator sits on a pole
     compensated = caputo and not alpha.is_integer()
-    if compensated:
+    if compensated or caputo and alpha < 0:
         # the reference, C D^alpha of the product, needs alpha > 0
         positive_order(alpha, non_integer=True)
     product = taylor_arith(f, g, "mul")

@@ -54,7 +54,8 @@ def operator_terms(
 
 
 def check_right_of_terminal(t: float, a: float) -> None:
-    """The operators are evaluated only right of their terminal a."""
+    """The one strict terminal test: the operators, product rules and
+    quadrature values are evaluated only right of their terminal a."""
     if not t > a:
         raise ValueError(f"t={t!r} must lie right of the terminal {a!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, islice
 from operator import itemgetter
 
@@ -277,29 +277,6 @@ class FracPowerSeries:
         """The values at the points *ts*, vetted and summed in order (:func:`sum_grid`)."""
         return sum_grid(self.terms, self.center, ts, self.radius_hint, self.complete)
 
-    def scaled(self, factor: float) -> FracPowerSeries:
-        return FracPowerSeries(
-            self.center,
-            tuple((c * factor, e) for (c, e) in self.terms),
-            self.radius_hint,
-            self.complete,
-        )
-
-    def __add__(self, other: FracPowerSeries) -> FracPowerSeries:
-        if other.center != self.center:
-            raise ValueError(
-                f"center mismatch: {self.center!r} vs {other.center!r}"
-            )
-        return FracPowerSeries(
-            self.center,
-            self.terms + other.terms,
-            min(self.radius_hint, other.radius_hint),
-            self.complete and other.complete,
-        )
-
-    def __sub__(self, other: FracPowerSeries) -> FracPowerSeries:
-        return self + other.scaled(-1.0)
-
 
 def canonical_terms(terms) -> tuple[tuple[float, float], ...]:
     """Canonical form of ``(coeff, exponent)`` pairs: the terms with a
@@ -379,11 +356,12 @@ def sum_grid(terms, a: float, ts, radius: float, complete: bool) -> list[float]:
 
     At t = a the value is classified by the least exponent: all positive
     -> 0.0; zero -> the leading coefficient; negative -> inf with the sign
-    of the leading coefficient. Elsewhere the terms are summed in order,
-    and the tail test (:func:`check_tail`) reads the last two terms as the
-    sum computed them. The head and the last two terms are unpacked once
-    for the grid; a series of fewer than two terms is led by (0.0, 0.0)
-    terms, which add an exact 0.0 and are not tested.
+    of the leading coefficient. Elsewhere the terms are summed in order in
+    one loop that keeps no term list, and the tail test (:func:`check_tail`)
+    reads the last two terms as the sum computed them. The head and the
+    last two terms are unpacked once for the grid; a series of fewer than
+    two terms is led by (0.0, 0.0) terms, which add an exact 0.0 and are
+    not tested.
 
     Raises:
         ValueError: at the first t not >= a, NaN or left of it (the
@@ -608,24 +586,10 @@ def _check_no_underflow(value: float, name: str, param: float, center: float) ->
         )
 
 
-#: Row k holds the binomial coefficients binom(k, j), j <= k, as floats by
-#: the recurrence binom(k, j) = binom(k, j - 1) * (k - j + 1) / j. A longer
-#: product replaces the table with a longer one; it is never appended to, so
-#: the rows a caller holds stay in order whatever another thread does.
-_BINOMIAL_ROWS: list[tuple[float, ...]] = []
-
-
-def _binomial_rows(n: int) -> list[tuple[float, ...]]:
-    """The table of binomial rows, holding at least rows 0 to n."""
-    global _BINOMIAL_ROWS
-    rows = _BINOMIAL_ROWS
-    if len(rows) <= n:
-        rows = rows + [_binomial_row(k) for k in range(len(rows), n + 1)]
-        _BINOMIAL_ROWS = rows
-    return rows
-
-
+@cache
 def _binomial_row(k: int) -> tuple[float, ...]:
+    """The binomial coefficients binom(k, j), j <= k, as floats by the
+    recurrence binom(k, j) = binom(k, j - 1) * (k - j + 1) / j."""
     row = [1.0]
     binom = 1.0
     for j in range(1, k + 1):
@@ -637,9 +601,9 @@ def _binomial_row(k: int) -> tuple[float, ...]:
 def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     """Pointwise sum or product of Taylor data with a common center.
 
-    Truncation of the result is the minimum of the inputs, unless just one
-    is complete: its data is exactly 0 past its truncation, so the result
-    has the other's. Callers that need an exact polynomial product must
+    The radius of the result is the lesser of the inputs', and so is its
+    truncation, unless just one is complete: its data is exactly 0 past its
+    truncation, so the result has the other's. Callers that need an exact polynomial product must
     supply adequately padded data. *f* keeps its latest result, keyed by
     the identity of *g* and by *op*.
     """
@@ -662,13 +626,12 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
         # datum k is sum_j binom(k, j) fd[j] gd[k - j], summed from j = 0 up;
         # gd is reversed once and read from k down, since a slice per k
         # would allocate a tuple per k
-        rows = _binomial_rows(n)
         gd_desc = gd[::-1]
         top = len(gd) - 1
         derivs = []
         for k in range(n + 1):
             acc = 0.0
-            for binom, x, y in zip(rows[k], fd, islice(gd_desc, top - k, None)):
+            for binom, x, y in zip(_binomial_row(k), fd, islice(gd_desc, top - k, None)):
                 acc += binom * x * y
             derivs.append(acc)
         if complete:

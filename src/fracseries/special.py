@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
+from functools import cache
 from itertools import accumulate
 from operator import truediv
 
@@ -58,8 +59,8 @@ def _check_finite(x: float, name: str = "x") -> float:
 
 
 def check_count(value, least: int, name: str) -> int:
-    """*value* as an int; raise ValueError unless it is an int or an
-    integral float, and at least *least*."""
+    """*value* as an int, the vetting of every count in the package; raise
+    ValueError unless it is an int or an integral float, and at least *least*."""
     count = int(value) if isinstance(value, float) and value.is_integer() else value
     if not isinstance(count, int) or count < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -345,9 +346,11 @@ def _upsilon_kernel(
     return value * exp_q if scaled else value
 
 
-#: The closed form's coefficients (m-1)!/i!, i < m, by m, each the one before
-#: it divided by i. A row is built when its m is first asked for.
-_CLOSED_FORM_ROWS: dict[int, tuple[float, ...]] = {}
+@cache
+def _closed_form_row(m: int) -> tuple[float, ...]:
+    """The closed form's coefficients (m-1)!/i!, i < m, each the one before
+    it divided by i."""
+    return tuple(accumulate(range(1, m), truediv, initial=FACTORIALS[m - 1]))
 
 
 def _closed_form(m: int, q: float, powers: list[float]) -> float:
@@ -356,11 +359,8 @@ def _closed_form(m: int, q: float, powers: list[float]) -> float:
     powers q**i come from the list *powers*, which grows to the largest m."""
     if len(powers) < m:
         powers.extend([q**i for i in range(len(powers), m)])
-    if (row := _CLOSED_FORM_ROWS.get(m)) is None:
-        row = tuple(accumulate(range(1, m), truediv, initial=FACTORIALS[m - 1]))
-        _CLOSED_FORM_ROWS[m] = row
     acc = 0.0
-    for coeff, power in zip(row, powers):
+    for coeff, power in zip(_closed_form_row(m), powers):
         acc += coeff * power
     return acc
 

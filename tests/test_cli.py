@@ -211,6 +211,22 @@ def test_eval_bad_grid_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "exp:1", "--alpha", "0.5", "--grid", "0:1"],
+         "grid must be lo:hi:count, got '0:1'"),
+        (["eval", "exp:1", "--alpha", "0.5", "--grid", "a:1:2"], "bad grid 'a:1:2'"),
+        (["eval", ":1", "--alpha", "0.5", "--grid", "1:1:1"], "atom ':1' has no name"),
+        (["laplace", "exp:1", "--op", "rl-der", "--alpha", "0.5", "--a=-1"],
+         "rl-der is only available at a = 0 (its negative-instant transform is not "
+         "implemented)"),
+    ],
+)
+def test_malformed_requests_are_usage_errors_naming_the_fault(capsys, argv, message):
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_eval_divergence_is_numeric_error(capsys):
     # sqrt data from center 1 only converges out to t = 2
     code, _, err = run_cli(
@@ -525,10 +541,13 @@ def test_compensation_power_beyond_the_double_range_is_numeric_failure(
     ],
 )
 def test_caputo_rule_at_a_negative_order_is_refused_before_any_sum(capsys, argv, rule):
-    code, out, err = run_cli(capsys, ["leibniz", *argv, "--alpha", "-0.5", "--rule", rule])
-    assert code == 2
-    assert out == ""
-    assert "order must be > 0 and not an integer, got -0.5" in err
+    # integer orders < 0 included: the report reads Caputo as RL only at 0
+    # and at positive integers
+    for alpha, shown in (("-0.5", "-0.5"), ("-1", "-1.0"), ("-2", "-2.0")):
+        code, out, err = run_cli(capsys, ["leibniz", *argv, "--alpha", alpha, "--rule", rule])
+        assert code == 2
+        assert out == ""
+        assert f"order must be > 0 and not an integer, got {shown}" in err
 
 
 def test_product_rules_of_constants_far_from_the_terminal(capsys):

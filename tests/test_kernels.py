@@ -264,7 +264,7 @@ def report_loop(f, g, alpha, t, rule, trunc):
     sum, R1 and the reference on fresh data."""
     caputo = rule != "rl"
     compensated = caputo and not alpha.is_integer()
-    if compensated:
+    if compensated or caputo and alpha < 0:
         positive_order(alpha, non_integer=True)
     product = taylor_arith_loop(f, g, "mul")
     value, terms_used, f_t = rule_sum_loop(f, g, alpha, t, trunc, caputo)

@@ -399,6 +399,25 @@ def test_generalized_caputo_examples():
     assert e.terms == ((1.0, 1.0 + alpha),)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda f: LaplaceExpr(shift=math.nan), "shift must be finite"),
+        (lambda f: generalized_laplace(f, "bogus"),
+         "unknown kind 'bogus' (expected plain, rl_integral, caputo)"),
+        (lambda f: laplace_shifted_series(f, "caputo"), "kind='caputo' needs an order"),
+        (lambda f: laplace_rl_integral(f, None), "kind='rl_integral' needs an order"),
+        (lambda f: laplace_caputo(f, None), "kind='caputo' needs an order"),
+    ],
+)
+def test_malformed_transform_requests_are_refused_by_name(build, message):
+    f = series_from_catalog("exp", [1.0], truncation=8)
+    with pytest.raises(ValueError) as excinfo:
+        build(f)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
+
+
 def test_taylor_transforms_refuse_data_with_a_finite_radius():
     # power:0.5 about 2 converges only on (0, 4): the termwise transform
     # diverges, and built anyway it read -3.5e27 at s = 4

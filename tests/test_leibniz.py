@@ -440,6 +440,27 @@ def test_report_unknown_rule():
         leibniz_report(poly([1.0]), poly([1.0]), 0.5, 1.0, rule="magic")
 
 
+def test_caputo_reports_refuse_every_negative_order_and_the_rl_report_answers():
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    g = series_from_catalog("sin", [1.0], truncation=32)
+    for alpha in (-0.5, -1, -1.0, -2.0):
+        message = f"order must be > 0 and not an integer, got {float(alpha)}"
+        for rule in ("wrong", "corrected"):
+            with pytest.raises(ValueError) as excinfo:
+                leibniz_report(f, g, alpha, 1.0, rule=rule)
+            assert str(excinfo.value) == message
+        rl = leibniz_report(f, g, alpha, 1.0, rule="rl")
+        assert rl.rule_value == leibniz_rl(f, g, alpha, 1.0)
+        assert rl.residual <= 1e-14
+        # the bare naive rule reads no Caputo reference and still answers
+        assert leibniz_caputo_wrong(f, g, alpha, 1.0).is_finite
+    # at 0 and at positive integers a Caputo report is the RL one
+    for alpha in (0.0, -0.0, 1.0, 2.0):
+        rl = leibniz_report(f, g, alpha, 1.0, rule="rl")
+        for rule in ("wrong", "corrected"):
+            assert leibniz_report(f, g, alpha, 1.0, rule=rule) == rl
+
+
 # --- bit-for-bit reference: one operator series per factor ----------------------
 
 

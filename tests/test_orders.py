@@ -26,6 +26,8 @@ from fracseries import (
     rl_caputo_bridge,
     rl_derivative_quad,
     rl_differintegral,
+    rl_integral_fixed,
+    rl_integral_quad,
     series_from_catalog,
 )
 
@@ -55,6 +57,8 @@ ENTRIES = {
     "frequency_differentiation_check": lambda o: frequency_differentiation_check(F, o, 1),
     "caputo_quad": lambda o: caputo_quad(F, o, 1.0),
     "rl_derivative_quad": lambda o: rl_derivative_quad(F, o, 1.0),
+    "rl_integral_fixed": lambda o: rl_integral_fixed(math.exp, o, 0.0, 1.0, 16),
+    "rl_integral_quad": lambda o: rl_integral_quad(math.exp, o, 0.0, 1.0),
 }
 
 

@@ -207,14 +207,19 @@ def test_fps_canonical_form_ignores_term_order(perm):
     assert base.terms == ref.terms
 
 
-def test_fps_arithmetic():
-    a = FracPowerSeries(center=0.0, terms=((1.0, 0.5),))
-    b = FracPowerSeries(center=0.0, terms=((2.0, 1.5),))
-    assert (a + b).terms == ((1.0, 0.5), (2.0, 1.5))
-    assert (a - a).terms == ()
-    assert a.scaled(3.0).terms == ((3.0, 0.5),)
-    with pytest.raises(ValueError):
-        a + FracPowerSeries(center=1.0, terms=((1.0, 0.5),))
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda f: FracPowerSeries(math.nan), "center must be finite"),
+        (lambda f: taylor_arith(f, f, "div"), "unknown op 'div' (expected 'add' or 'mul')"),
+    ],
+)
+def test_malformed_series_requests_are_refused_by_name(build, message):
+    f = series_from_catalog("exp", [1.0], truncation=8)
+    with pytest.raises(ValueError) as excinfo:
+        build(f)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
 
 
 # --- evaluation and classification -----------------------------------------
@@ -282,8 +287,7 @@ def test_no_finite_radius_is_spelled_inf():
     with pytest.raises(DivergenceError, match="^tail terms"):
         half.evaluate_grid([30.0])
     assert not laplace_series(f).is_singular
-    # inf is the neutral radius of sums and products
-    assert (half + half).radius_hint == math.inf
+    # inf is the neutral radius of Taylor sums and products
     assert (f * TaylorSeries(0.0, (1.0,) * 33, 2.5, False)).radius_hint == 2.5
     assert (f + series_from_catalog("poly", [1.0], truncation=32)).radius_hint == math.inf
 
