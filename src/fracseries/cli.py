@@ -67,10 +67,6 @@ def _result_text(value: float) -> str:
     return f"{value:.17g}"  # inf and -inf print as such
 
 
-def _result_json(value: float):
-    return value if math.isfinite(value) else _result_text(value)
-
-
 def _print_rows(args, grid: list[float], values: list[float]) -> None:
     """Write the rows as one string: CSV, or the text of json.dumps(payload,
     sort_keys=True) for the payload {"a", "alpha", "rows": [{"t", "value"}]},
@@ -128,8 +124,8 @@ def cmd_leibniz(args) -> int:
             "alpha": args.alpha,
             "a": args.a,
             "t": args.t,
-            "rule_value": _result_json(rule_value),
-            "reference_value": _result_json(reference_value),
+            "rule_value": rule_value,
+            "reference_value": reference_value,
             "residual": report.residual,
             "correction": report.correction_value,
             "terms_used": report.terms_used,

@@ -4,14 +4,15 @@
 operator reference: the correct Riemann-Liouville series rule, the
 naive Caputo transplant of the RL rule (kept deliberately, as the thing
 to falsify), and the corrected Caputo rule whose compensation term R1
-accounts exactly for the naive rule's error. Reference values always
+accounts exactly for the naive rule's error; R2, the rule with the roles
+exchanged, is ``leibniz_report(g, f, ...)``. Reference values always
 come from the Caputo (or RL) operator applied to the product's Taylor
 data, never from another rule, so comparisons stay non-circular.
 
 :func:`leibniz_rl` and :func:`leibniz_caputo_wrong` return the first two
-rule values alone, so they answer where the reference refuses: where the
-product's data fails its tail test, or at alpha < 0, where no Caputo
-derivative exists. The finite RL rule for a factor t^m is
+rule values alone, from one body, so they answer where the reference
+refuses: where the product's data fails its tail test, or at alpha < 0,
+where no Caputo derivative exists. The finite RL rule for a factor t^m is
 :func:`leibniz_rl` with ``series_from_catalog("poly", [0.0] * m + [1.0],
 t, max(m, 1))`` as the lead, data taken at t that ends at j = m, and
 ``trunc=max(m, 1)``; order -alpha gives the integral.
@@ -138,12 +139,15 @@ def _rule_sum(
     return total
 
 
+def _bare_rule(f, g, order, t, trunc, caputo: bool) -> EvalResult:
+    """:func:`leibniz_rl` or, with *caputo*, :func:`leibniz_caputo_wrong`."""
+    alpha = check_order(order)
+    f_t, j_max = _lead_at(f, g, t, trunc)
+    return EvalResult.finite(_rule_sum(f_t, g, alpha, t, j_max, caputo))
+
+
 def leibniz_rl(
-    f: TaylorSeries,
-    g: TaylorSeries,
-    order: float,
-    t: float,
-    trunc: int = 32,
+    f: TaylorSeries, g: TaylorSeries, order: float, t: float, trunc: int = 32
 ) -> EvalResult:
     """The RL product rule sum_j gen_binom(alpha,j) f^(j)(t) D^(alpha-j) g(t).
 
@@ -151,17 +155,11 @@ def leibniz_rl(
     at the terminal. Orders alpha - j <= 0 are RL integrals. For
     polynomial *f* the sum is exact once j exceeds the degree.
     """
-    alpha = check_order(order)
-    f_t, j_max = _lead_at(f, g, t, trunc)
-    return EvalResult.finite(_rule_sum(f_t, g, alpha, t, j_max, False))
+    return _bare_rule(f, g, order, t, trunc, False)
 
 
 def leibniz_caputo_wrong(
-    f: TaylorSeries,
-    g: TaylorSeries,
-    order: float,
-    t: float,
-    trunc: int = 32,
+    f: TaylorSeries, g: TaylorSeries, order: float, t: float, trunc: int = 32
 ) -> EvalResult:
     """The naive Caputo transplant of the RL product rule.
 
@@ -171,20 +169,13 @@ def leibniz_caputo_wrong(
     general; :func:`leibniz_report` with rule="corrected" adds what is
     missing.
     """
-    alpha = check_order(order)
-    f_t, j_max = _lead_at(f, g, t, trunc)
-    return EvalResult.finite(_rule_sum(f_t, g, alpha, t, j_max, True))
+    return _bare_rule(f, g, order, t, trunc, True)
 
 
 def _compensation(
-    f: TaylorSeries,
-    f_t: TaylorSeries,
-    g: TaylorSeries,
-    alpha: float,
-    n: int,
-    t: float,
+    f: TaylorSeries, f_t: TaylorSeries, g: TaylorSeries, alpha: float, t: float
 ) -> float:
-    """The R1 double sum of the corrected rule.
+    """The R1 double sum of the corrected rule over k < n = branch(alpha).
 
     Every summand carries a g^(k-j)(a) factor and a 1/Gamma(k+1-alpha)
     denominator, so it vanishes exactly when g's low derivatives vanish
@@ -193,7 +184,7 @@ def _compensation(
     """
     a = g.center
     total = 0.0
-    for k in range(n):
+    for k in range(branch(alpha)):
         rg = recip_gamma(k + 1 - alpha)
         inner = 0.0
         for j in range(k + 1):
@@ -221,7 +212,6 @@ def leibniz_report(
     t: float,
     rule: str = "corrected",
     trunc: int = 32,
-    swap: bool = False,
 ) -> LeibnizReport:
     """Evaluate one named rule against its operator reference.
 
@@ -232,13 +222,13 @@ def leibniz_report(
     refused right after the order is read, before any sum. The corrected
     rule is the naive sum plus the compensation R1; the "wrong" report
     carries that compensation too, so callers can see that residual and
-    compensation cancel. With ``swap=True`` the roles are exchanged for
-    every rule (g differentiated in the series, compensation R2); both
-    variants must agree with the same reference.
+    compensation cancel. The rules with the roles exchanged (g
+    differentiated in the series, compensation R2) are
+    ``leibniz_report(g, f, ...)``, checked against the reference of g * f.
 
     The product f * g keeps the rule sum and R1 in its work at t
-    (:meth:`TaylorSeries._memo`), keyed by swap, alpha, the last j summed
-    and the convention, so "corrected" after "wrong" (or the reverse) at
+    (:meth:`TaylorSeries._memo`), keyed by alpha, the last j summed and
+    the convention, so "corrected" after "wrong" (or the reverse) at
     the same t computes neither again. Only values are kept: a refusal is
     computed and raised again at each call.
     """
@@ -246,20 +236,18 @@ def leibniz_report(
         raise ValueError(f"unknown rule {rule!r} (expected rl, wrong, corrected)")
     alpha = check_order(order)
     caputo = rule != "rl"
-    # at integer orders Caputo is RL: every R1 denominator sits on a pole
-    compensated = caputo and not alpha.is_integer()
-    if compensated or caputo and alpha < 0:
+    if caputo and alpha < 0:
         # the reference, C D^alpha of the product, needs alpha > 0
         positive_order(alpha, non_integer=True)
     product = taylor_arith(f, g, "mul")
-    lead, other = (g, f) if swap else (f, g)
-    lead_t, j_max = _lead_at(lead, other, t, trunc)
-    memo, key = product._memo(t), ("rule", swap, alpha, j_max, caputo)
+    f_t, j_max = _lead_at(f, g, t, trunc)
+    memo, key = product._memo(t), ("rule", alpha, j_max, caputo)
     if (kept := memo.get(key)) is None:
-        value = _rule_sum(lead_t, other, alpha, t, j_max, caputo)
+        value = _rule_sum(f_t, g, alpha, t, j_max, caputo)
         correction = 0.0
-        if compensated:
-            correction = _compensation(lead, lead_t, other, alpha, branch(alpha), t)
+        # at integer orders Caputo is RL: every R1 denominator sits on a pole
+        if caputo and not alpha.is_integer():
+            correction = _compensation(f, f_t, g, alpha, t)
         kept = memo[key] = (value, correction)
     value, correction = kept
     if rule == "corrected":

@@ -25,7 +25,7 @@ from .series import (
     check_slots,
     check_tail,
     positive_order,
-    sum_terms,
+    sum_grid,
 )
 from .special import (
     FACTORIALS, GammaRangeError, check_count, gamma_ratio, over_factorial, recip_gamma
@@ -63,15 +63,15 @@ def check_right_of_terminal(t: float, a: float) -> None:
 def operator_value(f: TaylorSeries, order: float, t: float, caputo: bool = False) -> float:
     """The value at t > a of :func:`operator_terms`, summed without a series.
 
-    It is ``sum_terms(operator_terms(...))`` bit for bit, refusals
-    included: the order and t are vetted here, and :func:`_kept_value`
-    reads or sums the value.
+    It is :func:`series.sum_grid` of :func:`operator_terms` at t, bit for
+    bit, refusals included: the order and t are vetted here, and
+    :func:`_kept_value` reads or sums the value.
 
     Raises:
         ValueError: for t at or left of the terminal f.center, and as
             :func:`slot_terms`.
         GammaRangeError: as :func:`slot_terms`.
-        DivergenceError: as :func:`series.sum_terms`.
+        DivergenceError: as :func:`series.sum_grid`.
     """
     check_right_of_terminal(t, f.center)
     alpha = check_order(order)
@@ -98,7 +98,8 @@ def _kept_value(
     if inside and not alpha.is_integer():
         value = _slot_sum(f, alpha, k0, x, memo)
     if value is None:
-        value = sum_terms(operator_terms(f, alpha, caputo), x, f.radius_hint, f.complete)
+        terms = operator_terms(f, alpha, caputo)
+        (value,) = sum_grid(terms, 0.0, (x,), f.radius_hint, f.complete)
     memo[key] = value
     return value
 
@@ -108,8 +109,8 @@ def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> f
     pass that keeps no term list, or None when it is not finite.
 
     Each slot with a nonzero coefficient adds its term with the float
-    operations of ``sum_terms(slot_terms(...))``, in the same order, and
-    the tail test reads the last two of them. *memo*, f's work at the
+    operations of :func:`series.sum_grid` over :func:`slot_terms`, in the
+    same order, and the tail test reads the last two of them. *memo*, f's work at the
     point x past its center, maps a Gamma argument k+1-alpha to
     ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha is slot
     k-1's argument, so only the first slot's power is computed directly.

@@ -272,18 +272,25 @@ def caputo_quad(
 
     The derivative order n - alpha lies in (0, 1) for non-integer alpha,
     so this is a genuine memory integral; integer orders collapse to the
-    exact classical derivative. Negative orders fall through to the
-    plain memory integral (n = 0). Every order faces the same vetting of
+    exact classical derivative; alpha < 0 is refused, as the Caputo
+    product-rule reports refuse it. Every order faces the same vetting of
     the data (:func:`_checked_callable`) and of rel_tol; then the value is
     kept as f's work at t (:meth:`TaylorSeries._memo`), keyed by the order
     and rel_tol, and read back before the vetting, which it has passed.
 
     Raises:
-        ValueError: for t that is not right of the terminal f.center.
+        ValueError: for alpha < 0, then for t not right of the terminal.
         DivergenceError: when an integer order's derivative at t is beyond
             the double range, and as :func:`rl_integral_quad`.
     """
     alpha = check_order(order)
+    if alpha < 0:
+        positive_order(alpha, non_integer=True)
+    return _memory_value(f, alpha, t, rel_tol)
+
+
+def _memory_value(f: TaylorSeries, alpha: float, t: float, rel_tol: float) -> float:
+    """:func:`caputo_quad` past its order vetting; alpha < 0 integrates (n = 0)."""
     check_right_of_terminal(t, f.center)
     memo, key = f._memo(t), ("caputo_quad", alpha, rel_tol)
     if (value := memo.get(key)) is not None:
@@ -313,15 +320,15 @@ def rl_derivative_quad(
     """RL value at t as Caputo plus the lower-terminal bridge series.
 
     Differentiating the quadrature n times would be hopeless numerically;
-    the bridge identity converts the task into caputo_quad plus an
-    explicit finite sum.
+    the bridge identity converts the task into :func:`caputo_quad`'s value
+    plus an explicit finite sum, which is empty at alpha < 0.
 
     Raises:
         DivergenceError: when the sum is beyond the double range, and as
             :func:`caputo_quad`.
     """
     alpha = check_order(order)
-    base = caputo_quad(f, alpha, t, rel_tol=rel_tol)
+    base = _memory_value(f, alpha, t, rel_tol)
     bridge = rl_caputo_bridge(f, alpha).evaluate(t).expect_finite()
     value = base + bridge
     if not math.isfinite(value):

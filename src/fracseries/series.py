@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from itertools import accumulate, islice
 from operator import itemgetter
 
-from .special import check_count
+from .special import _check_finite, check_count
 
 __all__ = [
     "DEFAULT_TRUNCATION",
@@ -102,10 +102,7 @@ def branch(alpha: float) -> int:
 
 def check_order(order: float) -> float:
     """*order* as a float; raise ValueError unless it is finite."""
-    alpha = float(order)
-    if not math.isfinite(alpha):
-        raise ValueError(f"order must be finite, got {alpha!r}")
-    return alpha
+    return _check_finite(order, "order")
 
 
 def positive_order(order: float, non_integer: bool = False) -> float:
@@ -338,18 +335,6 @@ def eval_frac_series(series: FracPowerSeries, t: float) -> EvalResult:
     return EvalResult.finite(value)
 
 
-def sum_terms(terms, x: float, radius: float, complete: bool) -> float:
-    """Sum of c * x**e over canonical terms at x = t - center > 0: the
-    one-point case of :func:`sum_grid`, for callers that hold the terms
-    without a series.
-
-    Raises:
-        DivergenceError: as :func:`sum_grid`.
-    """
-    (value,) = sum_grid(terms, 0.0, (x,), radius, complete)
-    return value
-
-
 def sum_grid(terms, a: float, ts, radius: float, complete: bool) -> list[float]:
     """The sums of c * (t - a)**e over canonical terms at the points *ts*,
     each vetted and summed in turn, left to right.
@@ -493,8 +478,8 @@ def series_from_catalog(
 
     Raises:
         ValueError: a truncation that is not an integer >= 1, unknown
-            family, bad parameters, or Taylor data beyond the double
-            range (e.g. ``exp`` with rate 1e300).
+            family, bad parameters, a centre that is not finite, or Taylor
+            data beyond the double range (e.g. ``exp`` with rate 1e300).
     """
     truncation = check_count(truncation, 1, "truncation")
     try:
@@ -512,8 +497,8 @@ def _catalog_series(
     params = [float(p) for p in params]
     if not all(math.isfinite(p) for p in params):
         raise ValueError("catalog parameters must be finite")
+    a = _check_finite(center, "center")
     check_arity(name, params)
-    a = float(center)
     size = truncation + 1
 
     if name == "const":

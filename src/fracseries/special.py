@@ -22,7 +22,6 @@ __all__ = [
     "pochhammer",
     "recip_gamma",
     "upsilon",
-    "upsilon_scaled",
 ]
 
 #: Left of this argument math.gamma can underflow between its poles into
@@ -258,26 +257,15 @@ def upsilon(p: float, q: float) -> float:
     return next(upsilon_row((p,), q, False))
 
 
-def upsilon_scaled(p: float, q: float) -> float:
-    """e^q * upsilon(p, q), computed without forming e^q where q is large.
-
-    This is the factor a shifted Laplace transform needs: its e^(-a*s)
-    prefactor with q = -a*s, which alone overflows at s = 800 when
-    a = -1 while upsilon underflows. The one-element case of
-    :func:`upsilon_row`, which a transform calls once for all its terms.
-
-    Raises:
-        GammaRangeError: if the value is beyond the double range.
-        ValueError: as :func:`upsilon`.
-    """
-    return next(upsilon_row((p,), q, True))
-
-
 def upsilon_row(ps, q: float, scaled: bool) -> Iterator[float]:
     """Yield e^q Upsilon(p, q) (*scaled*) or Upsilon(p, q) for each p of *ps*
     in order, raising a refusal (as :func:`upsilon`) when its p is reached.
     q is vetted after the first p, as in a single call, and e^q, e^-q and
-    the powers q**i of the integer closed form are taken once per row."""
+    the powers q**i of the integer closed form are taken once per row.
+
+    The scaled row is a shifted transform's factor e^(-a*s) Upsilon(p, -a*s),
+    formed without e^q where q is large (e^800 overflows, Upsilon underflows).
+    """
     powers = [1.0]  # q**i, i < the largest integer p so far
     for i, p in enumerate(ps):
         p = _check_finite(p, "p")

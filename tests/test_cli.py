@@ -468,7 +468,7 @@ def test_installed_script_runs():
          "--grid", "0.5:1:2"],
         ["oracle", "exp:1", "--alpha", "0.5", "--grid=1e200:1e200:1"],
         ["oracle", "cos:-3", "--alpha", "-1", "--a=2.5", "--grid=3:1e300:2",
-         "--def", "caputo"],
+         "--def", "rl"],
         ["oracle", "poly:1", "--alpha", "-5", "--grid=1e300:1e300:1"],
         ["laplace", "power:200", "--op", "series"],
         ["laplace", "power:171.5"],
@@ -550,6 +550,35 @@ def test_caputo_rule_at_a_negative_order_is_refused_before_any_sum(capsys, argv,
         assert f"order must be > 0 and not an integer, got {shown}" in err
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["eval", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--a", "nan"], "nan"),
+    (["laplace", "exp:1", "--a", "nan"], "nan"),
+    (["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha", "0.5", "--t", "1", "--a", "inf"], "inf"),
+    (["oracle", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--a=-inf"], "-inf"),
+])
+def test_a_non_finite_terminal_is_refused_by_name(capsys, argv, shown):
+    # these named the data ("derivative values must be finite") or an
+    # underflow of exp at the centre
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: center must be finite, got {shown}\n"
+
+
+def test_caputo_oracle_refuses_a_negative_order_as_eval_does(capsys):
+    # the oracle printed the RL integral there, with exit 0
+    for alpha, shown in (("-0.5", "-0.5"), ("-1", "-1.0")):
+        for command in ("eval", "oracle"):
+            argv = [command, "exp:1", "--alpha", alpha, "--def", "caputo", "--grid", "1:1:1"]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: order must be > 0 and not an integer, got {shown}\n"
+    code, out, _ = run_cli(capsys, ["oracle", "exp:1", "--alpha", "-0.5", "--grid", "1:1:1"])
+    assert code == 0
+    assert out == "t,value\n1,2.2906982523032386\n"
+
+
 def test_product_rules_of_constants_far_from_the_terminal(capsys):
     # re-centring the constant at t = 1e12 gave NaN data and exit 2
     argv = ["leibniz", "--f", "poly:1", "--g", "poly:1", "--alpha", "0.5", "--t", "1e12"]
@@ -568,7 +597,7 @@ def test_product_rules_of_constants_far_from_the_terminal(capsys):
     [
         ["oracle", "exp:1", "--alpha", "0.5", "--grid=1e200:1e200:1"],
         ["oracle", "cos:-3", "--alpha", "-1", "--a=2.5", "--grid=3:1e300:2",
-         "--def", "caputo"],
+         "--def", "rl"],
     ],
 )
 def test_oracle_overflowing_tail_is_numeric_failure(capsys, argv):

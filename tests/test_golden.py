@@ -92,8 +92,12 @@ def _moved(workload: str) -> list[str]:
     """One line per op whose digest line differs from the committed file."""
     want = (DIGESTS / f"{workload}.txt").read_text().splitlines()
     got = _run(workload)[0]
-    moved = [f"{workload} op {w.rsplit(' ', 2)[0]}: {w} -> {g}"
-             for w, g in zip(want, got) if w != g]
+    moved = []
+    for w, g in zip(want, got):
+        if w != g:
+            seed, index, *was = w.split()
+            now = g.split()[2:]
+            moved.append(f"{workload} seed {seed} op {index}: {' '.join(was)} -> {' '.join(now)}")
     if len(want) != len(got):
         moved.append(f"{workload}: {len(want)} committed lines, {len(got)} ops run")
     return moved

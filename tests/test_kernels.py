@@ -19,7 +19,6 @@ from fracseries.operators import check_right_of_terminal, operator_value
 from fracseries.series import (
     DivergenceError,
     TaylorSeries,
-    branch,
     check_tail,
     positive_order,
     series_from_catalog,
@@ -268,7 +267,7 @@ def report_loop(f, g, alpha, t, rule, trunc):
         positive_order(alpha, non_integer=True)
     product = taylor_arith_loop(f, g, "mul")
     value, terms_used, f_t = rule_sum_loop(f, g, alpha, t, trunc, caputo)
-    correction = _compensation(f, f_t, g, alpha, branch(alpha), t) if compensated else 0.0
+    correction = _compensation(f, f_t, g, alpha, t) if compensated else 0.0
     if rule == "corrected":
         value += correction
     reference = operator_value(product, alpha, t, caputo)

@@ -22,7 +22,7 @@ from fracseries.laplace import (
 )
 from fracseries.operators import caputo_derivative, rl_caputo_bridge, rl_differintegral
 from fracseries.grammar import parse_function_spec
-from fracseries.special import GammaRangeError, upsilon_scaled
+from fracseries.special import GammaRangeError, upsilon_row
 from fracseries.series import (
     DivergenceError,
     FracPowerSeries,
@@ -564,7 +564,7 @@ def test_transforms_of_complete_data_skip_the_tail_test():
 
 def _evaluate_term_by_term(expr, s):
     """LaplaceExpr.evaluate as one loop over the terms that calls
-    upsilon_scaled afresh for each term, without a memo."""
+    a one-element scaled Upsilon row afresh for each term, without a memo."""
     if expr.is_singular:
         raise ValueError(f"singular transform has no value: {expr.singular}")
     if not s > 0:
@@ -576,7 +576,7 @@ def _evaluate_term_by_term(expr, s):
         for c, p in expr.terms:
             v = c * s ** (-p)
             if expr.shift:
-                v *= upsilon_scaled(p, q)
+                v *= next(upsilon_row((p,), q, True))
             total += v
             values.append(v)
     except (OverflowError, GammaRangeError):

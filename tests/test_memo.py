@@ -83,9 +83,10 @@ def test_rules_on_shared_data_match_fresh_data(seed):
 
 @pytest.mark.parametrize("alpha", [0.7, 1.6, 0.0, -0.0])
 def test_kept_rule_sums_match_fresh_data(alpha):
-    # every order of the three rules, swap alternating from call to call and
-    # two truncations, on one pair at one t: the reports share the product's
-    # kept rule sums and compensations, and each outcome is that of fresh data
+    # every order of the three rules, the factors' order alternating from call
+    # to call and two truncations, on one pair at one t: the reports share the
+    # products' kept rule sums and compensations, and each outcome is that of
+    # fresh data
     specs, t = ("exp:1+sin:2", "cos:1.5+poly:0.5,1"), 0.8
     f, g = parse_pair(*specs, 0.0, 32)
     for order in permutations(RULES):
@@ -93,10 +94,10 @@ def test_kept_rule_sums_match_fresh_data(alpha):
             for rule in order:
                 for swap in (False, True):
                     shared = outcome(lambda: leibniz_report(
-                        f, g, alpha, t, rule=rule, trunc=trunc, swap=swap))
+                        *((g, f) if swap else (f, g)), alpha, t, rule=rule, trunc=trunc))
                     f0, g0 = parse_pair(*specs, 0.0, 32)
                     fresh = outcome(lambda: leibniz_report(
-                        f0, g0, alpha, t, rule=rule, trunc=trunc, swap=swap))
+                        *((g0, f0) if swap else (f0, g0)), alpha, t, rule=rule, trunc=trunc))
                     assert shared == fresh, (order, rule, swap, trunc)
 
 
@@ -136,7 +137,7 @@ def test_corrected_after_wrong_reads_the_kept_rule_sum(monkeypatch):
         calls.clear()
         kwargs = dict(kwargs)
         t = kwargs.pop("t", 0.8)
-        leibniz_report(f, g, 1.3, t, **kwargs)
+        leibniz_report(*((g, f) if kwargs.pop("swap", False) else (f, g)), 1.3, t, **kwargs)
         assert calls == expected, kwargs
 
 

@@ -21,7 +21,7 @@ from fracseries.series import (
     TaylorSeries,
     check_order,
     series_from_catalog,
-    sum_terms,
+    sum_grid,
 )
 from fracseries.special import GammaRangeError
 
@@ -281,9 +281,9 @@ def test_operator_value_is_the_term_list_sum_bit_for_bit(spec, a):
             t = a + dt
             for order in orders:
                 for caputo in (False, True):
-                    want = _outcome(lambda: sum_terms(
-                        operator_terms(f, check_order(order), caputo), t - a, f.radius_hint,
-                        f.complete))
+                    want = _outcome(lambda: sum_grid(
+                        operator_terms(f, check_order(order), caputo), a, (t,), f.radius_hint,
+                        f.complete)[0])
                     got = _outcome(lambda: operator_value(f, order, t, caputo))
                     assert got == want, (spec, a, trunc, t, order, caputo)
 
@@ -302,8 +302,8 @@ def test_operator_value_matches_the_term_list_sum_on_extreme_data(seed):
         t = a + r.choice([1e-3, 0.4, 1.0, 3.0, 1e20])
         order = r.choice([1, -2, 0.5, -0.5, 2.25, 150.5, -178.5, 171.3])
         caputo = r.random() < 0.5
-        want = _outcome(lambda: sum_terms(
-            operator_terms(f, check_order(order), caputo), t - a, f.radius_hint, f.complete))
+        want = _outcome(lambda: sum_grid(
+            operator_terms(f, check_order(order), caputo), a, (t,), f.radius_hint, f.complete)[0])
         assert _outcome(lambda: operator_value(f, order, t, caputo)) == want, (derivs, a, t, order)
 
 

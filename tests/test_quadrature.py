@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from fracseries.leibniz import leibniz_report
 from fracseries.operators import caputo_derivative, rl_differintegral
 from fracseries.quadrature import (
     QuadratureError,
@@ -131,10 +132,26 @@ def test_caputo_quad_integer_orders_are_exact():
     assert caputo_quad(f, 0.0, t) == pytest.approx(1 + 2 * t + 3 * t * t, rel=1e-14)
     assert caputo_quad(f, 1.0, t) == pytest.approx(2 + 6 * t, rel=1e-14)
     assert caputo_quad(f, 2.0, t) == pytest.approx(6.0, rel=1e-14)
-    # negative integers take the integral route
-    got = caputo_quad(f, -1.0, t)
+    # negative integers take the integral route, which the RL oracle reaches
+    # (caputo_quad refuses alpha < 0)
+    got = rl_derivative_quad(f, -1.0, t)
     want = t + t * t + t**3
     assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_caputo_quad_refuses_a_negative_order_as_the_caputo_reports_do():
+    # it integrated there, as the RL oracle does; integer orders >= 0 answer
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    g = series_from_catalog("sin", [1.0], truncation=32)
+    for alpha in (-0.5, -1.0, -2, -1e-300):
+        with pytest.raises(ValueError) as quad:
+            caputo_quad(f, alpha, 1.0)
+        with pytest.raises(ValueError) as report:
+            leibniz_report(f, g, alpha, 1.0)
+        assert str(quad.value) == str(report.value)
+        assert str(quad.value).startswith("order must be > 0 and not an integer")
+    assert rl_derivative_quad(f, -0.5, 1.0) == 2.2906982523032386
+    assert caputo_quad(f, -0.0, 1.0) == caputo_quad(f, 0.0, 1.0) == f.evaluate(1.0)
 
 
 def test_caputo_quad_matches_series_route():

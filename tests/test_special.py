@@ -14,8 +14,13 @@ from fracseries.special import (
     recip_gamma,
     upsilon,
     upsilon_row,
-    upsilon_scaled,
 )
+
+
+def upsilon_scaled(p, q):
+    """e^q * upsilon(p, q): the one-element scaled row."""
+    return next(upsilon_row((p,), q, True))
+
 
 RECURRENCE_TOL = 1e-12
 REFLECTION_TOL = 1e-11
