@@ -110,9 +110,9 @@ def _slot_sum(f: TaylorSeries, alpha: float, k0: int, x: float, memo: dict) -> f
 
     Each slot with a nonzero coefficient adds its term with the float
     operations of :func:`series.sum_grid` over :func:`slot_terms`, in the
-    same order, and the tail test reads the last two of them. *memo*, f's work at the
-    point x past its center, maps a Gamma argument k+1-alpha to
-    ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha is slot
+    same order, and the tail test reads the last two of them. *memo*, f's
+    work at the point x past its center, maps a Gamma argument k+1-alpha
+    to ``(1/Gamma(arg), x**arg)``, and slot k's exponent k-alpha is slot
     k-1's argument, so only the first slot's power is computed directly.
     Every order summed at one point reads it, the operator values and the
     factors of every product-rule row alike, so that each argument is
