@@ -106,19 +106,20 @@ class LaplaceExpr:
         if self.shift:
             factors = upsilon_row([p for _, p in self.terms], -self.shift * s, True)
         total = 0.0
-        values = []
+        prev = last = None
         try:
             for c, p in self.terms:
                 v = c * s ** (-p)
                 if self.shift:
                     v *= next(factors)
                 total += v
-                values.append(v)
+                prev, last = last, v
         except (OverflowError, GammaRangeError):
             total = math.inf
         if not math.isfinite(total):
             raise DivergenceError(f"the transform leaves the double range at s = {s!r}")
-        check_tail(values, total, self.complete)
+        if prev is not None:  # the tail test reads the last two terms
+            check_tail([prev, last], total, self.complete)
         return total
 
     def render(self) -> str:

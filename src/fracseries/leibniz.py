@@ -1,28 +1,29 @@
 """Product-rule evaluators for fractional orders.
 
-:func:`leibniz_report` evaluates one of three rules against its
-operator reference: the correct Riemann-Liouville series rule, the
-naive Caputo transplant of the RL rule (kept deliberately, as the thing
-to falsify), and the corrected Caputo rule whose compensation term R1
-accounts exactly for the naive rule's error; R2, the rule with the roles
-exchanged, is ``leibniz_report(g, f, ...)``. Reference values always
-come from the Caputo (or RL) operator applied to the product's Taylor
-data, never from another rule, so comparisons stay non-circular.
+:func:`leibniz_report` is the one product-rule entry. It evaluates one of
+three rules: the correct Riemann-Liouville series rule, the naive Caputo
+transplant of the RL rule (kept deliberately, as the thing to falsify),
+and the corrected Caputo rule whose compensation term R1 accounts exactly
+for the naive rule's error; R2, the rule with the roles exchanged, is
+``leibniz_report(g, f, ...)``. The reference is the Caputo (or RL)
+operator applied to the product's Taylor data, never another rule, so
+comparisons stay non-circular; it is summed only when it is read, and the
+rule value answers where it refuses. At alpha < 0 the naive rule is the
+RL rule, bit for bit.
 
-:func:`leibniz_rl` and :func:`leibniz_caputo_wrong` return the first two
-rule values alone, from one body, so they answer where the reference
-refuses: where the product's data fails its tail test, or at alpha < 0,
-where no Caputo derivative exists. The finite RL rule for a factor t^m is
-:func:`leibniz_rl` with ``series_from_catalog("poly", [0.0] * m + [1.0],
-t, max(m, 1))`` as the lead, data taken at t that ends at j = m, and
-``trunc=max(m, 1)``; order -alpha gives the integral.
+The finite RL rule for a factor t^m is the ``rule="rl"`` rule value with
+``series_from_catalog("poly", [0.0] * m + [1.0], 0.0, max(m, 1))`` as the
+lead, whose data at t end at j = m, and ``trunc=max(m, 1)``; order -alpha
+gives the integral.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property, partial
 from itertools import count
+from typing import Callable
 
 from .series import (
     DivergenceError,
@@ -37,23 +38,31 @@ from .series import (
 from .operators import _kept_value, check_right_of_terminal, operator_value
 from .special import FACTORIALS, check_count, gen_binom, recip_gamma
 
-__all__ = [
-    "LeibnizReport",
-    "leibniz_caputo_wrong",
-    "leibniz_report",
-    "leibniz_rl",
-]
+__all__ = ["LeibnizReport", "leibniz_report"]
 
 
 @dataclass(frozen=True)
 class LeibnizReport:
-    """Rule value vs operator truth for one product-rule evaluation."""
+    """Rule value vs operator truth for one product-rule evaluation. The
+    truth is *reference*(), called when reference_value or residual is
+    first read and kept; a refusal is raised at each read. Equality and
+    repr take the three stored fields."""
 
     rule_value: EvalResult
-    reference_value: EvalResult
-    residual: float
     correction_value: float
     terms_used: int
+    reference: InitVar[Callable[[], float]]
+
+    def __post_init__(self, reference: Callable[[], float]) -> None:
+        object.__setattr__(self, "_reference", reference)
+
+    @cached_property
+    def reference_value(self) -> EvalResult:
+        return EvalResult.finite(self._reference())
+
+    @property
+    def residual(self) -> float:
+        return abs(self.rule_value.value - self.reference_value.value)
 
 
 def _binomial_weights(alpha: float):
@@ -72,23 +81,6 @@ def _binomial_weights(alpha: float):
         num *= alpha - j
 
 
-def _lead_at(
-    lead: TaylorSeries, other: TaylorSeries, t: float, trunc: int
-) -> tuple[TaylorSeries, int]:
-    """The data of *lead* at t (*lead* itself when centred there) and the
-    last j a rule sums, vetted in this order: t right of *other*'s
-    terminal, the re-expansion, trunc.
-
-    Raises:
-        ValueError: for t at or left of the terminal, for a re-expansion
-            beyond the double range, then for trunc that is not an
-            integer >= 1.
-    """
-    check_right_of_terminal(t, other.center)
-    lead_t = lead if lead.center == t else lead.recentered(t)
-    return lead_t, min(check_count(trunc, 1, "trunc"), lead_t.truncation)
-
-
 def _rule_sum(
     lead_t: TaylorSeries,
     other: TaylorSeries,
@@ -98,17 +90,14 @@ def _rule_sum(
     caputo: bool,
 ) -> float:
     """sum_{j <= j_max} gen_binom(alpha, j) lead^(j)(t) D^(alpha - j) other(t),
-    with t and j_max vetted by :func:`_lead_at`.
+    with t and j_max vetted by :func:`leibniz_report`.
 
-    The factors are RL values, or with *caputo* Caputo values (which are
-    RL values at orders alpha - j <= 0): :func:`operators.operator_value`
-    bit for bit, refusals included. *other*'s work at t and the radius
-    test are taken once per rule, and each factor is read from that work
-    or summed by :func:`operators._kept_value`, which keeps it there. Its
-    slots k divide by Gamma(k + 1 - (alpha - j)) and take t - a to the
-    power k - (alpha - j), both of which repeat along k + j: the slot sum
-    keeps them in the same work, so each distinct argument and power is
-    evaluated once, and a second rule at the same t reads its factors there.
+    The factors are RL values, or with *caputo* Caputo values (RL values
+    at orders alpha - j <= 0): :func:`operators.operator_value` bit for bit,
+    refusals included, read from *other*'s work at t or summed into it by
+    :func:`operators._kept_value`. Their slots' Gamma arguments and powers
+    repeat along k + j, and the work keeps them, so each is evaluated once
+    and a second rule at the same t reads its factors there.
 
     Raises:
         DivergenceError: when a term or the sum leaves the double range,
@@ -139,39 +128,6 @@ def _rule_sum(
     return total
 
 
-def _bare_rule(f, g, order, t, trunc, caputo: bool) -> EvalResult:
-    """:func:`leibniz_rl` or, with *caputo*, :func:`leibniz_caputo_wrong`."""
-    alpha = check_order(order)
-    f_t, j_max = _lead_at(f, g, t, trunc)
-    return EvalResult.finite(_rule_sum(f_t, g, alpha, t, j_max, caputo))
-
-
-def leibniz_rl(
-    f: TaylorSeries, g: TaylorSeries, order: float, t: float, trunc: int = 32
-) -> EvalResult:
-    """The RL product rule sum_j gen_binom(alpha,j) f^(j)(t) D^(alpha-j) g(t).
-
-    *f* may be supplied at the terminal or already at *t*; *g* must be
-    at the terminal. Orders alpha - j <= 0 are RL integrals. For
-    polynomial *f* the sum is exact once j exceeds the degree.
-    """
-    return _bare_rule(f, g, order, t, trunc, False)
-
-
-def leibniz_caputo_wrong(
-    f: TaylorSeries, g: TaylorSeries, order: float, t: float, trunc: int = 32
-) -> EvalResult:
-    """The naive Caputo transplant of the RL product rule.
-
-    Factors C D^(alpha-j) g with j >= n are read as RL integrals of
-    order j - alpha (the reading under which the rule circulates).
-    The result is deliberately NOT the Caputo derivative of f g in
-    general; :func:`leibniz_report` with rule="corrected" adds what is
-    missing.
-    """
-    return _bare_rule(f, g, order, t, trunc, True)
-
-
 def _compensation(
     f: TaylorSeries, f_t: TaylorSeries, g: TaylorSeries, alpha: float, t: float
 ) -> float:
@@ -179,10 +135,13 @@ def _compensation(
 
     Every summand carries a g^(k-j)(a) factor and a 1/Gamma(k+1-alpha)
     denominator, so it vanishes exactly when g's low derivatives vanish
-    or alpha is the integer n. A power (t - a)^(k - alpha) beyond the double
-    range raises DivergenceError, whatever the summand it scales.
+    or alpha is the integer n. Its weights gen_binom(alpha, j) are those of
+    the rule sum, read from :func:`_binomial_weights` as far as a summand
+    with g^(k-j)(a) != 0 needs them. A sum or a power (t - a)^(k - alpha)
+    beyond the double range raises DivergenceError, naming k and k - alpha.
     """
     a = g.center
+    weights, binoms = _binomial_weights(alpha), []
     total = 0.0
     for k in range(branch(alpha)):
         rg = recip_gamma(k + 1 - alpha)
@@ -191,17 +150,20 @@ def _compensation(
             gv = g.derivs[k - j] if k - j <= g.truncation else 0.0
             if gv == 0.0:
                 continue
+            while len(binoms) <= j:
+                binoms.append(next(weights))
             ft = f_t.derivs[j] if j <= f_t.truncation else 0.0
             fa = f.derivs[j] if j <= f.truncation else 0.0
-            inner += (gen_binom(alpha, j) * ft - math.comb(k, j) * fa) * gv
+            inner += (binoms[j] * ft - math.comb(k, j) * fa) * gv
         try:
-            power = (t - a) ** (k - alpha)
-        except OverflowError:
+            total += inner * (t - a) ** (k - alpha) * rg
+        except OverflowError:  # the power, whatever the summand it scales
+            total = math.inf
+        if not math.isfinite(total):
             raise DivergenceError(
-                f"the compensation R1 leaves the double range at t = {t!r}: "
-                f"(t - a)^(k - alpha) overflows at k = {k}, k - alpha = {k - alpha!r}"
-            ) from None
-        total += inner * power * rg
+                f"the compensation R1 leaves the double range at t = {t!r}: its sum "
+                f"through k = {k}, k - alpha = {k - alpha!r}, is {total!r}"
+            )
     return total
 
 
@@ -226,11 +188,20 @@ def leibniz_report(
     differentiated in the series, compensation R2) are
     ``leibniz_report(g, f, ...)``, checked against the reference of g * f.
 
-    The product f * g keeps the rule sum and R1 in its work at t
+    The call sums the rule and R1; the reference, the operator value of
+    the product at t, is summed when the report's reference_value or
+    residual is first read and raises its refusal there, so the rule
+    value and R1 answer where the reference refuses. The product f * g
+    keeps the rule sum and R1 in its work at t
     (:meth:`TaylorSeries._memo`), keyed by alpha, the last j summed and
     the convention, so "corrected" after "wrong" (or the reverse) at
     the same t computes neither again. Only values are kept: a refusal is
     computed and raised again at each call.
+
+    Raises:
+        ValueError: in this order, for the rule, the order, the centres, t,
+            the re-expansion and trunc.
+        GammaRangeError, DivergenceError: as the rule sum and R1.
     """
     if rule not in ("rl", "wrong", "corrected"):
         raise ValueError(f"unknown rule {rule!r} (expected rl, wrong, corrected)")
@@ -240,7 +211,9 @@ def leibniz_report(
         # the reference, C D^alpha of the product, needs alpha > 0
         positive_order(alpha, non_integer=True)
     product = taylor_arith(f, g, "mul")
-    f_t, j_max = _lead_at(f, g, t, trunc)
+    check_right_of_terminal(t, g.center)
+    f_t = f.recentered(t)
+    j_max = min(check_count(trunc, 1, "trunc"), f_t.truncation)
     memo, key = product._memo(t), ("rule", alpha, j_max, caputo)
     if (kept := memo.get(key)) is None:
         value = _rule_sum(f_t, g, alpha, t, j_max, caputo)
@@ -252,11 +225,9 @@ def leibniz_report(
     value, correction = kept
     if rule == "corrected":
         value += correction
-    ref_value = operator_value(product, alpha, t, caputo)
     return LeibnizReport(
         rule_value=EvalResult.finite(value),
-        reference_value=EvalResult.finite(ref_value),
-        residual=abs(value - ref_value),
         correction_value=correction,
         terms_used=j_max + 1,
+        reference=partial(operator_value, product, alpha, t, caputo),
     )

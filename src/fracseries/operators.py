@@ -28,7 +28,8 @@ from .series import (
     sum_grid,
 )
 from .special import (
-    FACTORIALS, GammaRangeError, check_count, gamma_ratio, over_factorial, recip_gamma
+    FACTORIALS, GammaRangeError, _check_finite, check_count, gamma_ratio, over_factorial,
+    recip_gamma,
 )
 
 __all__ = [
@@ -55,9 +56,12 @@ def operator_terms(
 
 def check_right_of_terminal(t: float, a: float) -> None:
     """The one strict terminal test: the operators, product rules and
-    quadrature values are evaluated only right of their terminal a."""
+    quadrature values are evaluated only at a finite t right of a finite a."""
+    _check_finite(a, "a")
     if not t > a:
         raise ValueError(f"t={t!r} must lie right of the terminal {a!r}")
+    if math.isinf(t):
+        raise ValueError(f"t={t!r} must be finite")
 
 
 def operator_value(f: TaylorSeries, order: float, t: float, caputo: bool = False) -> float:
@@ -68,8 +72,8 @@ def operator_value(f: TaylorSeries, order: float, t: float, caputo: bool = False
     :func:`_kept_value` reads or sums the value.
 
     Raises:
-        ValueError: for t at or left of the terminal f.center, and as
-            :func:`slot_terms`.
+        ValueError: for t not finite and right of the terminal f.center, and
+            as :func:`slot_terms`.
         GammaRangeError: as :func:`slot_terms`.
         DivergenceError: as :func:`series.sum_grid`.
     """
@@ -333,7 +337,7 @@ def integer_limit_check(
     Raises:
         ValueError: for n that is not an integer >= 1 (an int or an
             integral float), eps outside (0, 0.1), or a grid point that is
-            not right of the center (NaN included).
+            not finite and right of the center (NaN included).
     """
     n = check_count(n, 1, "n")
     if not 0.0 < eps < 0.1:

@@ -193,6 +193,7 @@ def rl_integral_quad(
     settle after one or two doublings.
 
     Raises:
+        ValueError: for a not finite, then t not finite and right of a.
         QuadratureError: if doubling never stabilizes (f not analytic on
             the interval, or rel_tol beyond double precision).
         GammaRangeError, DivergenceError: as :func:`rl_integral_fixed`.
@@ -279,7 +280,7 @@ def caputo_quad(
     and rel_tol, and read back before the vetting, which it has passed.
 
     Raises:
-        ValueError: for alpha < 0, then for t not right of the terminal.
+        ValueError: for alpha < 0, then for t not finite and right of the terminal.
         DivergenceError: when an integer order's derivative at t is beyond
             the double range, and as :func:`rl_integral_quad`.
     """

@@ -494,9 +494,8 @@ def series_from_catalog(
 def _catalog_series(
     name: str, params: list[float], center: float, truncation: int
 ) -> TaylorSeries:
-    params = [float(p) for p in params]
-    if not all(math.isfinite(p) for p in params):
-        raise ValueError("catalog parameters must be finite")
+    single = _CATALOG.get(name, "parameter")
+    params = [_check_finite(p, single or f"coefficient {i}") for i, p in enumerate(params)]
     a = _check_finite(center, "center")
     check_arity(name, params)
     size = truncation + 1

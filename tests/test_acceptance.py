@@ -16,7 +16,7 @@ from fracseries.laplace import (
     laplace_caputo,
     laplace_rl_derivative_fps,
 )
-from fracseries.leibniz import leibniz_caputo_wrong, leibniz_report
+from fracseries.leibniz import leibniz_report
 from fracseries.operators import (
     caputo_derivative,
     integer_limit_check,
@@ -48,7 +48,7 @@ def crit_01_linear_example():
                 ref = rep.reference_value.value
                 worst_rule = max(worst_rule, rep.residual / (1.0 + abs(ref)))
 
-                wrong = leibniz_caputo_wrong(f, g, alpha, t).expect_finite()
+                wrong = leibniz_report(f, g, alpha, t, rule="wrong").rule_value.expect_finite()
                 gap_want = (
                     (1.0 - alpha)
                     * (t - a) ** (1.0 - alpha)
@@ -206,7 +206,7 @@ def crit_07_integer_limits():
     t = 1.0
     for n in (1, 2):
         alpha = (n - 1) + eps
-        wrong = leibniz_caputo_wrong(f, g, alpha, t).expect_finite()
+        wrong = leibniz_report(f, g, alpha, t, rule="wrong").rule_value.expect_finite()
         truth = caputo_derivative(f, alpha).evaluate(t).expect_finite()
         want_truth = math.exp(t) - 1.0
         contrast_dev = max(contrast_dev, abs(wrong), abs(truth - want_truth))

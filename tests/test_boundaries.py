@@ -3,7 +3,7 @@
 k! is a double up to 170!: every route that divides by k! takes k = 170
 and turns at 171, each in its own way past it. Every operator and oracle
 that is evaluated right of its terminal refuses t at it, left of it and
-NaN with one message.
+NaN with one message, and an infinite t or terminal by name.
 """
 
 import math
@@ -11,7 +11,8 @@ import math
 import pytest
 
 from fracseries.cli import main
-from fracseries.operators import integer_limit_check, rl_differintegral
+from fracseries.leibniz import leibniz_report
+from fracseries.operators import integer_limit_check, operator_value, rl_differintegral
 from fracseries.quadrature import caputo_quad, rl_derivative_quad, rl_integral_quad
 from fracseries.series import series_from_catalog
 from fracseries.special import GammaRangeError, gen_binom
@@ -91,3 +92,25 @@ def _integer_limit(t):
 def test_each_operator_refuses_t_not_right_of_the_terminal(route, t):
     with pytest.raises(ValueError, match=rf"^t={t!r} must lie right of the terminal 0\.0$"):
         route(t)
+
+
+def _report(t):
+    return leibniz_report(exp_data(16), exp_data(16), 0.5, t)
+
+
+def _value(t):
+    return operator_value(exp_data(16), 0.5, t)
+
+
+@pytest.mark.parametrize("route", [_caputo, _rl, _integral, _integer_limit, _report, _value])
+def test_each_operator_refuses_an_infinite_t_by_name(route):
+    # these blamed the re-expansion about inf, the truncation, the
+    # convergence radius or a Gauss-Jacobi sum
+    with pytest.raises(ValueError, match=r"^t=inf must be finite$"):
+        route(math.inf)
+
+
+@pytest.mark.parametrize("a", [-math.inf, math.inf, math.nan])
+def test_the_memory_integral_refuses_a_non_finite_terminal_by_name(a):
+    with pytest.raises(ValueError, match=rf"^a must be finite, got {a!r}$"):
+        rl_integral_quad(math.exp, 0.5, a, 1.0)

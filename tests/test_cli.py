@@ -531,6 +531,18 @@ def test_compensation_power_beyond_the_double_range_is_numeric_failure(
 
 
 @pytest.mark.parametrize("rule", ["wrong", "corrected"])
+def test_compensation_sum_beyond_the_double_range_is_numeric_failure(capsys, rule):
+    # the naive report printed R1 as NaN with exit 0, the corrected one blamed
+    # a NaN rule value; the summands at k near 170 are inf - inf
+    code, out, err = run_cli(capsys, ["leibniz", "--f", "poly:1,1", "--g", "poly:0,1",
+                                      "--alpha", "171.5", "--t", "2", "--rule", rule])
+    assert code == 3
+    assert out == ""
+    assert err == ("numerical failure: the compensation R1 leaves the double range at "
+                   "t = 2.0: its sum through k = 168, k - alpha = -3.5, is nan\n")
+
+
+@pytest.mark.parametrize("rule", ["wrong", "corrected"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -563,6 +575,22 @@ def test_a_non_finite_terminal_is_refused_by_name(capsys, argv, shown):
     assert code == 2
     assert out == ""
     assert err == f"error: center must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize("spec, what", [
+    ("exp:nan", "rate must be finite, got nan"),
+    ("sin:inf", "angular frequency must be finite, got inf"),
+    ("power:-inf", "exponent must be finite, got -inf"),
+    ("poly:1,2,nan", "coefficient 2 must be finite, got nan"),
+    # the parameter is vetted before the family's arity
+    ("const:1,nan", "value must be finite, got nan"),
+])
+def test_a_non_finite_catalog_parameter_is_refused_by_name(capsys, spec, what):
+    # these read "catalog parameters must be finite", which names none
+    code, out, err = run_cli(capsys, ["eval", spec, "--alpha", "0.5", "--grid", "1:1:1"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what}\n"
 
 
 def test_caputo_oracle_refuses_a_negative_order_as_eval_does(capsys):
@@ -863,15 +891,15 @@ def test_sum_or_product_beyond_the_double_range_names_its_datum(capsys, argv, wh
     "t, what",
     [
         ("nan", "t=nan must lie right of the terminal 0.0"),
-        ("inf", "the re-expansion of Taylor data about inf is beyond the double range: "
-         "its datum k = 0 is inf"),
+        ("inf", "t=inf must be finite"),
         ("1e300", "the re-expansion of Taylor data about 1e+300 is beyond the double "
          "range: its datum k = 0 is inf"),
     ],
 )
 def test_product_rule_at_a_non_finite_or_huge_t_names_it(capsys, t, what):
     # t is vetted before the lead factor is re-centred at it, and a
-    # re-expansion beyond the double range names its centre and datum
+    # re-expansion beyond the double range names its centre and datum; inf
+    # was blamed on the re-expansion about it
     argv = ["leibniz", "--f", "exp:1", "--g", "sin:1", "--alpha", "0.5", "--t", t]
     code, out, err = run_cli(capsys, argv)
     assert code == 2

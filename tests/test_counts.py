@@ -14,9 +14,7 @@ from fracseries import (
     gen_binom,
     integer_limit_check,
     laplace_series,
-    leibniz_caputo_wrong,
     leibniz_report,
-    leibniz_rl,
     parse_function_spec,
     pochhammer,
     rl_integral_fixed,
@@ -36,8 +34,6 @@ ENTRIES = {
     "integer_limit_check": ("n", 1, lambda n: integer_limit_check(F, n, 1e-3, [0.5, 1.0])),
     "series_from_catalog": ("truncation", 1, lambda n: series_from_catalog("exp", [1.0], 0.0, n)),
     "parse_function_spec": ("truncation", 1, lambda n: parse_function_spec("exp:1", 0.0, n)),
-    "leibniz_rl": ("trunc", 1, lambda n: leibniz_rl(P, G, 0.5, 1.0, trunc=n)),
-    "leibniz_caputo_wrong": ("trunc", 1, lambda n: leibniz_caputo_wrong(P, G, 0.5, 1.0, trunc=n)),
     "leibniz_report": ("trunc", 1, lambda n: leibniz_report(P, G, 0.5, 1.0, trunc=n)),
     "frequency_derivative": ("m", 0, lambda n: frequency_derivative(laplace_series(F), n)),
     "frequency_differentiation_check": (

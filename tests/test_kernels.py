@@ -13,7 +13,7 @@ import pytest
 
 from fracseries.grammar import parse_function_spec
 from fracseries.leibniz import (
-    _binomial_weights, _compensation, _lead_at, _rule_sum, leibniz_report, leibniz_rl
+    _binomial_weights, _compensation, _rule_sum, leibniz_report
 )
 from fracseries.operators import check_right_of_terminal, operator_value
 from fracseries.series import (
@@ -195,8 +195,10 @@ def test_running_weights_are_gen_binom(alpha):
 
 
 def rule_sum(lead, other, alpha, t, trunc, caputo):
-    """The vetting and the kernel together, in the shape of the loop below."""
-    lead_t, j_max = _lead_at(lead, other, t, trunc)
+    """leibniz_report's vetting and the kernel, in the shape of the loop below."""
+    check_right_of_terminal(t, other.center)
+    lead_t = lead.recentered(t)
+    j_max = min(trunc, lead_t.truncation)
     return _rule_sum(lead_t, other, alpha, t, j_max, caputo), j_max + 1, lead_t
 
 
@@ -277,11 +279,11 @@ def report_loop(f, g, alpha, t, rule, trunc):
 def report_outcome(thunk):
     try:
         got = thunk()
+        if not isinstance(got, tuple):  # a LeibnizReport, whose reference is read here
+            got = (got.rule_value.value, got.reference_value.value, got.correction_value,
+                   got.residual, got.terms_used)
     except (ArithmeticError, ValueError) as exc:
         return ("raises", type(exc).__name__, str(exc))
-    if not isinstance(got, tuple):  # a LeibnizReport
-        got = (got.rule_value.value, got.reference_value.value, got.correction_value,
-               got.residual, got.terms_used)
     return tuple(v.hex() for v in got[:4]) + got[4:]
 
 
@@ -307,7 +309,7 @@ def test_rule_factors_fall_back_as_the_operator_value_loop(f_spec, g_spec, a, al
     def data():
         return parse_function_spec(f_spec, a, trunc), parse_function_spec(g_spec, a, trunc)
 
-    got = outcome(lambda: leibniz_rl(*data(), alpha, t, trunc).value)
+    got = outcome(lambda: leibniz_report(*data(), alpha, t, "rl", trunc).rule_value.value)
     want = outcome(lambda: rule_sum_loop(*data(), alpha, t, trunc, False)[0])
     assert got == want
     for rule in ("rl", "wrong", "corrected"):

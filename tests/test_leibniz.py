@@ -4,11 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracseries.leibniz import (
-    leibniz_caputo_wrong,
-    leibniz_report,
-    leibniz_rl,
-)
+from fracseries.leibniz import leibniz_report
 from fracseries import quadrature
 from fracseries.grammar import parse_function_spec
 from fracseries.operators import caputo_derivative, rl_differintegral
@@ -37,6 +33,11 @@ def shifted(coeffs, center, truncation=12):
 
 def unit(center=0.0):
     return series_from_catalog("const", [1.0], center=center, truncation=12)
+
+
+def rule_value(f, g, order, t, rule, trunc=32):
+    """The named rule's value alone, which answers where its reference refuses."""
+    return leibniz_report(f, g, order, t, rule, trunc).rule_value.expect_finite()
 
 
 # --- RL product rule ---------------------------------------------------------
@@ -99,7 +100,8 @@ def test_rl_quadrature_after_caputo_quadrature_takes_no_new_pass(monkeypatch):
 @pytest.mark.parametrize("rule", ["rl", "corrected"])
 def test_report_evaluates_each_reciprocal_gamma_once(monkeypatch, rule):
     # the 65 factors' slots divide by 129 distinct Gamma(k + 1 - (alpha - j))
-    # and the reference by 65 more; evaluated per slot that was 4290 calls
+    # and the reference, read here, by 65 more; evaluated per slot that was
+    # 4290 calls
     calls = []
 
     def counting(x):
@@ -113,7 +115,7 @@ def test_report_evaluates_each_reciprocal_gamma_once(monkeypatch, rule):
                 monkeypatch.setattr(mod, attr, counting)
     f = series_from_catalog("exp", [0.75], truncation=64)
     g = series_from_catalog("cos", [1.0], truncation=64)
-    leibniz_report(f, g, 0.734521, 1.25, rule=rule, trunc=64)
+    leibniz_report(f, g, 0.734521, 1.25, rule=rule, trunc=64).residual
     assert 0 < len(calls) <= 200
 
 
@@ -121,7 +123,7 @@ def test_rl_rule_square_closed_form():
     # D^(1/2) t*t = Gamma(3)/Gamma(2.5) t^(3/2)
     f = poly([0.0, 1.0])
     t = 1.3
-    got = leibniz_rl(f, f, 0.5, t).expect_finite()
+    got = rule_value(f, f, 0.5, t, "rl")
     want = math.gamma(3.0) / math.gamma(2.5) * t**1.5
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -133,7 +135,7 @@ def test_rl_rule_matches_product_operator():
             g = poly(rng.uniform(-1.0, 1.0, size=4))
             product = taylor_arith(f, g, "mul")
             for t in (0.4, 1.1):
-                got = leibniz_rl(f, g, alpha, t).expect_finite()
+                got = rule_value(f, g, alpha, t, "rl")
                 want = rl_differintegral(product, alpha).evaluate(t).expect_finite()
                 assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
@@ -141,7 +143,7 @@ def test_rl_rule_matches_product_operator():
 def test_rl_rule_unit_series_factor_collapses():
     g = poly([1.0, 2.0, -0.5])
     t = 0.9
-    got = leibniz_rl(unit(), g, 0.4, t).expect_finite()
+    got = rule_value(unit(), g, 0.4, t, "rl")
     want = rl_differintegral(g, 0.4).evaluate(t).expect_finite()
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -149,7 +151,7 @@ def test_rl_rule_unit_series_factor_collapses():
 def test_rl_rule_unit_cofactor_is_local_form():
     f = poly([1.0, 2.0, -0.5])
     t = 0.9
-    got = leibniz_rl(f, unit(), 0.4, t).expect_finite()
+    got = rule_value(f, unit(), 0.4, t, "rl")
     want = rl_differintegral(f, 0.4).evaluate(t).expect_finite()
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
@@ -158,7 +160,7 @@ def test_rl_rule_integer_order_is_classical():
     f = poly([0.0, 1.0])
     g = poly([1.0, 1.0])
     t = 2.0
-    got = leibniz_rl(f, g, 1.0, t).expect_finite()
+    got = rule_value(f, g, 1.0, t, "rl")
     # (t + t^2)' = 1 + 2t
     assert got == pytest.approx(1.0 + 2.0 * t, rel=1e-14)
 
@@ -166,23 +168,23 @@ def test_rl_rule_integer_order_is_classical():
 def test_rl_rule_validation():
     f = poly([1.0])
     with pytest.raises(ValueError):
-        leibniz_rl(f, f, 0.5, 0.0)
+        leibniz_report(f, f, 0.5, 0.0, "rl")
     with pytest.raises(ValueError):
-        leibniz_rl(f, f, 0.5, 1.0, trunc=0)
+        leibniz_report(f, f, 0.5, 1.0, "rl", trunc=0)
 
 
 # --- monomial-cofactor rule ---------------------------------------------------
 
 
-def monomial(m, t):
-    """t^m as Taylor data taken at t: the RL rule's lead ends at j = m."""
-    return series_from_catalog("poly", [0.0] * m + [1.0], t, max(m, 1))
+def monomial(m):
+    """t^m as Taylor data at the terminal 0: its data at t end at j = m."""
+    return series_from_catalog("poly", [0.0] * m + [1.0], 0.0, max(m, 1))
 
 
 def test_monomial_rule_identity_factor():
     g = poly([1.0, 0.5, 0.25])
     t = 1.4
-    got = leibniz_rl(monomial(0, t), g, 0.6, t, trunc=1).expect_finite()
+    got = rule_value(monomial(0), g, 0.6, t, "rl", trunc=1)
     want = rl_differintegral(g, 0.6).evaluate(t).expect_finite()
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -191,7 +193,7 @@ def test_monomial_rule_linear_times_one():
     # D^alpha t = t^(1-alpha)/Gamma(2-alpha)
     t = 1.8
     for alpha in (0.25, 0.5, 0.75):
-        got = leibniz_rl(monomial(1, t), unit(), alpha, t, trunc=1).expect_finite()
+        got = rule_value(monomial(1), unit(), alpha, t, "rl", trunc=1)
         want = t ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -200,7 +202,7 @@ def test_monomial_rule_square_integral():
     # I^alpha t^2 = 2 t^(2+alpha)/Gamma(3+alpha)
     t = 1.8
     for alpha in (0.5, 1.3):
-        got = leibniz_rl(monomial(2, t), unit(), -alpha, t, trunc=2).expect_finite()
+        got = rule_value(monomial(2), unit(), -alpha, t, "rl", trunc=2)
         want = 2.0 * t ** (2.0 + alpha) / math.gamma(3.0 + alpha)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -210,7 +212,7 @@ def test_monomial_rule_general_cofactor():
     product = taylor_arith(poly([0.0, 0.0, 1.0], truncation=40), f, "mul")
     t = 0.8
     for alpha in (0.5, 1.5):
-        got = leibniz_rl(monomial(2, t), f, alpha, t, trunc=2).expect_finite()
+        got = rule_value(monomial(2), f, alpha, t, "rl", trunc=2)
         want = rl_differintegral(product, alpha).evaluate(t).expect_finite()
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
@@ -243,7 +245,7 @@ def test_wrong_rule_linear_closed_form():
         g = unit(center=a)
         for alpha in (0.25, 0.5, 0.75):
             for t in (a + 0.5, a + 1.0, a + 2.0):
-                got = leibniz_caputo_wrong(f, g, alpha, t).expect_finite()
+                got = rule_value(f, g, alpha, t, "wrong")
                 want = alpha * (t - a) ** (1.0 - alpha) / math.gamma(2.0 - alpha)
                 assert got == pytest.approx(want, rel=1e-13)
 
@@ -255,7 +257,7 @@ def test_wrong_rule_square_closed_form():
     f = poly([0.0, 1.0], center=a)
     for alpha in (0.25, 0.5, 0.75):
         for t in (1.5, 2.0, 3.0):
-            got = leibniz_caputo_wrong(f, f, alpha, t).expect_finite()
+            got = rule_value(f, f, alpha, t, "wrong")
             want = (
                 (t - a) ** (1.0 - alpha)
                 / math.gamma(3.0 - alpha)
@@ -273,7 +275,7 @@ def test_wrong_rule_exact_when_cofactor_data_vanishes():
         product = taylor_arith(f, g, "mul")
         alpha = float(rng.uniform(0.05, 0.95))
         t = a + 1.0
-        got = leibniz_caputo_wrong(f, g, alpha, t).expect_finite()
+        got = rule_value(f, g, alpha, t, "wrong")
         want = caputo_derivative(product, alpha).evaluate(t).expect_finite()
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
@@ -285,7 +287,7 @@ def test_wrong_rule_misses_terminal_data():
     g = unit(center=a)
     t = 2.0
     alpha = 0.5
-    got = leibniz_caputo_wrong(f, g, alpha, t).expect_finite()
+    got = rule_value(f, g, alpha, t, "wrong")
     truth = 1.0 / math.gamma(1.5)
     assert abs(got - truth) > 1e-2
 
@@ -297,7 +299,7 @@ def test_wrong_rule_near_integer_order_loses_the_limit():
     f = series_from_catalog("exp", [1.0], truncation=32)
     g = unit()
     t = 1.0
-    wrong = leibniz_caputo_wrong(f, g, alpha, t).expect_finite()
+    wrong = rule_value(f, g, alpha, t, "wrong")
     truth = caputo_derivative(f, alpha).evaluate(t).expect_finite()
     assert abs(wrong) < 1e-3
     assert truth == pytest.approx(math.exp(t) - 1.0, abs=1e-3)
@@ -452,15 +454,14 @@ def test_caputo_reports_refuse_every_negative_order_and_the_rl_report_answers():
                 leibniz_report(f, g, alpha, 1.0, rule=rule)
             assert str(excinfo.value) == message
         rl = leibniz_report(f, g, alpha, 1.0, rule="rl")
-        assert rl.rule_value == leibniz_rl(f, g, alpha, 1.0)
         assert rl.residual <= 1e-14
-        # the bare naive rule reads no Caputo reference and still answers
-        assert leibniz_caputo_wrong(f, g, alpha, 1.0).is_finite
     # at 0 and at positive integers a Caputo report is the RL one
     for alpha in (0.0, -0.0, 1.0, 2.0):
         rl = leibniz_report(f, g, alpha, 1.0, rule="rl")
         for rule in ("wrong", "corrected"):
-            assert leibniz_report(f, g, alpha, 1.0, rule=rule) == rl
+            report = leibniz_report(f, g, alpha, 1.0, rule=rule)
+            assert report == rl
+            assert report.reference_value == rl.reference_value
 
 
 # --- bit-for-bit reference: one operator series per factor ----------------------
@@ -544,9 +545,6 @@ def test_product_rules_match_the_operator_series_bit_for_bit(fspec, gspec, a, tr
     for rule in ("rl", "wrong", "corrected"):
         want = _series_rule(g, f, alpha, t, rule, 32)
         assert _fields(leibniz_report(g, f, alpha, t, rule)) == want
-    assert leibniz_rl(f, g, alpha, t).value == _series_rule(f, g, alpha, t, "rl", 32)[0]
-    wrong = _series_rule(f, g, alpha, t, "wrong", 32)[0]
-    assert leibniz_caputo_wrong(f, g, alpha, t).value == wrong
 
 
 @pytest.mark.parametrize("rule", ["rl", "wrong", "corrected"])
@@ -564,3 +562,19 @@ def test_product_rules_refuse_a_failing_factor_like_its_series(rule):
         leibniz_report(f, g, alpha, t, rule, 12)
     assert type(got.value) is type(want.value) is DivergenceError
     assert str(got.value) == str(want.value)
+
+
+def test_a_refused_reference_keeps_the_rule_value():
+    # crosscheck seed 5001: the RL reference of the product fails its tail
+    # test at t = 2, which refused the whole call; the rule value is that of
+    # the bare RL rule before it was folded into the report
+    f = parse_function_spec("exp:-1.0", 0.0, 32)
+    g = parse_function_spec("exp:-0.25+exp:-1.0", 0.0, 32)
+    report = leibniz_report(f, g, 1.300554, 2.0, rule="rl", trunc=32)
+    assert report.rule_value.value.hex() == "0x1.5b0febfd2d4bcp-8"
+    message = ("tail terms -1.969e-14, 2.565e-15 fail the convergence test against "
+               "the sum 5.295749e-03 (relative tolerance 1e-12)")
+    for field in ("reference_value", "residual", "reference_value"):
+        with pytest.raises(DivergenceError) as excinfo:
+            getattr(report, field)
+        assert str(excinfo.value) == message

@@ -34,12 +34,13 @@ def outcome(thunk):
     refusal as its type and message."""
     try:
         value = thunk()
+        if isinstance(value, float):
+            return value.hex()
+        # a report's reference is summed, or refused, as it is read
+        return (value.rule_value.value.hex(), value.reference_value.value.hex(),
+                value.correction_value.hex(), value.residual.hex(), value.terms_used)
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
-    if isinstance(value, float):
-        return value.hex()
-    return (value.rule_value.value.hex(), value.reference_value.value.hex(),
-            value.correction_value.hex(), value.residual.hex(), value.terms_used)
 
 
 def random_spec(r: random.Random, a: float) -> str:

@@ -20,9 +20,7 @@ from fracseries import (
     laplace_rl_integral,
     laplace_rl_integral_fps,
     laplace_shifted_series,
-    leibniz_caputo_wrong,
     leibniz_report,
-    leibniz_rl,
     rl_caputo_bridge,
     rl_derivative_quad,
     rl_differintegral,
@@ -42,8 +40,6 @@ ENTRIES = {
     "caputo_derivative": lambda o: caputo_derivative(F, o),
     "rl_caputo_bridge": lambda o: rl_caputo_bridge(F, o),
     "frac_differintegral": lambda o: frac_differintegral(POWERS, o),
-    "leibniz_rl": lambda o: leibniz_rl(F, G, o, 1.0),
-    "leibniz_caputo_wrong": lambda o: leibniz_caputo_wrong(F, G, o, 1.0),
     "leibniz_report": lambda o: leibniz_report(F, G, o, 1.0),
     "laplace_rl_integral": lambda o: laplace_rl_integral(F, o),
     "laplace_caputo": lambda o: laplace_caputo(F, o),
