@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -73,6 +72,7 @@ def _print_rows(args, grid: list[float], values: list[float]) -> None:
     with inf and -inf values as the strings the CSV prints. float.__repr__
     is the text json writes for a finite float; json.dumps writes the rest."""
     if args.format == "json":
+        import json
         text, isfinite = float.__repr__, math.isfinite
         rows = ", ".join([
             f'{{"t": {text(t) if isfinite(t) else json.dumps(t)}, '
@@ -119,6 +119,7 @@ def cmd_leibniz(args) -> int:
     rule_value = report.rule_value.value
     reference_value = report.reference_value.value
     if args.format == "json":
+        import json
         payload = {
             "rule": args.rule,
             "alpha": args.alpha,
@@ -189,6 +190,7 @@ def _laplace_expr(args) -> LaplaceExpr:
 def cmd_laplace(args) -> int:
     expr = _laplace_expr(args)
     if args.format == "json":
+        import json
         print(json.dumps(expr.to_json_dict(), sort_keys=True))
     else:
         print(expr.render())

@@ -12,13 +12,15 @@ term, not by an exception: callers decide what to do with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .series import (
     DivergenceError,
     EvalResult,
     FracPowerSeries,
     TaylorSeries,
+    _Frozen,
+    _set,
     branch,
     canonical_terms,
     check_order,
@@ -57,8 +59,7 @@ def _fmt_num(x: float) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
-class LaplaceExpr:
+class LaplaceExpr(_Frozen):
     """A formal transform: a sum of terms, or a singular marker.
 
     At ``shift == 0`` a term is coeff * s^(-power). A ``shift = a < 0``
@@ -66,13 +67,22 @@ class LaplaceExpr:
     shift is refused. Construction canonicalizes the ``(coeff, power)``
     pairs once (:func:`series.canonical_terms`), so structurally equal
     expressions compare equal. A transform of truncated data has
-    ``complete=False``: its values face the tail test.
+    ``complete=False``: its values face the tail test, and it compares and
+    hashes as the same expression of complete data.
     """
 
-    shift: float = 0.0
-    terms: tuple[tuple[float, float], ...] = ()
-    singular: str | None = None
-    complete: bool = field(default=True, compare=False)
+    _fields = ("shift", "terms", "singular", "complete")
+
+    def __init__(self, shift: float = 0.0, terms: tuple[tuple[float, float], ...] = (),
+                 singular: str | None = None, complete: bool = True) -> None:
+        _set(self, "shift", shift)
+        _set(self, "terms", terms)
+        _set(self, "singular", singular)
+        _set(self, "complete", complete)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return self.shift, self.terms, self.singular
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.shift):
@@ -329,20 +339,17 @@ def frequency_derivative(expr: LaplaceExpr, m: int) -> LaplaceExpr:
         raise ValueError("all powers must be positive")
     sign = -1.0 if m % 2 else 1.0
     terms = [(sign * c * pochhammer(p, m), p + m) for c, p in expr.terms]
-    return replace(expr, terms=tuple(terms))
+    return LaplaceExpr(expr.shift, tuple(terms), expr.singular, expr.complete)
 
 
-@dataclass(frozen=True)
-class FreqDiffReport:
+class FreqDiffReport(namedtuple("FreqDiffReport", "left right max_discrepancy")):
     """Both sides of the weighted-integral identity, as time-domain series.
 
     left  = termwise inverse of s^(-alpha) F^(m)(s)
     right = RL integral of order alpha applied to (-t)^m f(t)
     """
 
-    left: FracPowerSeries
-    right: FracPowerSeries
-    max_discrepancy: float
+    __slots__ = ()
 
 
 def frequency_differentiation_check(

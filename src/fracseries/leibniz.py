@@ -20,15 +20,16 @@ gives the integral.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from collections.abc import Callable
 from functools import cached_property, partial
 from itertools import count
-from typing import Callable
 
 from .series import (
     DivergenceError,
     EvalResult,
     TaylorSeries,
+    _Frozen,
+    _set,
     branch,
     check_order,
     check_tail,
@@ -41,20 +42,20 @@ from .special import FACTORIALS, check_count, gen_binom, recip_gamma
 __all__ = ["LeibnizReport", "leibniz_report"]
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
+class LeibnizReport(_Frozen):
     """Rule value vs operator truth for one product-rule evaluation. The
     truth is *reference*(), called when reference_value or residual is
     first read and kept; a refusal is raised at each read. Equality and
     repr take the three stored fields."""
 
-    rule_value: EvalResult
-    correction_value: float
-    terms_used: int
-    reference: InitVar[Callable[[], float]]
+    _fields = ("rule_value", "correction_value", "terms_used")
 
-    def __post_init__(self, reference: Callable[[], float]) -> None:
-        object.__setattr__(self, "_reference", reference)
+    def __init__(self, rule_value: EvalResult, correction_value: float, terms_used: int,
+                 reference: Callable[[], float]) -> None:
+        _set(self, "rule_value", rule_value)
+        _set(self, "correction_value", correction_value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "_reference", reference)
 
     @cached_property
     def reference_value(self) -> EvalResult:

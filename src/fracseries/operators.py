@@ -14,7 +14,7 @@ limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import (
     FracPowerSeries,
@@ -291,8 +291,8 @@ def frac_differintegral(
     )
 
 
-@dataclass(frozen=True)
-class IntegerLimitReport:
+class IntegerLimitReport(namedtuple("IntegerLimitReport", "n eps grid rl_above rl_below "
+                                    "caputo_below integral_above integral_below")):
     """Max pointwise deviations of near-integer orders from exact calculus.
 
     Derivative side: RL at n +/- eps and Caputo at n - eps against the
@@ -300,24 +300,11 @@ class IntegerLimitReport:
     exact n-fold integral.
     """
 
-    n: int
-    eps: float
-    grid: tuple[float, ...]
-    rl_above: float
-    rl_below: float
-    caputo_below: float
-    integral_above: float
-    integral_below: float
+    __slots__ = ()
 
     @property
     def max_deviation(self) -> float:
-        return max(
-            self.rl_above,
-            self.rl_below,
-            self.caputo_below,
-            self.integral_above,
-            self.integral_below,
-        )
+        return max(self[3:])  # the five deviations
 
 
 def _max_dev(series: FracPowerSeries, exact: FracPowerSeries, grid) -> float:

@@ -9,9 +9,9 @@ doubling certifies the result.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache, reduce
 from operator import add
-from typing import Callable
 
 from .operators import check_right_of_terminal, rl_caputo_bridge
 from .series import (

@@ -11,7 +11,6 @@ not an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, islice
 from operator import itemgetter
@@ -43,16 +42,49 @@ class DivergenceError(ArithmeticError):
     """Raised when a series sum fails the tail test or leaves the double range."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable value types. A subclass names its
+    fields in *_fields*, as a namedtuple does, and sets each once in its
+    ``__init__`` with :func:`object.__setattr__`. It is shown by its fields,
+    and equal to an instance of its own class, and hashed, by :meth:`_key`:
+    all of them unless the subclass says otherwise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class EvalResult(_Frozen):
     """Outcome of evaluating a series or transform.
 
     *sign* is 0 for a finite result, whose number is *value*, and +1 or
     -1 for an infinite one.
     """
 
-    value: float = 0.0
-    sign: int = 0
+    _fields = ("value", "sign")
+
+    def __init__(self, value: float = 0.0, sign: int = 0) -> None:
+        _set(self, "value", value)
+        _set(self, "sign", sign)
 
     @classmethod
     def finite(cls, value: float) -> EvalResult:
@@ -115,8 +147,7 @@ def positive_order(order: float, non_integer: bool = False) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
+class TaylorSeries(_Frozen):
     """An analytic function given by derivative values at a center.
 
     ``derivs[k]`` holds the raw ``f^(k)(center)``. With ``complete=True``
@@ -126,10 +157,15 @@ class TaylorSeries:
     convergence radius *radius_hint* (math.inf where it is not finite).
     """
 
-    center: float
-    derivs: tuple[float, ...]
-    radius_hint: float = math.inf
-    complete: bool = True
+    _fields = ("center", "derivs", "radius_hint", "complete")
+
+    def __init__(self, center: float, derivs: tuple[float, ...], radius_hint: float = math.inf,
+                 complete: bool = True) -> None:
+        _set(self, "center", center)
+        _set(self, "derivs", derivs)
+        _set(self, "radius_hint", radius_hint)
+        _set(self, "complete", complete)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "derivs", tuple(map(float, self.derivs)))
@@ -246,8 +282,7 @@ class TaylorSeries:
         return taylor_arith(self, other, "mul")
 
 
-@dataclass(frozen=True)
-class FracPowerSeries:
+class FracPowerSeries(_Frozen):
     """A formal sum sum_k c_k (t - center)^{e_k} with real exponents.
 
     Construction canonicalizes: terms sorted by exponent, exponents
@@ -255,10 +290,15 @@ class FracPowerSeries:
     permutation of the same term multiset builds the identical tuple.
     """
 
-    center: float
-    terms: tuple[tuple[float, float], ...] = field(default=())
-    radius_hint: float = math.inf
-    complete: bool = True
+    _fields = ("center", "terms", "radius_hint", "complete")
+
+    def __init__(self, center: float, terms: tuple[tuple[float, float], ...] = (),
+                 radius_hint: float = math.inf, complete: bool = True) -> None:
+        _set(self, "center", center)
+        _set(self, "terms", terms)
+        _set(self, "radius_hint", radius_hint)
+        _set(self, "complete", complete)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         terms = [(float(c), float(e)) for (c, e) in self.terms]
@@ -586,21 +626,20 @@ def taylor_arith(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries:
     """Pointwise sum or product of Taylor data with a common center.
 
     The radius of the result is the lesser of the inputs', and so is its
-    truncation, unless just one is complete: its data is exactly 0 past its
-    truncation, so the result has the other's. Callers that need an exact polynomial product must
-    supply adequately padded data. *f* keeps its latest result, keyed by
-    the identity of *g* and by *op*.
+    truncation, unless one is complete: its data is exactly 0 past its
+    truncation, so the result has the other's, or the greater of two complete
+    truncations. A product of complete data stays complete where its degree
+    fits that truncation. *f* keeps its latest result, keyed by the identity
+    of *g* and by *op*.
     """
     latest = vars(f).get("_latest_arith")
     if latest is not None and latest[0] is g and latest[1] == op:
         return latest[2]
     if f.center != g.center:
         raise ValueError(f"center mismatch: {f.center!r} vs {g.center!r}")
-    fd, gd = f.derivs, g.derivs
-    n = min(f.truncation, g.truncation)
-    if f.complete != g.complete:
-        n = (g if f.complete else f).truncation
-        fd, gd = fd + (0.0,) * (n - f.truncation), gd + (0.0,) * (n - g.truncation)
+    truncated = [h.truncation for h in (f, g) if not h.complete]
+    n = min(truncated) if truncated else max(f.truncation, g.truncation)
+    fd, gd = f.derivs + (0.0,) * (n - f.truncation), g.derivs + (0.0,) * (n - g.truncation)
     radius = min(f.radius_hint, g.radius_hint)
     complete = f.complete and g.complete
 

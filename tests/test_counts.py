@@ -3,7 +3,6 @@ truncation or a node count) refuses one that is not an integer at least its
 least value with the same message, naming the parameter, and reads an
 integral float as the equal int."""
 
-import dataclasses
 import math
 
 import pytest
@@ -43,9 +42,11 @@ ENTRIES = {
 
 
 def bits(value):
-    """A value with every float as its hex string, dataclasses as tuples."""
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
+    """A value with every float as its hex string, records (the types that
+    name their fields in ``_fields``) as tuples of their fields."""
+    fields = getattr(type(value), "_fields", None)
+    if fields is not None:
+        value = tuple([getattr(value, name) for name in fields])
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (tuple, list)):

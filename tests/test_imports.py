@@ -84,3 +84,19 @@ def test_package_names_are_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(fracseries, name) is getattr(module, name)
+
+
+#: Standard modules that nothing in the package computes with.
+UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json")
+
+
+def test_cli_import_loads_no_module_the_package_does_not_compute_with():
+    # -S keeps site from preloading modules (typing and re, through a .pth file)
+    src = str(Path(fracseries.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import fracseries.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    gained = proc.stdout.split()
+    assert "fracseries.cli" in gained
+    assert [name for name in gained if name in UNUSED] == []

@@ -51,7 +51,9 @@ def taylor_arith_loop(f: TaylorSeries, g: TaylorSeries, op: str) -> TaylorSeries
     n = min(f.truncation, g.truncation)
     if f.complete != g.complete:
         n = (g if f.complete else f).truncation
-        fd, gd = fd + (0.0,) * (n - f.truncation), gd + (0.0,) * (n - g.truncation)
+    elif f.complete:  # two complete factors: the longer truncation
+        n = max(f.truncation, g.truncation)
+    fd, gd = fd + (0.0,) * (n - f.truncation), gd + (0.0,) * (n - g.truncation)
     radius = min(f.radius_hint, g.radius_hint)
     complete = f.complete and g.complete
 

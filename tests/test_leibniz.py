@@ -78,6 +78,21 @@ def test_three_reports_build_one_product_and_one_recentering(monkeypatch):
     assert f * g is taylor_arith(f, g, "mul")
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_complete_factors_of_different_truncations_keep_a_complete_product(swap):
+    # the product of poly:1 at truncation 1 and poly:1,0.5,0.25 at truncation
+    # 12 was cut to truncation 1 and marked truncated, so its reference
+    # failed the tail test
+    f = series_from_catalog("poly", [1.0], truncation=1)
+    g = series_from_catalog("poly", [1.0, 0.5, 0.25], truncation=12)
+    lead, other = (g, f) if swap else (f, g)
+    product = taylor_arith(lead, other, "mul")
+    assert product.derivs == g.derivs and product.complete
+    report = leibniz_report(lead, other, 0.6, 1.4, "rl", 1)
+    want = rl_differintegral(g, 0.6).evaluate(1.4).expect_finite()
+    assert report.reference_value.value.hex() == want.hex()
+
+
 def test_rl_quadrature_after_caputo_quadrature_takes_no_new_pass(monkeypatch):
     passes = []
 

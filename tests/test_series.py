@@ -169,10 +169,13 @@ def test_taylor_arith_pads_a_shorter_complete_operand_with_its_zeros():
         # complete data is exactly 0 past its truncation
         assert taylor_arith(f, g, op).derivs == taylor_arith(f, padded, op).derivs
         assert taylor_arith(g, f, op).derivs == taylor_arith(padded, f, op).derivs
-    # two complete or two truncated operands keep the shorter truncation
+    # two truncated operands keep the shorter truncation; two complete ones
+    # are carried to the longer, as if both were padded to it
     short = series_from_catalog("exp", [1.0], truncation=12)
     assert taylor_arith(short, f, "mul").truncation == 12
-    assert taylor_arith(padded, g, "mul").truncation == 12
+    for op in ("add", "mul"):
+        for h in (taylor_arith(padded, g, op), taylor_arith(g, padded, op)):
+            assert h == taylor_arith(padded, padded, op) and h.truncation == 32 and h.complete
 
 
 # --- FracPowerSeries canonical form ----------------------------------------
