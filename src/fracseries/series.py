@@ -52,8 +52,6 @@ class _Frozen:
     and equal to an instance of its own class, and hashed, by :meth:`_key`:
     all of them unless the subclass says otherwise."""
 
-    __slots__ = ()
-
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
