@@ -48,9 +48,9 @@ _set = object.__setattr__
 class _Frozen:
     """Base of the package's immutable value types. A subclass names its
     fields in *_fields*, as a namedtuple does, and sets each once in its
-    ``__init__`` with :func:`object.__setattr__`. It is shown by its fields,
-    and equal to an instance of its own class, and hashed, by :meth:`_key`:
-    all of them unless the subclass says otherwise."""
+    ``__init__`` with :func:`object.__setattr__`. The repr shows every field;
+    equality, with an instance of the same class only, and the hash read
+    :meth:`_key`, every field unless the subclass overrides it."""
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
