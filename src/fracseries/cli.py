@@ -156,10 +156,12 @@ _KINDS = {
 
 def _laplace_expr(args) -> LaplaceExpr:
     if args.op == "generalized":
-        kind = _KINDS[args.kind]
+        kind = _KINDS[args.kind or "plain"]
         f = parse_function_spec(args.fspec, center=args.a, truncation=args.trunc)
         order = None if kind == "plain" else _need_alpha(args)
         return generalized_laplace(f, kind, order)
+    if args.kind is not None:
+        raise GrammarError(f"--kind applies only to --op generalized, not to --op {args.op}")
 
     if args.a > 0:
         raise GrammarError(
@@ -336,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="series",
     )
     p_lap.add_argument(
-        "--kind", choices=["plain", "rl-int", "caputo"], default="plain",
-        help="sub-operation for --op generalized",
+        "--kind", choices=["plain", "rl-int", "caputo"], default=None,
+        help="sub-operation for --op generalized (default plain); no other --op takes it",
     )
     p_lap.add_argument("--format", choices=["text", "json"], default="text")
     p_lap.set_defaults(func=cmd_laplace)

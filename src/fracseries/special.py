@@ -216,11 +216,6 @@ _SMALL_P_Q = 1.5
 #: Integer p beyond it takes the routes of non-integer p.
 _CLOSED_FORM_P_MAX = len(FACTORIALS)
 
-#: Integer p at q < 0 sums Gamma(p) minus the lower integral where the
-#: closed form's alternating terms outgrow the value by more than this factor,
-#: and refuses where those two parts do: a loss of at most 3 bits either way.
-_CANCEL_MAX = 8.0
-
 #: Terms allowed to the continued fraction. For q >= p + 1 or q >= 1.5 it
 #: converges in under 100 terms while p stays below 1000; near q = p it
 #: needs about sqrt(p)/3.
@@ -244,15 +239,14 @@ _RECIP_GAMMA_SERIES = (
 def upsilon(p: float, q: float) -> float:
     """Tail integral of the gamma integrand: int_q^inf tau^(p-1) e^(-tau) dtau.
 
-    Normalized so that upsilon(p, 0) = Gamma(p). Integer p admits any
-    real q; non-integer p requires q >= 0 (negative bases have no real
-    power). The one-element case of :func:`upsilon_row`.
+    Normalized so that upsilon(p, 0) = Gamma(p). The domain is p > 0 and
+    q >= 0, -0.0 included: a transform at an initial instant a <= 0 forms
+    it only at q = -a*s with s > 0. The one-element case of
+    :func:`upsilon_row`.
 
     Raises:
         GammaRangeError: if the value is beyond the double range.
-        ValueError: for integer p and q < 0 where Gamma(p) and gamma(p, q)
-            cancel in the value to under 1/8 of the larger (near a zero of
-            the value, which even p has).
+        ValueError: for p or q not finite, p <= 0 or q < 0.
     """
     return next(upsilon_row((p,), q, False))
 
@@ -260,8 +254,9 @@ def upsilon(p: float, q: float) -> float:
 def upsilon_row(ps, q: float, scaled: bool) -> Iterator[float]:
     """Yield e^q Upsilon(p, q) (*scaled*) or Upsilon(p, q) for each p of *ps*
     in order, raising a refusal (as :func:`upsilon`) when its p is reached.
-    q is vetted after the first p, as in a single call, and e^q, e^-q and
-    the powers q**i of the integer closed form are taken once per row.
+    q is vetted after the first p, as in a single call, so a q < 0 refuses
+    the row there; e^q, e^-q and the powers q**i of the integer closed form
+    are taken once per row.
 
     The scaled row is a shifted transform's factor e^(-a*s) Upsilon(p, -a*s),
     formed without e^q where q is large (e^800 overflows, Upsilon underflows).
@@ -274,8 +269,8 @@ def upsilon_row(ps, q: float, scaled: bool) -> Iterator[float]:
             exp_q, exp_neg_q = _exp(q), _exp(-q)
         if p <= 0:
             raise ValueError(f"p must be > 0, got {p}")
-        if q < 0 and not p.is_integer():
-            raise ValueError(f"q must be >= 0 for non-integer p (got p={p}, q={q})")
+        if q < 0:
+            raise ValueError(f"q must be >= 0 (got p={p}, q={q})")
         try:
             value = _upsilon_kernel(p, q, scaled, exp_q, exp_neg_q, powers)
         except OverflowError:
@@ -298,23 +293,14 @@ def _upsilon_kernel(
 ) -> float:
     # exp_q and exp_neg_q are e^q and e^-q, inf past the double range
     if p.is_integer() and p <= _CLOSED_FORM_P_MAX:
-        m = int(p)
         try:
-            acc = _closed_form(m, q, powers)
+            acc = _closed_form(int(p), q, powers)
         except OverflowError:
             acc = math.inf
-        # at q < 0 the terms alternate; their magnitudes are the terms at -q
-        if q < 0.0 and not _closed_form(m, -q, [1.0]) <= _CANCEL_MAX * abs(acc):
-            value = _negative_q_upsilon(p, q)
-            return value * exp_q if scaled else value
         if scaled or acc < math.inf:
             return acc if scaled else exp_neg_q * acc
         # e^q Upsilon(p, q) is beyond the double range where Upsilon(p, q)
         # need not be: take the routes of non-integer p
-    if q < 0.0:
-        # integer p past the closed form: the integral over [q, 0] alone
-        # exceeds the double range
-        return math.inf
     if q == 0.0:
         return math.gamma(p)
     if p < 1.0 and q < _SMALL_P_Q:
@@ -351,36 +337,6 @@ def _closed_form(m: int, q: float, powers: list[float]) -> float:
     for coeff, power in zip(_closed_form_row(m), powers):
         acc += coeff * power
     return acc
-
-
-def _negative_q_upsilon(p: float, q: float) -> float:
-    """Upsilon(p, q) for integer p and q < 0 as Gamma(p) - gamma(p, q), with
-    gamma(p, q) = q^p sum_k |q|^k / (k! (p+k)) (DLMF 8.7.3), a sum of
-    positive terms. Past k = 2|q| a term bounds the rest of the sum, so it
-    stops at the first such term below eps/2 of the total.
-
-    Raises:
-        ValueError: where Gamma(p) and gamma(p, q) cancel to under 1/8 of
-            the larger.
-    """
-    x = -q
-    term, step, total, k = 1.0, 1.0 / p, 1.0 / p, 0
-    while k <= 2.0 * x or step > 0.5 * _UPSILON_EPS * total:
-        if total == math.inf:
-            raise OverflowError
-        k += 1
-        term *= x / k
-        step = term / (p + k)
-        total += step
-    gamma_p = FACTORIALS[int(p) - 1]
-    lower = q**p * total
-    value = gamma_p - lower
-    if max(gamma_p, abs(lower)) > _CANCEL_MAX * abs(value):
-        raise ValueError(
-            f"Upsilon({p!r}, {q!r}) = Gamma(p) - gamma(p, q) = {gamma_p!r} - {lower!r} "
-            f"cancels to {value!r}, under 1/{_CANCEL_MAX:g} of the larger part"
-        )
-    return value
 
 
 def _power_exp(p: float, q: float, exp_neg_q: float) -> float:

@@ -404,6 +404,20 @@ def test_laplace_generalized(capsys):
     assert out.strip() == "1 * s^(-1.5)"
 
 
+def test_laplace_generalized_kind_defaults_to_plain(capsys):
+    argv = ["laplace", "shifted-poly:0,1", "--a", "2", "--op", "generalized"]
+    assert run_cli(capsys, argv) == run_cli(capsys, argv + ["--kind", "plain"])
+
+
+@pytest.mark.parametrize("op", ["series", "rl-int", "caputo", "rl-der"])
+def test_laplace_kind_with_another_op_is_usage_error(capsys, op):
+    argv = ["laplace", "exp:1", "--op", op, "--alpha", "0.5", "--kind", "caputo"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"--kind applies only to --op generalized, not to --op {op}" in err
+
+
 def test_laplace_missing_alpha_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, ["laplace", "poly:1,1", "--op", "caputo"])
     assert code == 2
