@@ -310,18 +310,18 @@ def test_upsilon_scaled_memo_matches_fresh_calls_in_any_order():
     (-1.5, 2.0, False),
     (math.nan, 2.0, True),
     (171.0, 10.0, True),
+    # at q < 0 the row refuses at its first p, before it reaches the bad one
+    (2.5, -0.5, True),
+    (2.5, -0.5, False),
 ])
 def test_upsilon_row_stops_at_the_first_refusal(bad, q, scaled):
     fn = upsilon_scaled if scaled else upsilon
-    values, refusal = _row_prefix([1.0, 3.0, bad, 4.0, -1.0], q, scaled)
-    assert values == [fn(p, q).hex() for p in (1.0, 3.0)]
-    assert refusal == _hex_or_error(fn, bad, q)
-
-
-def test_upsilon_row_at_negative_q_refuses_at_its_first_p():
-    for scaled, fn in ((True, upsilon_scaled), (False, upsilon)):
-        refusal = _hex_or_error(fn, 1.0, -0.5)
-        assert _row_prefix([1.0, 3.0, 2.5, 4.0], -0.5, scaled) == ([], refusal)
+    ps = [1.0, 3.0, bad, 4.0, -1.0]
+    stop = 0 if q < 0.0 else 2
+    values, refusal = _row_prefix(ps, q, scaled)
+    assert values == [fn(p, q).hex() for p in ps[:stop]]
+    assert refusal == _hex_or_error(fn, ps[stop], q)
+    assert isinstance(refusal, tuple)
 
 
 def test_upsilon_row_vets_q_after_its_first_p():
