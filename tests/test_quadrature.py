@@ -13,8 +13,9 @@ from fracseries.quadrature import (
     rl_derivative_quad,
     rl_integral_fixed,
     rl_integral_quad,
+    _agreement_bound,
 )
-from fracseries.series import series_from_catalog
+from fracseries.series import branch, series_from_catalog
 from fracseries.special import GammaRangeError
 
 rng = np.random.default_rng(909)
@@ -338,3 +339,120 @@ def test_jacobi_rule_bits_do_not_depend_on_the_interpreter():
             x, w = _jacobi_rule.__wrapped__(alpha, nodes)
             digest.update(" ".join(v.hex() for v in x + w).encode())
     assert digest.hexdigest() == JACOBI_GOLDEN
+
+
+# --- Taylor data: the a priori bound in place of the first doubling ----------------
+
+
+def outcome(call):
+    """A call's float.hex, or the type and message of what it raised."""
+    try:
+        return call().hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: Operator orders of the differential panel, negatives included; their
+#: memory integrals have orders 1.3, 0.5, 0.5, 0.3 and 0.5.
+PANEL_ORDERS = (-1.3, -0.5, 0.5, 1.7, 2.5)
+
+
+def panel_cases():
+    """(truncation, a, alpha, t - a, rel_tol) of the differential panel. A
+    tolerance of 0 never reaches the bound and doubles to 1024 nodes, so it
+    is sampled more thinly."""
+    for truncation in (16, 32, 64, 120):
+        for a in (0.0, 1.0):
+            for alpha in PANEL_ORDERS:
+                for x in (0.25, 1.0, 2.5, 7.0, 20.0):
+                    for rel_tol in (1e-9, 1e-13, 0.0):
+                        if rel_tol > 0.0 or (a == 0.0 and x in (0.25, 20.0)):
+                            yield truncation, a, alpha, x, rel_tol
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("exp", [1.0]), ("exp", [3.0]), ("exp", [-1.7]), ("sin", [1.0]), ("cos", [0.8]),
+    ("poly", [0.5, -1.0, 0.25, 2.0]),
+])
+def test_taylor_data_integral_is_the_doublings_bit_for_bit(kind, params):
+    # the bound may skip the 16-node pass only where the doubling would have
+    # stopped at 32 nodes, so the value (or the refusal) is the doubling's
+    certified = 0
+    for truncation, a, alpha, x, rel_tol in panel_cases():
+        n = branch(alpha)
+        g = series_from_catalog(kind, params, center=a, truncation=truncation).nth_derivative(n)
+        order, t = n - alpha, a + x
+        got = outcome(lambda: rl_integral_quad(g, order, a, t, rel_tol=rel_tol))
+        want = outcome(lambda: rl_integral_quad(g.evaluate, order, a, t, rel_tol=rel_tol))
+        assert got == want, (truncation, a, alpha, x, rel_tol)
+        certified += 2.0 * _agreement_bound(g, order, a, t) <= rel_tol
+    assert certified > 0
+
+
+def test_panel_holds_a_case_whose_16_node_pass_is_wrong():
+    # e^(3t) at truncation 120 over t - a = 20 has terms far above the degree
+    # 31 that 16 nodes integrate exactly: the 16-node pass is off by 1.5e-7,
+    # the doubling goes on to 64 nodes, and the dropped terms' share of the
+    # bound (R_2N) keeps it from returning the 32-node value
+    g = series_from_catalog("exp", [3.0], truncation=120)
+    v16, v32, v64 = (rl_integral_fixed(g.evaluate, 0.5, 0.0, 20.0, n) for n in (16, 32, 64))
+    assert abs(v32 - v16) > 1e-9 * (1.0 + abs(v32))
+    assert abs(v64 - v32) <= 1e-9 * (1.0 + abs(v64))
+    assert v64 != v32
+    assert rl_integral_quad(g, 0.5, 0.0, 20.0) == v64
+
+
+def record_passes(monkeypatch):
+    """Node counts of the passes, and the (order, nodes) rules they ask for."""
+    import fracseries.quadrature as quadrature
+
+    passes, rules = [], []
+    fixed, rule = quadrature.rl_integral_fixed, quadrature._jacobi_rule
+
+    def counted_fixed(f, alpha, a, t, nodes):
+        passes.append(nodes)
+        return fixed(f, alpha, a, t, nodes)
+
+    def counted_rule(alpha, nodes):
+        rules.append((alpha, nodes))
+        return rule(alpha, nodes)
+
+    monkeypatch.setattr(quadrature, "rl_integral_fixed", counted_fixed)
+    monkeypatch.setattr(quadrature, "_jacobi_rule", counted_rule)
+    return passes, rules
+
+
+def test_certified_integral_takes_one_32_node_pass(monkeypatch):
+    passes, rules = record_passes(monkeypatch)
+    f = series_from_catalog("exp", [1.0], truncation=32)
+    alpha = 0.5679  # its order 1 - alpha has no rule built by another test
+    value = caputo_quad(f, alpha, 1.3)
+    assert passes == [32]
+    assert rules == [(1.0 - alpha, 32)]
+    assert value == rl_integral_quad(f.nth_derivative(1).evaluate, 1.0 - alpha, 0.0, 1.3)
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    # the degree is far above 63 at t - a = 20, so the bound proves nothing:
+    # the doubling runs, and refuses a cancellation or settles, as before
+    (["oracle", "exp:-1.7", "--alpha", "0.5", "--grid", "20:20:1", "--trunc", "120"], 3, "",
+     "numerical failure: node doubling did not stabilize by 1024 nodes "
+     "(last change 8.910e-04, rel_tol 1.000e-09)\n"),
+    (["oracle", "exp:1", "--alpha", "0.5", "--grid", "20:20:1", "--trunc", "120"], 0,
+     "t,value\n20,485165195.4127335\n", ""),
+    # a tolerance of 0 asks for bitwise agreement, which only the doubling decides
+    (["oracle", "exp:1", "--alpha", "0.5", "--grid", "1:1:1", "--tol", "0"], 0,
+     "t,value\n1,2.8548878358509948\n", ""),
+    (["oracle", "poly:1,2", "--alpha", "0.5", "--grid", "1:1:1", "--tol", "0"], 0,
+     "t,value\n1,2.8209479177387817\n", ""),
+    # so does an order below 1e-9, where the rule's weights lose digits
+    (["oracle", "exp:1", "--alpha=-1e-12", "--grid", "1:1:1"], 0, "t,value\n1,2.7182818284584491\n", ""),
+])
+def test_uncertified_integrals_keep_the_doubling(monkeypatch, capsys, argv, code, out, err):
+    from fracseries.cli import main
+
+    passes, _ = record_passes(monkeypatch)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+    assert passes[:2] == [32, 16] or passes[:2] == [16, 32]
