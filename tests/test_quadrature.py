@@ -433,8 +433,8 @@ def test_certified_integral_takes_one_32_node_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,code,out,err", [
-    # the degree is far above 63 at t - a = 20, so the bound proves nothing:
-    # the doubling runs, and refuses a cancellation or settles, as before
+    # the terms of degree >= 32 are large at t - a = 20, so the bound proves
+    # nothing: the doubling runs, and refuses a cancellation or settles, as before
     (["oracle", "exp:-1.7", "--alpha", "0.5", "--grid", "20:20:1", "--trunc", "120"], 3, "",
      "numerical failure: node doubling did not stabilize by 1024 nodes "
      "(last change 8.910e-04, rel_tol 1.000e-09)\n"),
@@ -455,4 +455,4 @@ def test_uncertified_integrals_keep_the_doubling(monkeypatch, capsys, argv, code
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
-    assert passes[:2] == [32, 16] or passes[:2] == [16, 32]
+    assert sorted(passes[:2]) == [16, 32]
