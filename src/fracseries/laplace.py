@@ -12,7 +12,6 @@ term, not by an exception: callers decide what to do with it.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .series import (
     DivergenceError,
@@ -28,19 +27,15 @@ from .series import (
     check_tail,
     positive_order,
 )
-from .operators import frac_differintegral, rl_differintegral
+from .operators import rl_differintegral
 from .special import (
-    GammaRangeError, check_count, gamma, is_gamma_pole, pochhammer, recip_gamma, upsilon_row
+    GammaRangeError, gamma, is_gamma_pole, recip_gamma, upsilon_row
 )
 
 __all__ = [
-    "FreqDiffReport",
     "LaplaceExpr",
     "classify_lower_terminal",
-    "frequency_derivative",
-    "frequency_differentiation_check",
     "generalized_laplace",
-    "initial_value_equivalence",
     "laplace_caputo",
     "laplace_fps",
     "laplace_rl_derivative",
@@ -318,73 +313,6 @@ def laplace_rl_integral_fps(series: FracPowerSeries, alpha: float) -> LaplaceExp
 
 
 # ------------------------------------------------------------------
-# Frequency differentiation
-# ------------------------------------------------------------------
-
-
-def frequency_derivative(expr: LaplaceExpr, m: int) -> LaplaceExpr:
-    """m-th s-derivative: c s^(-p) maps to (-1)^m c poch(p, m) s^-(p+m).
-
-    Only zero-shift expressions with positive powers qualify
-    (differentiating through Upsilon factors is out of scope).
-    """
-    m = check_count(m, 0, "m")
-    if expr.is_singular:
-        raise ValueError("cannot differentiate a singular transform")
-    if expr.shift != 0.0:
-        raise ValueError(
-            "frequency differentiation is only supported for zero-instant expressions"
-        )
-    if any(p <= 0 for _, p in expr.terms):
-        raise ValueError("all powers must be positive")
-    sign = -1.0 if m % 2 else 1.0
-    terms = [(sign * c * pochhammer(p, m), p + m) for c, p in expr.terms]
-    return LaplaceExpr(expr.shift, tuple(terms), expr.singular, expr.complete)
-
-
-class FreqDiffReport(namedtuple("FreqDiffReport", "left right max_discrepancy")):
-    """Both sides of the weighted-integral identity, as time-domain series.
-
-    left  = termwise inverse of s^(-alpha) F^(m)(s)
-    right = RL integral of order alpha applied to (-t)^m f(t)
-    """
-
-    __slots__ = ()
-
-
-def frequency_differentiation_check(
-    f: TaylorSeries, alpha: float, m: int
-) -> FreqDiffReport:
-    """Verify that s^(-alpha) F^(m)(s) inverts to I^alpha{(-t)^m f(t)}.
-
-    Both sides are built as fractional power series at 0 and compared
-    coefficient by coefficient on the merged exponent grid.
-    """
-    alpha = positive_order(alpha)
-    m = check_count(m, 0, "m")
-    _require_center_zero(f, "frequency_differentiation_check")
-
-    weighted = frequency_derivative(laplace_series(f), m)
-    left = FracPowerSeries(
-        0.0,
-        tuple(
-            (c * recip_gamma(p + alpha), p + alpha - 1.0)
-            for c, p in weighted.terms
-        ),
-        complete=f.complete,
-    )
-
-    sign = -1.0 if m % 2 else 1.0
-    moments = tuple((sign * c, float(k + m)) for k, c in enumerate(f.coeffs))
-    right = frac_differintegral(
-        FracPowerSeries(0.0, moments, complete=f.complete), -alpha
-    )
-    diff = canonical_terms(left.terms + tuple((-c, e) for c, e in right.terms))
-    disc = max((abs(c) for c, _ in diff), default=0.0)
-    return FreqDiffReport(left=left, right=right, max_discrepancy=disc)
-
-
-# ------------------------------------------------------------------
 # Nonzero initial instant
 # ------------------------------------------------------------------
 
@@ -456,26 +384,3 @@ def classify_lower_terminal(
     """
     series = rl_differintegral(f, order)
     return series.evaluate(series.center)
-
-
-def initial_value_equivalence(
-    f: TaylorSeries, order: float
-) -> tuple[bool, bool]:
-    """Two readings of "the initial data vanish", evaluated independently.
-
-    Left: the RL differintegrals of orders alpha, alpha-1, ..., alpha-n
-    all tend to 0 at the lower terminal (the derivative's own limit is
-    included; for Taylor data this is exactly what makes the two
-    conditions match). Right: f^(k)(a) = 0 for k = 0..n-1. Returned as
-    (left, right); they agree for every Taylor-representable f.
-    """
-    alpha = positive_order(order, non_integer=True)
-    n = branch(alpha)
-    left = True
-    for k in range(-1, n):
-        outcome = classify_lower_terminal(f, alpha - 1.0 - k)
-        if not (outcome.is_finite and outcome.value == 0.0):
-            left = False
-            break
-    right = all(f.derivs[k] == 0.0 for k in range(min(n, f.truncation + 1)))
-    return left, right

@@ -2,8 +2,7 @@
 
 The Riemann-Liouville and Caputo series live here, both expansions
 about the lower terminal (coefficients from f^(k)(a)), together with the
-bridge series that converts between the two conventions and the
-integer-limit diagnostics.
+bridge series that converts between the two conventions.
 
 Integer orders never go through gamma-pole arithmetic: they are routed
 to exact factorial shifts of the Taylor data, so classical calculus
@@ -14,7 +13,6 @@ limit.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .series import (
     FracPowerSeries,
@@ -28,15 +26,11 @@ from .series import (
     sum_grid,
 )
 from .special import (
-    FACTORIALS, GammaRangeError, _check_finite, check_count, gamma_ratio, over_factorial,
-    recip_gamma,
+    FACTORIALS, GammaRangeError, _check_finite, over_factorial, recip_gamma,
 )
 
 __all__ = [
-    "IntegerLimitReport",
     "caputo_derivative",
-    "frac_differintegral",
-    "integer_limit_check",
     "rl_caputo_bridge",
     "rl_differintegral",
 ]
@@ -262,86 +256,3 @@ def rl_caputo_bridge(f: TaylorSeries, order: float) -> FracPowerSeries:
     # a finite explicit sum: complete regardless of the source data
     terms = slot_terms(f, alpha, 0, min(branch(alpha), f.truncation + 1), True)
     return FracPowerSeries(f.center, tuple(terms), f.radius_hint, True)
-
-
-def frac_differintegral(
-    series: FracPowerSeries, alpha: float
-) -> FracPowerSeries:
-    """Termwise power rule on a fractional power series.
-
-    c (t-a)^mu maps to c Gamma(mu+1)/Gamma(mu-alpha+1) (t-a)^(mu-alpha),
-    valid for mu > -1 (the memory integral of t^mu with mu <= -1 does
-    not exist). Pole denominators drop the term exactly.
-
-    Raises:
-        ValueError: for an order that is not finite, then for a term
-            exponent <= -1.
-    """
-    alpha = check_order(alpha)
-    terms = []
-    for c, e in series.terms:
-        if e <= -1.0:
-            raise ValueError(
-                f"term with exponent {e} <= -1 has no differintegral "
-                "(kernel integral diverges at the terminal)"
-            )
-        terms.append((c * gamma_ratio(e + 1.0, e + 1.0 - alpha), e - alpha))
-    return FracPowerSeries(
-        series.center, tuple(terms), series.radius_hint, series.complete
-    )
-
-
-class IntegerLimitReport(namedtuple("IntegerLimitReport", "n eps grid rl_above rl_below "
-                                    "caputo_below integral_above integral_below")):
-    """Max pointwise deviations of near-integer orders from exact calculus.
-
-    Derivative side: RL at n +/- eps and Caputo at n - eps against the
-    exact n-th derivative. Integral side: RL at -(n +/- eps) against the
-    exact n-fold integral.
-    """
-
-    __slots__ = ()
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self[3:])  # the five deviations
-
-
-def _max_dev(series: FracPowerSeries, exact: FracPowerSeries, grid) -> float:
-    dev = 0.0
-    for t in grid:
-        got = series.evaluate(t).expect_finite()
-        want = exact.evaluate(t).expect_finite()
-        dev = max(dev, abs(got - want))
-    return dev
-
-
-def integer_limit_check(
-    f: TaylorSeries, n: int, eps: float, grid: tuple[float, ...] | list[float]
-) -> IntegerLimitReport:
-    """Check that the fractional operators collapse onto integer calculus.
-
-    Raises:
-        ValueError: for n that is not an integer >= 1 (an int or an
-            integral float), eps outside (0, 0.1), or a grid point that is
-            not finite and right of the center (NaN included).
-    """
-    n = check_count(n, 1, "n")
-    if not 0.0 < eps < 0.1:
-        raise ValueError(f"eps must lie in (0, 0.1), got {eps}")
-    grid = tuple(float(t) for t in grid)
-    for t in grid:
-        check_right_of_terminal(t, f.center)
-
-    exact_d = rl_differintegral(f, n)
-    exact_i = rl_differintegral(f, -n)
-    return IntegerLimitReport(
-        n=n,
-        eps=eps,
-        grid=grid,
-        rl_above=_max_dev(rl_differintegral(f, n + eps), exact_d, grid),
-        rl_below=_max_dev(rl_differintegral(f, n - eps), exact_d, grid),
-        caputo_below=_max_dev(caputo_derivative(f, n - eps), exact_d, grid),
-        integral_above=_max_dev(rl_differintegral(f, -(n + eps)), exact_i, grid),
-        integral_below=_max_dev(rl_differintegral(f, -(n - eps)), exact_i, grid),
-    )

@@ -1,4 +1,4 @@
-"""Reciprocal gamma, gamma ratios, generalized binomials, and the tail integral.
+"""Reciprocal gamma, generalized binomials, and the tail integral.
 
 Every operator in this package divides by gamma values at negative
 non-integer arguments as a matter of course, and relies on exact zeros
@@ -17,9 +17,7 @@ from operator import truediv
 
 __all__ = [
     "GammaRangeError",
-    "gamma_ratio",
     "gen_binom",
-    "pochhammer",
     "recip_gamma",
     "upsilon",
 ]
@@ -111,7 +109,15 @@ def _recip_tiny_gamma(x: float) -> float:
         r = 1.0 / g
         if not math.isinf(r):
             return r
-    return _log_gamma_ratio(1.0, x)
+    # log space, with the sign Gamma alternates between its negative poles
+    log_r = -math.lgamma(x)
+    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
+    try:
+        return sign * math.exp(log_r)
+    except OverflowError:
+        raise GammaRangeError(
+            f"1/Gamma({x!r}) has magnitude exp({log_r:.6g}), beyond the double range"
+        ) from None
 
 
 def gen_binom(alpha: float, k: int) -> float:
@@ -136,72 +142,6 @@ def gen_binom(alpha: float, k: int) -> float:
             f"gen_binom({alpha!r}, {k}) divides by {k}!, which is beyond the double range"
         )
     return over_factorial(num, k)
-
-
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial x(x+1)...(x+k-1) = Gamma(x+k)/Gamma(x).
-
-    The product form stays finite where the gamma ratio would be a
-    pole-over-pole expression (integer x <= 0 with x + k > 0).
-    """
-    x = _check_finite(x)
-    k = check_count(k, 0, "k")
-    acc = 1.0
-    for j in range(k):
-        acc *= x + j
-    return acc
-
-
-def _gamma_sign(x: float) -> float:
-    # sign of gamma away from poles: alternates on the negative axis
-    if x > 0:
-        return 1.0
-    return 1.0 if math.floor(x) % 2 == 0 else -1.0
-
-
-def _log_gamma_ratio(num: float, den: float) -> float:
-    log_ratio = math.lgamma(num) - math.lgamma(den)
-    try:
-        return _gamma_sign(num) * _gamma_sign(den) * math.exp(log_ratio)
-    except OverflowError:
-        what = f"1/Gamma({den!r})" if num == 1.0 else f"Gamma({num!r})/Gamma({den!r})"
-        raise GammaRangeError(
-            f"{what} has magnitude exp({log_ratio:.6g}), beyond the double range"
-        ) from None
-
-
-def _deep_gamma_ratio(num: float, den: float) -> float:
-    # an argument lies left of GAMMA_UNDERFLOW_X: keep the direct quotient
-    # while both gammas are normal floats, else go to log space with the
-    # signs taken apart
-    try:
-        g_num, g_den = math.gamma(num), math.gamma(den)
-    except OverflowError:
-        return _log_gamma_ratio(num, den)
-    if abs(g_num) >= sys.float_info.min and abs(g_den) >= sys.float_info.min:
-        return g_num / g_den
-    return _log_gamma_ratio(num, den)
-
-
-def gamma_ratio(num: float, den: float) -> float:
-    """Gamma(num)/Gamma(den); exactly 0.0 when *den* sits on a pole.
-
-    Falls back to log space when a gamma alone would overflow or
-    underflow while the ratio is still representable.
-
-    Raises:
-        GammaRangeError: if the ratio itself exceeds the double range.
-    """
-    if is_gamma_pole(den):
-        return 0.0
-    if is_gamma_pole(num):
-        raise ValueError(f"gamma pole in the numerator at {num}")
-    if num < GAMMA_UNDERFLOW_X or den < GAMMA_UNDERFLOW_X:
-        return _deep_gamma_ratio(num, den)
-    try:
-        return math.gamma(num) / math.gamma(den)
-    except OverflowError:
-        return _log_gamma_ratio(num, den)
 
 
 #: Relative size of the last term or step at which the sums and the

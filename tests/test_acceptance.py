@@ -11,20 +11,21 @@ import numpy as np
 import scipy.integrate
 
 from fracseries.laplace import (
-    frequency_differentiation_check,
-    initial_value_equivalence,
+    classify_lower_terminal,
     laplace_caputo,
     laplace_rl_derivative_fps,
+    laplace_series,
 )
 from fracseries.leibniz import leibniz_report
-from fracseries.operators import (
-    caputo_derivative,
-    integer_limit_check,
-    rl_caputo_bridge,
-    rl_differintegral,
-)
+from fracseries.operators import caputo_derivative, rl_caputo_bridge, rl_differintegral
 from fracseries.quadrature import rl_derivative_quad
-from fracseries.series import FracPowerSeries, series_from_catalog
+from fracseries.series import (
+    EvalResult,
+    FracPowerSeries,
+    canonical_terms,
+    series_from_catalog,
+    taylor_arith,
+)
 from fracseries.special import gen_binom
 
 ALPHAS = (0.25, 0.5, 0.75)
@@ -186,6 +187,7 @@ def crit_06_falsification_suite():
 
 def crit_07_integer_limits():
     eps = 1e-6
+    grid = [float(t) for t in np.linspace(0.25, 1.0, 7)]
     worst = 0.0
     cases = [
         ("poly", [1.0, -1.0, 0.5, 2.0], 12),
@@ -195,8 +197,20 @@ def crit_07_integer_limits():
     for name, params, trunc in cases:
         f = series_from_catalog(name, params, truncation=trunc)
         for n in (1, 2):
-            report = integer_limit_check(f, n, eps, np.linspace(0.25, 1.0, 7))
-            worst = max(worst, report.max_deviation)
+            # RL at n +/- eps and Caputo at n - eps against the exact n-th
+            # derivative; RL at -(n +/- eps) against the exact n-fold integral
+            exact_d = rl_differintegral(f, n)
+            exact_i = rl_differintegral(f, -n)
+            for near, exact in (
+                (rl_differintegral(f, n + eps), exact_d),
+                (rl_differintegral(f, n - eps), exact_d),
+                (caputo_derivative(f, n - eps), exact_d),
+                (rl_differintegral(f, -(n + eps)), exact_i),
+                (rl_differintegral(f, -(n - eps)), exact_i),
+            ):
+                for t in grid:
+                    got = near.evaluate(t).expect_finite()
+                    worst = max(worst, abs(got - exact.evaluate(t).expect_finite()))
 
     # at alpha just above n-1 the naive product rule collapses to ~0 while
     # the Caputo derivative tends to the difference of (n-1)-th derivatives
@@ -249,8 +263,18 @@ def crit_09_frequency_identity():
         )
         alpha = float(rng.uniform(0.1, 2.9))
         m = int(rng.integers(0, 4))
-        report = frequency_differentiation_check(f, alpha, m)
-        worst = max(worst, report.max_discrepancy)
+        # s^(-alpha) F^(m)(s), inverted termwise: c s^(-p) differentiates m
+        # times to (-1)^m c p(p+1)...(p+m-1) s^-(p+m)
+        left = [
+            ((-1) ** m * c * math.prod(p + j for j in range(m)) / math.gamma(p + m + alpha),
+             p + m + alpha - 1.0)
+            for c, p in laplace_series(f).terms
+        ]
+        # the RL integral of order alpha of (-t)^m f(t)
+        weight = series_from_catalog("poly", [0.0] * m + [(-1.0) ** m], truncation=14)
+        right = rl_differintegral(taylor_arith(weight, f, "mul"), -alpha).terms
+        diff = canonical_terms(left + [(-c, e) for c, e in right])
+        worst = max(worst, max((abs(c) for c, _ in diff), default=0.0))
     ok = worst <= 1e-11
     return ok, f"100 instances, max discrepancy {worst:.2e}"
 
@@ -262,7 +286,14 @@ def crit_10_initial_value_sweep():
         for j in range(7):
             coeffs = [0.0] * j + [1.0]
             f = series_from_catalog("poly", coeffs, truncation=10)
-            left, right = initial_value_equivalence(f, alpha)
+            n = math.ceil(alpha)
+            # the RL differintegrals of orders alpha, alpha-1, ..., alpha-n
+            # tend to 0 at the terminal, against f^(k)(0) = 0 for k < n
+            left = all(
+                classify_lower_terminal(f, alpha - 1.0 - k) == EvalResult.finite(0.0)
+                for k in range(-1, n)
+            )
+            right = all(f.derivs[k] == 0.0 for k in range(n))
             total += 1
             matches += left == right
     ok = matches == total == 21

@@ -12,7 +12,7 @@ import pytest
 
 from fracseries.cli import main
 from fracseries.leibniz import leibniz_report
-from fracseries.operators import integer_limit_check, operator_value, rl_differintegral
+from fracseries.operators import operator_value, rl_differintegral
 from fracseries.quadrature import caputo_quad, rl_derivative_quad, rl_integral_quad
 from fracseries.series import series_from_catalog
 from fracseries.special import GammaRangeError, gen_binom
@@ -83,11 +83,7 @@ def _integral(t):
     return rl_integral_quad(math.exp, 0.5, 0.0, t)
 
 
-def _integer_limit(t):
-    return integer_limit_check(exp_data(16), 1, 0.01, (0.5, t))
-
-
-@pytest.mark.parametrize("route", [_caputo, _rl, _integral, _integer_limit])
+@pytest.mark.parametrize("route", [_caputo, _rl, _integral])
 @pytest.mark.parametrize("t", [0.0, -0.5, math.nan])
 def test_each_operator_refuses_t_not_right_of_the_terminal(route, t):
     with pytest.raises(ValueError, match=rf"^t={t!r} must lie right of the terminal 0\.0$"):
@@ -102,7 +98,7 @@ def _value(t):
     return operator_value(exp_data(16), 0.5, t)
 
 
-@pytest.mark.parametrize("route", [_caputo, _rl, _integral, _integer_limit, _report, _value])
+@pytest.mark.parametrize("route", [_caputo, _rl, _integral, _report, _value])
 def test_each_operator_refuses_an_infinite_t_by_name(route):
     # these blamed the re-expansion about inf, the truncation, the
     # convergence radius or a Gauss-Jacobi sum

@@ -8,14 +8,9 @@ import math
 import pytest
 
 from fracseries import (
-    frequency_derivative,
-    frequency_differentiation_check,
     gen_binom,
-    integer_limit_check,
-    laplace_series,
     leibniz_report,
     parse_function_spec,
-    pochhammer,
     rl_integral_fixed,
     series_from_catalog,
 )
@@ -28,15 +23,10 @@ P = series_from_catalog("poly", [1.0, 2.0, 3.0], truncation=32)
 #: entry -> (parameter name, least value, call)
 ENTRIES = {
     "gen_binom": ("k", 0, lambda n: gen_binom(0.5, n)),
-    "pochhammer": ("k", 0, lambda n: pochhammer(0.5, n)),
     "TaylorSeries.nth_derivative": ("n", 0, lambda n: F.nth_derivative(n)),
-    "integer_limit_check": ("n", 1, lambda n: integer_limit_check(F, n, 1e-3, [0.5, 1.0])),
     "series_from_catalog": ("truncation", 1, lambda n: series_from_catalog("exp", [1.0], 0.0, n)),
     "parse_function_spec": ("truncation", 1, lambda n: parse_function_spec("exp:1", 0.0, n)),
     "leibniz_report": ("trunc", 1, lambda n: leibniz_report(P, G, 0.5, 1.0, trunc=n)),
-    "frequency_derivative": ("m", 0, lambda n: frequency_derivative(laplace_series(F), n)),
-    "frequency_differentiation_check": (
-        "m", 0, lambda n: frequency_differentiation_check(F, 0.5, n)),
     "rl_integral_fixed": ("nodes", 1, lambda n: rl_integral_fixed(math.exp, 0.5, 0.0, 1.0, n)),
 }
 

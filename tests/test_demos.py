@@ -30,3 +30,8 @@ def test_laplace_demo_shows_cancellation_and_markers(capsys):
     assert "caputo transform of 1+t, order 1.5 : 0" in lines
     assert "RL transform of 1+t, order 1.5     : SINGULAR(k=0)" in lines
     assert "generalized caputo from a=2       : 1 * s^(-1.3)" in lines
+    assert lines[-3:] == [
+        "  f = 1    : rl-limits-zero=False  derivs-zero=False  D^1.5 near 0: Infinite(-1)",
+        "  f = t    : rl-limits-zero=False  derivs-zero=False  D^1.5 near 0: Infinite(+1)",
+        "  f = t^2  : rl-limits-zero=True  derivs-zero=True  D^1.5 near 0: Finite(0.0)",
+    ]

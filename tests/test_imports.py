@@ -80,7 +80,7 @@ def test_package_names_are_the_module_lists():
 
     modules = [importlib.import_module(f"fracseries.{name}") for name in MODULES]
     assert fracseries.__all__ == [name for module in modules for name in module.__all__]
-    assert len(set(fracseries.__all__)) == len(fracseries.__all__) == 45
+    assert len(set(fracseries.__all__)) == len(fracseries.__all__) == 36
     for module in modules:
         for name in module.__all__:
             assert getattr(fracseries, name) is getattr(module, name)

@@ -7,10 +7,7 @@ import scipy.integrate
 from fracseries.laplace import (
     LaplaceExpr,
     classify_lower_terminal,
-    frequency_derivative,
-    frequency_differentiation_check,
     generalized_laplace,
-    initial_value_equivalence,
     laplace_caputo,
     laplace_fps,
     laplace_rl_derivative,
@@ -25,6 +22,7 @@ from fracseries.grammar import parse_function_spec
 from fracseries.special import GammaRangeError, upsilon_row
 from fracseries.series import (
     DivergenceError,
+    EvalResult,
     FracPowerSeries,
     TaylorSeries,
     check_tail,
@@ -252,52 +250,6 @@ def test_fps_rl_integral_fused():
     assert e.terms == ((math.gamma(1.5), 2.0),)
 
 
-# --- frequency differentiation ---------------------------------------------------
-
-
-def test_frequency_derivative_basic():
-    one_over_s = LaplaceExpr(0.0, ((1.0, 1.0),))
-    d1 = frequency_derivative(one_over_s, 1)
-    assert d1.terms == ((-1.0, 2.0),)
-    assert frequency_derivative(one_over_s, 0) == one_over_s
-
-
-def test_frequency_derivative_composes_exactly():
-    e = LaplaceExpr(0.0, ((2.0, 1.5), (-1.0, 3.0)))
-    twice = frequency_derivative(frequency_derivative(e, 1), 1)
-    once = frequency_derivative(e, 2)
-    assert twice == once
-
-
-def test_frequency_derivative_validation():
-    with pytest.raises(ValueError):
-        frequency_derivative(LaplaceExpr(singular="k=0"), 1)
-    with pytest.raises(ValueError):
-        frequency_derivative(LaplaceExpr(-1.0, ((1.0, 1.5),)), 1)
-    with pytest.raises(ValueError):
-        frequency_derivative(LaplaceExpr(0.0, ((1.0, -0.5),)), 1)
-
-
-def test_frequency_check_trivial_cases():
-    f = poly([1.0])
-    report = frequency_differentiation_check(f, 0.5, 0)
-    assert report.max_discrepancy <= 1e-15
-
-    # m=1, alpha=1: both routes land on -t^2/2
-    report = frequency_differentiation_check(f, 1.0, 1)
-    assert report.max_discrepancy <= 1e-15
-    assert report.right.evaluate(2.0).expect_finite() == pytest.approx(-2.0, rel=1e-14)
-
-
-def test_frequency_check_random_polynomials():
-    for _ in range(20):
-        f = poly(rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 7))))
-        alpha = float(rng.uniform(0.1, 2.5))
-        m = int(rng.integers(0, 4))
-        report = frequency_differentiation_check(f, alpha, m)
-        assert report.max_discrepancy <= 1e-11
-
-
 # --- shifted and generalized transforms -------------------------------------------
 
 
@@ -449,30 +401,16 @@ def test_taylor_transforms_refuse_data_with_a_finite_radius():
 
 def test_classify_lower_terminal():
     f = series_from_catalog("exp", [1.0], truncation=16)
-    r = classify_lower_terminal(f, 0.5)
-    assert r.is_infinite and r.sign == 1
-    r = classify_lower_terminal(f, 1.5)
-    assert r.is_infinite and r.sign == -1
+    assert classify_lower_terminal(f, 0.5) == EvalResult.infinite(1)
+    assert classify_lower_terminal(f, 1.5) == EvalResult.infinite(-1)
 
     g = poly([0.0, 0.0, 1.0])
-    assert classify_lower_terminal(g, 1.5).value == 0.0
-    assert classify_lower_terminal(g, 2.0).value == 2.0
-    assert classify_lower_terminal(g, 0.0).value == 0.0
+    assert classify_lower_terminal(g, 1.5) == EvalResult.finite(0.0)
+    assert classify_lower_terminal(g, 2.0) == EvalResult.finite(2.0)
+    assert classify_lower_terminal(g, 0.0) == EvalResult.finite(0.0)
 
     h = poly([0.0, 1.0])
-    assert classify_lower_terminal(h, 1.0).value == 1.0
-
-
-def test_initial_value_equivalence_examples():
-    assert initial_value_equivalence(poly([0.0, 1.0]), 1.5) == (False, False)
-    assert initial_value_equivalence(poly([0.0, 0.0, 1.0]), 1.5) == (True, True)
-    assert initial_value_equivalence(poly([1.0]), 1.5) == (False, False)
-    assert initial_value_equivalence(poly([0.0, 0.0, 0.0, 1.0]), 2.5) == (True, True)
-
-
-def test_initial_value_equivalence_rejects_integer_order():
-    with pytest.raises(ValueError):
-        initial_value_equivalence(poly([1.0]), 2.0)
+    assert classify_lower_terminal(h, 1.0) == EvalResult.finite(1.0)
 
 
 def test_taylor_transforms_refuse_sums_past_the_carried_data():

@@ -7,8 +7,6 @@ import pytest
 
 from fracseries.operators import (
     caputo_derivative,
-    frac_differintegral,
-    integer_limit_check,
     operator_terms,
     operator_value,
     rl_caputo_bridge,
@@ -17,7 +15,6 @@ from fracseries.operators import (
 from fracseries.grammar import GrammarError, parse_function_spec
 from fracseries.series import (
     DivergenceError,
-    FracPowerSeries,
     TaylorSeries,
     check_order,
     series_from_catalog,
@@ -307,90 +304,30 @@ def test_operator_value_matches_the_term_list_sum_on_extreme_data(seed):
         assert _outcome(lambda: operator_value(f, order, t, caputo)) == want, (derivs, a, t, order)
 
 
-def test_frac_differintegral_power_rule():
-    s = FracPowerSeries(center=0.0, terms=((1.0, 1.5),))
-    d = frac_differintegral(s, 0.5)
-    assert len(d.terms) == 1
-    c, e = d.terms[0]
-    assert e == 1.0
-    assert c == pytest.approx(math.gamma(2.5) / math.gamma(2.0), rel=1e-14)
-
-
-def test_frac_differintegral_pole_kill():
-    # exponent alpha - m differentiated by alpha hits 1/Gamma(nonpositive)
-    s = FracPowerSeries(center=0.0, terms=((3.0, 0.5), (1.0, 1.5)))
-    d = frac_differintegral(s, 1.5)
-    assert d.terms == ((math.gamma(2.5), 0.0),)
-
-
-def test_frac_differintegral_semigroup_on_integrals():
-    # I^a I^b = I^(a+b) on power terms
-    for _ in range(20):
-        mu = float(rng.uniform(0.0, 4.0))
-        al = float(rng.uniform(0.1, 1.5))
-        be = float(rng.uniform(0.1, 1.5))
-        s = FracPowerSeries(center=0.0, terms=((1.0, mu),))
-        two_step = frac_differintegral(frac_differintegral(s, -al), -be)
-        one_step = frac_differintegral(s, -(al + be))
-        (c1, e1), (c2, e2) = two_step.terms[0], one_step.terms[0]
-        assert e1 == pytest.approx(e2, abs=1e-12)
-        assert c1 == pytest.approx(c2, rel=1e-13)
-
-
-def test_frac_differintegral_rejects_deep_singularity():
-    s = FracPowerSeries(center=0.0, terms=((1.0, -1.0),))
-    with pytest.raises(ValueError):
-        frac_differintegral(s, 0.5)
-
-
-def test_frac_differintegral_agrees_with_taylor_route():
-    f = series_from_catalog("poly", [0.0, 2.0, 1.0], truncation=8)
-    s = FracPowerSeries(center=0.0, terms=((2.0, 1.0), (1.0, 2.0)))
-    for alpha in (-0.7, 0.3, 1.4):
-        via_taylor = rl_differintegral(f, alpha)
-        via_power = frac_differintegral(s, alpha)
-        for t in (0.5, 1.5):
-            a = via_taylor.evaluate(t).expect_finite()
-            b = via_power.evaluate(t).expect_finite()
-            assert b == pytest.approx(a, rel=1e-13)
-
-
 # --- integer-limit collapse ---------------------------------------------------
+
+
+def _integer_limit_dev(f, n, eps, grid):
+    """Max deviation on *grid* of RL at n +/- eps and Caputo at n - eps from the
+    exact n-th derivative, and of RL at -(n +/- eps) from the exact n-fold integral."""
+    exact_d, exact_i = rl_differintegral(f, n), rl_differintegral(f, -n)
+    pairs = [(rl_differintegral(f, n + eps), exact_d), (rl_differintegral(f, n - eps), exact_d),
+             (caputo_derivative(f, n - eps), exact_d), (rl_differintegral(f, -(n + eps)), exact_i),
+             (rl_differintegral(f, -(n - eps)), exact_i)]
+    return max(abs(near.evaluate(t).expect_finite() - exact.evaluate(t).expect_finite())
+               for near, exact in pairs for t in map(float, grid))
 
 
 def test_integer_limit_exp_contract():
     f = series_from_catalog("exp", [1.0], truncation=32)
-    report = integer_limit_check(f, n=2, eps=1e-6, grid=np.linspace(0.25, 1.0, 7))
-    assert report.max_deviation < 1e-3
+    assert _integer_limit_dev(f, 2, 1e-6, np.linspace(0.25, 1.0, 7)) < 1e-3
 
 
 def test_integer_limit_poly_tight():
     f = series_from_catalog("poly", [1.0, -1.0, 0.5, 2.0], truncation=10)
-    report = integer_limit_check(f, n=1, eps=1e-6, grid=np.linspace(0.5, 2.0, 9))
-    assert report.max_deviation < 1e-4
+    assert _integer_limit_dev(f, 1, 1e-6, np.linspace(0.5, 2.0, 9)) < 1e-4
 
 
 def test_integer_limit_constant_caputo_is_exact():
     f = series_from_catalog("const", [4.0], truncation=6)
-    report = integer_limit_check(f, n=1, eps=1e-6, grid=[0.5, 1.0])
-    assert report.caputo_below == 0.0
-
-
-def test_integer_limit_validation():
-    f = series_from_catalog("const", [1.0], truncation=4)
-    with pytest.raises(ValueError):
-        integer_limit_check(f, n=0, eps=1e-6, grid=[1.0])
-    with pytest.raises(ValueError):
-        integer_limit_check(f, n=1, eps=0.5, grid=[1.0])
-    with pytest.raises(ValueError):
-        integer_limit_check(f, n=1, eps=1e-6, grid=[0.0, 1.0])
-
-
-def test_integer_limit_needs_an_integer_n():
-    # at n = 1.5 the "exact" reference would be the order-1.5 operator itself
-    f = series_from_catalog("exp", [1.0], truncation=32)
-    for n in (1.5, 0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
-            integer_limit_check(f, n, 1e-3, [0.5, 1.0])
-    assert integer_limit_check(f, 1, 1e-3, [0.5, 1.0]) == integer_limit_check(
-        f, 1.0, 1e-3, [0.5, 1.0])
+    assert caputo_derivative(f, 1 - 1e-6).terms == ()

@@ -10,10 +10,7 @@ from fracseries import (
     caputo_derivative,
     caputo_quad,
     classify_lower_terminal,
-    frac_differintegral,
-    frequency_differentiation_check,
     generalized_laplace,
-    initial_value_equivalence,
     laplace_caputo,
     laplace_rl_derivative,
     laplace_rl_derivative_fps,
@@ -39,7 +36,6 @@ ENTRIES = {
     "rl_differintegral": lambda o: rl_differintegral(F, o),
     "caputo_derivative": lambda o: caputo_derivative(F, o),
     "rl_caputo_bridge": lambda o: rl_caputo_bridge(F, o),
-    "frac_differintegral": lambda o: frac_differintegral(POWERS, o),
     "leibniz_report": lambda o: leibniz_report(F, G, o, 1.0),
     "laplace_rl_integral": lambda o: laplace_rl_integral(F, o),
     "laplace_caputo": lambda o: laplace_caputo(F, o),
@@ -49,8 +45,6 @@ ENTRIES = {
     "laplace_shifted_series": lambda o: laplace_shifted_series(F_SHIFTED, "caputo", o),
     "generalized_laplace": lambda o: generalized_laplace(F_SHIFTED, "caputo", o),
     "classify_lower_terminal": lambda o: classify_lower_terminal(F, o),
-    "initial_value_equivalence": lambda o: initial_value_equivalence(F, o),
-    "frequency_differentiation_check": lambda o: frequency_differentiation_check(F, o, 1),
     "caputo_quad": lambda o: caputo_quad(F, o, 1.0),
     "rl_derivative_quad": lambda o: rl_derivative_quad(F, o, 1.0),
     "rl_integral_fixed": lambda o: rl_integral_fixed(math.exp, o, 0.0, 1.0, 16),

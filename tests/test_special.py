@@ -9,9 +9,7 @@ from hypothesis import given, strategies as st
 
 from fracseries.special import (
     GammaRangeError,
-    gamma_ratio,
     gen_binom,
-    pochhammer,
     recip_gamma,
     upsilon,
     upsilon_row,
@@ -138,52 +136,6 @@ def test_binom_convolution_identity_property(alpha, i, j):
     right = gen_binom(alpha, j) * gen_binom(alpha - j, i)
     scale = max(abs(left), abs(right), 1.0)
     assert abs(left - right) <= CONVOLUTION_TOL * scale
-
-
-# --- pochhammer ----------------------------------------------------------
-
-
-def test_pochhammer_examples():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(3.0, 2) == 12.0
-    assert pochhammer(0.5, 3) == 0.5 * 1.5 * 2.5
-    assert pochhammer(-2.0, 3) == 0.0
-
-
-def test_pochhammer_gamma_ratio_agreement():
-    for x in (0.7, 1.3, 2.5):
-        for m in range(0, 6):
-            want = math.gamma(x + m) / math.gamma(x)
-            assert pochhammer(x, m) == pytest.approx(want, rel=1e-13)
-
-
-# --- gamma_ratio ---------------------------------------------------------
-
-
-def test_gamma_ratio_plain():
-    assert gamma_ratio(4.0, 2.0) == pytest.approx(6.0, rel=1e-14)
-    assert gamma_ratio(2.5, 2.5) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_gamma_ratio_denominator_pole_is_zero():
-    assert gamma_ratio(2.0, -1.0) == 0.0
-    assert gamma_ratio(0.5, 0.0) == 0.0
-
-
-def test_gamma_ratio_numerator_pole_raises():
-    with pytest.raises(ValueError):
-        gamma_ratio(-2.0, 1.5)
-
-
-def test_gamma_ratio_large_arguments():
-    # both factors overflow individually, ratio stays modest
-    want = 300.5 * 301.5
-    assert gamma_ratio(302.5, 300.5) == pytest.approx(want, rel=1e-12)
-
-
-def test_gamma_ratio_negative_noninteger():
-    want = math.gamma(-0.5) / math.gamma(-1.5)
-    assert gamma_ratio(-0.5, -1.5) == pytest.approx(want, rel=1e-13)
 
 
 # --- upsilon (upper incomplete gamma) ------------------------------------
@@ -468,18 +420,3 @@ def test_recip_gamma_far_left_but_representable():
     # near a pole, and in the band where math.gamma is subnormal
     for x in (-171.001, -172.00001, -170.7):
         assert recip_gamma(x) == pytest.approx(_log_space_recip(x), rel=1e-11)
-
-
-def test_gamma_ratio_when_both_gammas_underflow():
-    # Gamma(x + 1) / Gamma(x) = x although both gammas are 0.0 in doubles
-    assert gamma_ratio(-178.5, -179.5) == pytest.approx(-179.5, rel=1e-11)
-    assert gamma_ratio(-250.25, -251.25) == pytest.approx(-251.25, rel=1e-11)
-
-
-def test_gamma_ratio_beyond_double_range_raises():
-    from fracseries.special import GammaRangeError
-
-    with pytest.raises(GammaRangeError):
-        gamma_ratio(200.5, 0.5)
-    with pytest.raises(GammaRangeError):
-        gamma_ratio(2.5, -179.5)

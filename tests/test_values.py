@@ -1,4 +1,4 @@
-"""The seven value types keep what callers observe: the repr, equality and
+"""The five value types keep what callers observe: the repr, equality and
 hash, and immutability. The strings and hashes were taken when they were
 frozen dataclasses.
 
@@ -9,9 +9,8 @@ that hash is pinned against the tuple of its compared fields.
 
 import pytest
 
-from fracseries.laplace import FreqDiffReport, LaplaceExpr
+from fracseries.laplace import LaplaceExpr
 from fracseries.leibniz import LeibnizReport
-from fracseries.operators import IntegerLimitReport
 from fracseries.series import EvalResult, FracPowerSeries, TaylorSeries
 
 FPS = FracPowerSeries(0.0, ((2, 1.5), (1.0, 0.5)), 3.0, False)
@@ -43,12 +42,6 @@ CASES = {
         ("shift", "terms", "singular", "complete"),
         "LaplaceExpr(shift=-1.0, terms=((0.5, 0.5), (1.0, 1.5)), singular=None, complete=False)",
         None),
-    "FreqDiffReport": (
-        lambda: FreqDiffReport(left=FPS, right=FPS, max_discrepancy=0.25),
-        lambda: FreqDiffReport(left=FPS, right=FPS, max_discrepancy=0.5),
-        ("left", "right", "max_discrepancy"),
-        f"FreqDiffReport(left={FPS_REPR}, right={FPS_REPR}, max_discrepancy=0.25)",
-        -916914304616876262),
     "LeibnizReport": (
         lambda: LeibnizReport(EvalResult.finite(2.0), 0.25, 3, lambda: 1.0),
         lambda: LeibnizReport(EvalResult.finite(2.0), 0.25, 4, lambda: 1.0),
@@ -56,14 +49,6 @@ CASES = {
         "LeibnizReport(rule_value=EvalResult(value=2.0, sign=0), correction_value=0.25, "
         "terms_used=3)",
         -138552253212416268),
-    "IntegerLimitReport": (
-        lambda: IntegerLimitReport(1, 0.001, (0.5, 1.0), 0.5, 0.25, 0.125, 1.0, 2.0),
-        lambda: IntegerLimitReport(1, 0.001, (0.5, 1.0), 0.5, 0.25, 0.125, 1.0, 4.0),
-        ("n", "eps", "grid", "rl_above", "rl_below", "caputo_below", "integral_above",
-         "integral_below"),
-        "IntegerLimitReport(n=1, eps=0.001, grid=(0.5, 1.0), rl_above=0.5, rl_below=0.25, "
-        "caputo_below=0.125, integral_above=1.0, integral_below=2.0)",
-        8045366468823717982),
 }
 
 
